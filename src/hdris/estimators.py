@@ -1,11 +1,11 @@
 """Pilot simulation, matched filtering and the three channel estimators.
 
 The pilot stage yields an (n_ue x n_pilots x n_blocks) observation block.
-Matched filtering against the row-orthonormal training operator
+Matched filtering against the two row-orthonormal training factors
 compresses it into the (n_bs*n_ue x n_ris) cascade matrix, whose
 noiseless value is the column-wise Kronecker product of the transposed
 first hop with the second hop.  Because both hops are rank one per axis,
-a fixed re-indexing of the cascade's entries arranges them into a
+one reshape and transpose of the cascade's entries arranges them into a
 sixth-order tensor that is exactly a rank-one outer product of the six
 steering-related vectors.  Three estimators consume the cascade:
 
@@ -26,18 +26,8 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemDims
 from .flopcount import FlopCounter, counted_matmul
-from .tensors import (
-    ComplexTensor,
-    dominant_left_singular_vector,
-    fold,
-    hosvd_rank1,
-    identity_tensor,
-    n_mode_product,
-    tensorize,
-    unfold,
-    unvec,
-)
-from .training import TrainingDesign
+from .tensors import ComplexTensor, dominant_left_singular_vector, hosvd_rank1, unvec
+from .training import TrainingDesign, validate_training
 
 __all__ = [
     "ObservationTensor",
@@ -71,23 +61,12 @@ def simulate_observation(
     noise_var: float,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    route: str = "blocks",
 ) -> ObservationTensor:
     """Simulate the received pilot tensor for one channel realization.
 
     Block k receives ris_ue @ diag(ris_phases[:, k]) @ bs_ris @ bs_pilots
     plus circular complex Gaussian noise of variance ``noise_var`` per
     entry.
-
-    Parameters
-    ----------
-    route : {"blocks", "tensor"}
-        "blocks" assembles the receive blocks directly; "tensor" builds
-        the same array through multilinear products (identity core
-        contracted with the two hops along the first two modes, then with
-        the pilot block and the phase profiles along the pilot and block
-        modes).  Both give the same observation and exist so tests can
-        cross-check them.
     """
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
@@ -95,22 +74,10 @@ def simulate_observation(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    if route == "blocks":
-        first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
-        x = np.empty(
-            (dims.n_ue, dims.n_pilots, dims.n_blocks), dtype=np.complex128
-        )
-        for k in range(dims.n_blocks):
-            x[:, :, k] = ch.ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
-    elif route == "tensor":
-        core = identity_tensor(3, dims.n_ris)
-        hops = n_mode_product(core, ch.ris_ue, 1)
-        hops = n_mode_product(hops, ch.bs_ris.T, 2)       # mode 3 keeps identity
-        xt = n_mode_product(hops, design.bs_pilots.T, 2)
-        xt = n_mode_product(xt, design.ris_phases.T, 3)
-        x = np.asarray(xt.data)
-    else:
-        raise ValueError("unknown route %r" % (route,))
+    first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
+    x = np.empty((dims.n_ue, dims.n_pilots, dims.n_blocks), dtype=np.complex128)
+    for k in range(dims.n_blocks):
+        x[:, :, k] = ch.ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
@@ -130,43 +97,42 @@ def matched_filter(
 ) -> np.ndarray:
     """Invert the training operator and rearrange into the cascade matrix.
 
-    The mode-1 unfolding of the observation (n_ue x n_pilots*n_blocks) is
-    multiplied by the conjugate transpose of the combined training
-    operator, landing on an n_ue x n_bs*n_ris matrix whose columns are
-    re-laid-out so that row (m*n_ue + q) of column n holds the product of
-    first-hop entry (n, m) with second-hop entry (q, n) in the noiseless
-    case.
+    The joint operator kron(ris_phases, bs_pilots) is applied as two mode
+    products of the observation: the pilot mode against bs_pilots^H and
+    the block mode against ris_phases^H, which costs n_ue*n_bs*n_pilots*
+    n_blocks + n_ue*n_bs*n_blocks*n_ris MACs.  The (n_ue, n_bs, n_ris)
+    result is read column-major as the cascade matrix, so row
+    (m*n_ue + q) of column n holds the product of first-hop entry (n, m)
+    with second-hop entry (q, n) in the noiseless case.
 
     Parameters
     ----------
     check : bool
-        Verify the training operator has orthonormal rows within
+        Verify both training factors have orthonormal rows within
         ``orth_tol`` first (the design contract the filter relies on).
         Sweep drivers validate the design once and pass check=False on
         the per-trial path.
     """
-    joint = design.combined
-    n_ue, n_pilots, n_blocks = obs.data.dims
-    bs_times_ris = joint.shape[0]
-    if joint.shape[1] != n_pilots * n_blocks:
+    x = obs.data.data
+    n_ue, n_pilots, n_blocks = x.shape
+    bs_pilots, ris_phases = design.bs_pilots, design.ris_phases
+    (n_bs, t_cols), (n_ris, k_cols) = bs_pilots.shape, ris_phases.shape
+    if (t_cols, k_cols) != (n_pilots, n_blocks):
         raise ValueError(
             "training operator has %d columns but observation has %d"
-            % (joint.shape[1], n_pilots * n_blocks)
+            % (t_cols * k_cols, n_pilots * n_blocks)
         )
     if check:
-        residual = np.max(np.abs(joint @ joint.conj().T - np.eye(bs_times_ris)))
+        residual = validate_training(design).row_orthonormality
         if residual > orth_tol:
             raise ValueError(
                 "training operator rows are not orthonormal (residual %.3g)"
                 % residual
             )
-    y = counted_matmul(unfold(obs.data, 1), joint.conj().T, counter)
-    # y columns run over (bs index fastest, surface index slowest); regroup
-    # as rows (ue fastest, bs slowest) by going through the 3-way layout.
-    n_ris = design.ris_phases.shape[0]
-    n_bs = bs_times_ris // n_ris
-    cascade_3way = fold(y, 1, (n_ue, n_bs, n_ris))
-    return unfold(cascade_3way, 3).T.copy()
+    if counter is not None:
+        counter.add(n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris)
+    per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
+    return (per_bs @ ris_phases.conj().T).reshape(n_ue * n_bs, n_ris, order="F")
 
 
 # ------------------------------------------------------------ permutations #
@@ -181,77 +147,42 @@ def _swap_middle(d1: int, d2: int, d3: int, d4: int) -> np.ndarray:
     return idx.transpose(0, 2, 1, 3).ravel()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PermutationPlan:
-    """Fixed index maps regrouping the vectorized cascade into the rank-one
-    tensor layout.
+    """Re-indexing between the cascade matrix and the rank-one tensor layout.
 
-    All maps are stored as index arrays (``y = x[map]``), never as dense
-    matrices.  ``col_perm`` regroups the rows of one cascade column from
-    transmit-major order (bs_y, bs_z, ue_y, ue_z digits, slowest first)
-    out of axis-major order (bs_y, ue_y, bs_z, ue_z); it is the
-    permutation satisfying ``khatri_rao(kron(A, B), kron(C, D)) ==
-    kron(khatri_rao(A, C), khatri_rao(B, D))[col_perm]``.  ``vec_perm``
-    merges the per-axis vectorizations: ``kron(vec(A), vec(B)) ==
-    vec(kron(A, B))[vec_perm]``.  ``total_perm`` is the composed
-    end-to-end map applied to the vectorized cascade; ``total_perm_inv``
-    undoes it.
+    Read column-major, a cascade row splits into (ue_z, ue_y, bs_z, bs_y)
+    digits and a column into (ris_z, ris_y) digits, fastest first.
+    Moving every y digit behind every z digit gives the sixth-order
+    layout ``tensor_dims`` = (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y,
+    n_ris_y), which in the noiseless case is the outer product of the six
+    link vectors.  Both directions are one reshape plus one transpose.
     """
 
     dims: SystemDims
-    col_perm: np.ndarray
-    vec_perm: np.ndarray
-    total_perm: np.ndarray
-    col_perm_inv: np.ndarray
-    vec_perm_inv: np.ndarray
-    total_perm_inv: np.ndarray
 
     @property
     def tensor_dims(self) -> tuple:
         d = self.dims
         return (d.n_ue_z, d.n_bs_z, d.n_ris_z, d.n_ue_y, d.n_bs_y, d.n_ris_y)
 
+    def to_tensor(self, cascade: np.ndarray) -> np.ndarray:
+        """(n_ue*n_bs, n_ris) cascade -> ``tensor_dims`` array."""
+        d = self.dims
+        digits = (d.n_ue_z, d.n_ue_y, d.n_bs_z, d.n_bs_y, d.n_ris_z, d.n_ris_y)
+        return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
+
+    def to_cascade(self, tensor: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_tensor`."""
+        d = self.dims
+        return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(
+            d.n_ue * d.n_bs, d.n_ris, order="F"
+        )
+
 
 def build_permutations(dims: SystemDims) -> PermutationPlan:
-    """Construct the re-indexing plan for the given geometry.
-
-    The chain applied to the vectorized cascade: per column, move from
-    row-digit order (bs_y, bs_z, ue_y, ue_z) to (bs_y, ue_y, bs_z, ue_z)
-    -- the inverse of ``col_perm`` -- then merge the two per-axis blocks
-    across the whole vector with ``vec_perm``.  Tensorizing the result to
-    (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y, n_ris_y) yields, in the
-    noiseless case, the outer product of the six link vectors.
-    """
-    col_perm = _swap_middle(dims.n_bs_y, dims.n_ue_y, dims.n_bs_z, dims.n_ue_z)
-    vec_perm = _swap_middle(
-        dims.n_ris_y, dims.n_ris_z,
-        dims.n_bs_y * dims.n_ue_y, dims.n_bs_z * dims.n_ue_z,
-    )
-    col_perm_inv = np.argsort(col_perm)
-    vec_perm_inv = np.argsort(vec_perm)
-
-    block = dims.n_ue * dims.n_bs
-    # per-column row shuffle applied across all surface-indexed columns
-    col_block = (np.arange(dims.n_ris)[:, None] * block + col_perm_inv[None, :]).ravel()
-    total_perm = col_block[vec_perm]
-    total_perm_inv = np.argsort(total_perm)
-
-    for name, p in (
-        ("col_perm", col_perm),
-        ("vec_perm", vec_perm),
-        ("total_perm", total_perm),
-    ):
-        if not np.array_equal(np.sort(p), np.arange(p.size)):
-            raise AssertionError("%s is not a permutation" % name)
-    return PermutationPlan(
-        dims=dims,
-        col_perm=col_perm,
-        vec_perm=vec_perm,
-        total_perm=total_perm,
-        col_perm_inv=col_perm_inv,
-        vec_perm_inv=vec_perm_inv,
-        total_perm_inv=total_perm_inv,
-    )
+    """The re-indexing plan for the given geometry."""
+    return PermutationPlan(dims)
 
 
 # -------------------------------------------------------------- estimators #
@@ -287,13 +218,12 @@ def hdr_estimate(
 ) -> EstimateSet:
     """Structured estimator: one rank-one HOSVD on the re-indexed tensor.
 
-    The vectorized cascade is re-indexed by the plan, tensorized to the
-    sixth-order layout (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y,
-    n_ris_y), and approximated by a single rank-one outer product.  Modes
-    1..6 give the user-z, base-station-z, surface-z, user-y,
-    base-station-y and surface-y vectors respectively.  The returned
-    cascade estimate is the rank-one reconstruction pushed back through
-    the inverse re-indexing.
+    The cascade is re-indexed by the plan into the sixth-order layout
+    (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y, n_ris_y) and approximated
+    by a single rank-one outer product.  Modes 1..6 give the user-z,
+    base-station-z, surface-z, user-y, base-station-y and surface-y
+    vectors respectively.  The returned cascade estimate is the rank-one
+    reconstruction pushed back through the inverse re-indexing.
     """
     cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
     if plan is None:
@@ -304,13 +234,10 @@ def hdr_estimate(
             "expected cascade of shape (%d, %d), got %s"
             % (rows, n_ris, cascade_obs.shape)
         )
-    rewired = cascade_obs.reshape(-1, order="F")[plan.total_perm]
-    ztens = tensorize(rewired, plan.tensor_dims)
-    factors = hosvd_rank1(ztens, counter=counter)
+    tensor = ComplexTensor(plan.to_tensor(cascade_obs))
+    factors = hosvd_rank1(tensor, counter=counter)
     ue_z, bs_z, surface_z, ue_y, bs_y, surface_y = factors.vectors
-    cascade_hat = unvec(
-        factors.reconstruct().vec()[plan.total_perm_inv], rows, n_ris
-    )
+    cascade_hat = plan.to_cascade(factors.reconstruct().data)
     return EstimateSet(
         method="hdr",
         cascade=cascade_hat,

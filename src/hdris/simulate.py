@@ -7,7 +7,9 @@ compensated sums and full sorts.  Re-running a config (any thread count)
 produces byte-identical CSV output.
 
 Config files are JSON with keys mirroring ExperimentConfig; angles, when
-pinned, are given in degrees and converted at the parse boundary.
+pinned, are given in degrees and converted at the parse boundary.  The
+parser takes exact JSON types: integers for counts and seeds, finite
+numbers for SNRs, powers and angles, objects for ``dims``/``angles_deg``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class ExperimentConfig:
     threads: int = 1
     tx_power_watts: float = 1.0
     ris_grid: tuple = (16, 100, 400, 2500)
-    measured_max_unknowns: int = 4096
     fixed_params: ChannelParams | None = None
 
     def __post_init__(self):
@@ -101,6 +102,18 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.tx_power_watts <= 0:
             raise ConfigError("tx_power_watts must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if any(n < 1 for n in self.ris_grid):
+            raise ConfigError("ris_grid entries must be >= 1")
+        for snr_db in self.snr_grid_db:
+            noise_var = _noise_var(self.tx_power_watts, snr_db)
+            if not 0.0 < noise_var < math.inf:
+                raise ConfigError(
+                    "snr %r dB at tx_power_watts %r gives noise variance %r "
+                    "(must be finite and > 0)"
+                    % (snr_db, self.tx_power_watts, noise_var)
+                )
         bad = [m for m in self.methods if m not in ALLOWED_METHODS]
         if bad:
             raise ConfigError(
@@ -124,7 +137,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "tx_power_watts": self.tx_power_watts,
             "ris_grid": [int(n) for n in self.ris_grid],
-            "measured_max_unknowns": self.measured_max_unknowns,
         }
         if self.fixed_params is not None:
             d["angles_deg"] = {
@@ -132,6 +144,14 @@ class ExperimentConfig:
                 for k in _ANGLE_KEYS
             }
         return d
+
+
+def _noise_var(tx_power_watts: float, snr_db: float) -> float:
+    """Per-entry noise variance at one SNR point (NaN when out of range)."""
+    try:
+        return tx_power_watts / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
 def default_config() -> ExperimentConfig:
@@ -156,8 +176,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     known = {
         "dims", "snr_grid_db", "n_trials", "methods", "seed", "output_path",
-        "threads", "tx_power_watts", "ris_grid", "measured_max_unknowns",
-        "angles_deg",
+        "threads", "tx_power_watts", "ris_grid", "angles_deg",
     }
     unknown = set(raw) - known
     if unknown:
@@ -165,55 +184,61 @@ def load_config(path: str) -> ExperimentConfig:
 
     kwargs = {}
     if "dims" in raw:
-        dims_raw = raw["dims"]
-        missing = [k for k in _DIM_KEYS if k not in dims_raw]
-        extra = [k for k in dims_raw if k not in _DIM_KEYS]
-        if missing or extra:
-            raise ConfigError(
-                "dims must have exactly keys %s (missing %s, extra %s)"
-                % (list(_DIM_KEYS), missing, extra)
-            )
+        dims_raw = _exact_object("dims", raw["dims"], _DIM_KEYS)
+        extents = {k: _typed("dims." + k, dims_raw[k], int) for k in _DIM_KEYS}
         try:
-            kwargs["dims"] = SystemDims(**{k: int(dims_raw[k]) for k in _DIM_KEYS})
-        except (TypeError, ValueError) as exc:
+            kwargs["dims"] = SystemDims(**extents)
+        except ValueError as exc:
             raise ConfigError("bad dims: %s" % exc) from exc
     else:
         kwargs["dims"] = default_config().dims
 
     if "angles_deg" in raw:
-        ang = raw["angles_deg"]
-        missing = [k for k in _ANGLE_KEYS if k not in ang]
-        extra = [k for k in ang if k not in _ANGLE_KEYS]
-        if missing or extra:
-            raise ConfigError(
-                "angles_deg must have exactly keys %s (missing %s, extra %s)"
-                % (list(_ANGLE_KEYS), missing, extra)
-            )
+        ang = _exact_object("angles_deg", raw["angles_deg"], _ANGLE_KEYS)
         kwargs["fixed_params"] = ChannelParams(
-            **{k: float(np.deg2rad(float(ang[k]))) for k in _ANGLE_KEYS}
+            **{k: float(np.deg2rad(_typed("angles_deg." + k, ang[k], float)))
+               for k in _ANGLE_KEYS}
         )
 
-    simple = {
-        "snr_grid_db": lambda v: tuple(float(s) for s in v),
-        "n_trials": int,
-        "methods": lambda v: tuple(str(m).lower() for m in v),
-        "seed": int,
-        "output_path": str,
-        "threads": int,
-        "tx_power_watts": float,
-        "ris_grid": lambda v: tuple(int(n) for n in v),
-        "measured_max_unknowns": int,
-    }
-    for key, conv in simple.items():
+    scalars = {"n_trials": int, "seed": int, "threads": int,
+               "output_path": str, "tx_power_watts": float}
+    arrays = {"snr_grid_db": float, "methods": str, "ris_grid": int}
+    for key, kind in scalars.items():
         if key in raw:
-            try:
-                kwargs[key] = conv(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("bad value for %r: %s" % (key, exc)) from exc
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+            kwargs[key] = _typed(key, raw[key], kind)
+    for key, kind in arrays.items():
+        if key in raw:
+            kwargs[key] = tuple(_typed(key, v, kind) for v in _typed(key, raw[key], list))
+    if "methods" in kwargs:
+        kwargs["methods"] = tuple(m.lower() for m in kwargs["methods"])
+    return ExperimentConfig(**kwargs)
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               list: "a JSON array", dict: "a JSON object"}
+
+
+def _typed(key: str, value, kind: type):
+    """``value`` if it is exactly a JSON ``kind``: booleans are not numbers,
+    an integer is accepted (and converted) where a float is expected, and a
+    float must be finite."""
+    accepted = (int, float) if kind is float else kind
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or (kind is float and not math.isfinite(value))):
+        raise ConfigError("%s must be %s, got %r" % (key, _KIND_NAMES[kind], value))
+    return kind(value)
+
+
+def _exact_object(key: str, value, keys) -> dict:
+    value = _typed(key, value, dict)
+    missing = [k for k in keys if k not in value]
+    extra = [k for k in value if k not in keys]
+    if missing or extra:
+        raise ConfigError(
+            "%s must have exactly keys %s (missing %s, extra %s)"
+            % (key, list(keys), missing, extra)
+        )
+    return value
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -235,7 +260,7 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 def _run_point(cfg, design, plan, methods, snr_idx, trial, want_se):
     """All requested methods scored on one shared observation."""
     snr_db = float(cfg.snr_grid_db[snr_idx])
-    noise_var = cfg.tx_power_watts / 10.0 ** (snr_db / 10.0)
+    noise_var = _noise_var(cfg.tx_power_watts, snr_db)
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     params = cfg.fixed_params if cfg.fixed_params is not None else sample_params(rng)
     ch = build_channels(cfg.dims, params)
@@ -352,31 +377,23 @@ def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
 
 
 def run_complexity_sweep(cfg: ExperimentConfig):
-    """Analytic MAC counts per method over the surface-size grid, plus
-    instrumented counts where the training operator fits in memory
-    (n_bs*n_ris <= measured_max_unknowns)."""
+    """Analytic and instrumented MAC counts per method over the
+    surface-size grid."""
     digest = config_hash(cfg)
     rows = []
     for n_ris in cfg.ris_grid:
         dims_n = _complexity_dims(cfg, n_ris)
-        for method in ("hdr", "krf", "ls"):
-            rows.append({
-                "method": method,
-                "n_ris": n_ris,
-                "metric": "flops_analytic",
-                "stat": "exact",
-                "value": flops_analytic(method, dims_n),
-                "n_trials": 1,
-                "config_hash": digest,
-            })
-        if dims_n.n_bs * dims_n.n_ris <= cfg.measured_max_unknowns:
+        for metric, count in (
+            ("flops_analytic", flops_analytic),
+            ("flops_measured", lambda m, d: flops_measured(m, d, seed=cfg.seed)),
+        ):
             for method in ("hdr", "krf", "ls"):
                 rows.append({
                     "method": method,
                     "n_ris": n_ris,
-                    "metric": "flops_measured",
+                    "metric": metric,
                     "stat": "exact",
-                    "value": flops_measured(method, dims_n, seed=cfg.seed),
+                    "value": count(method, dims_n),
                     "n_trials": 1,
                     "config_hash": digest,
                 })

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -308,23 +308,15 @@ class RankOneFactors:
         return ComplexTensor(out * self.core)
 
 
-def _mode_vector(x: ComplexTensor, mode: int, counter: FlopCounter | None):
-    return dominant_left_singular_vector(unfold(x, mode), counter)[0]
-
-
 def hosvd_rank1(
     x: ComplexTensor,
     counter: FlopCounter | None = None,
-    map_fn: Callable[..., Iterable] = map,
 ) -> RankOneFactors:
     """Rank-one truncated higher-order SVD of ``x``.
 
     Each mode's factor is the dominant left singular vector of that mode's
     unfolding; the amplitude is the tensor contracted with all factor vectors
-    conjugated.  The per-mode subproblems touch disjoint outputs and share
-    only read-only inputs, so callers may evaluate them concurrently by
-    passing e.g. ``map_fn=pool.map`` (the passed ``counter``, if any, is not
-    synchronized and should be None in that case).
+    conjugated.
 
     Raises
     ------
@@ -333,8 +325,10 @@ def hosvd_rank1(
     """
     if not x.norm() > _ZERO_NORM:
         raise ValueError("rank-one HOSVD of a zero tensor is undefined")
-    modes = range(1, x.order + 1)
-    vectors = tuple(map_fn(lambda mode: _mode_vector(x, mode, counter), modes))
+    vectors = tuple(
+        dominant_left_singular_vector(unfold(x, mode), counter)[0]
+        for mode in range(1, x.order + 1)
+    )
     cur = x.data
     for v in vectors:
         if counter is not None:

@@ -1,5 +1,9 @@
 """Tests for the observation model, matched filter, re-indexing plan and
-the three cascade estimators."""
+the three cascade estimators.
+
+The dense forms the package no longer builds live here as oracles: the
+multilinear observation route, the matched filter against the explicit
+Kronecker training operator, and the index tables of the re-indexing."""
 
 import dataclasses
 import functools
@@ -21,7 +25,16 @@ from hdris.estimators import (
     matched_filter,
     simulate_observation,
 )
-from hdris.tensors import ComplexTensor, kron, tensorize, vec
+from hdris.tensors import (
+    ComplexTensor,
+    fold,
+    identity_tensor,
+    kron,
+    n_mode_product,
+    tensorize,
+    unfold,
+    vec,
+)
 from hdris.training import make_training
 
 SMALL_DIMS = SystemDims(
@@ -32,6 +45,22 @@ SMALL_DIMS = SystemDims(
 ODD_DIMS = SystemDims(
     n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
     n_pilots=6, n_blocks=10,
+)
+
+REF_DIMS = SystemDims(
+    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
+    n_pilots=16, n_blocks=16,
+)
+
+# geometries for the re-indexing checks, including all-ones extents
+PLAN_DIMS = (
+    SMALL_DIMS,
+    ODD_DIMS,
+    REF_DIMS,
+    SystemDims(4, 4, 4, 4, 16, 16, 16, 256),
+    SystemDims(2, 3, 3, 2, 2, 5, 7, 11),
+    SystemDims(1, 3, 1, 2, 4, 1, 3, 4),
+    SystemDims(1, 1, 1, 1, 1, 1, 1, 1),
 )
 
 
@@ -45,6 +74,51 @@ def _realization(dims=SMALL_DIMS, seed=0):
 
 def _angle_dist(a, b):
     return abs(np.angle(np.exp(1j * (a - b))))
+
+
+def _tensor_route_observation(ch, design):
+    """Noiseless observation through multilinear products: identity core
+    contracted with the two hops along the first two modes, then with the
+    pilot block and the phase profiles along the pilot and block modes."""
+    hops = n_mode_product(identity_tensor(3, ch.dims.n_ris), ch.ris_ue, 1)
+    hops = n_mode_product(hops, ch.bs_ris.T, 2)       # mode 3 keeps identity
+    x = n_mode_product(hops, design.bs_pilots.T, 2)
+    return n_mode_product(x, design.ris_phases.T, 3).data
+
+
+def _dense_matched_filter(obs, design):
+    """Matched filter against the explicit n_bs*n_ris x n_pilots*n_blocks
+    training operator kron(ris_phases, bs_pilots)."""
+    joint = kron(design.ris_phases, design.bs_pilots)
+    y = unfold(obs.data, 1) @ joint.conj().T
+    # y columns run over (bs index fastest, surface index slowest); regroup
+    # as rows (ue fastest, bs slowest) by going through the 3-way layout.
+    n_ue = obs.data.dims[0]
+    n_bs, n_ris = design.bs_pilots.shape[0], design.ris_phases.shape[0]
+    return unfold(fold(y, 1, (n_ue, n_bs, n_ris)), 3).T
+
+
+def _gather_tables(dims):
+    """Index tables (``y = x[table]``) of the re-indexing chain.
+
+    Per column, move from row-digit order (bs_y, bs_z, ue_y, ue_z) to
+    (bs_y, ue_y, bs_z, ue_z) -- the inverse of ``col_perm``, which
+    satisfies ``khatri_rao(kron(A, B), kron(C, D)) == kron(khatri_rao(A, C),
+    khatri_rao(B, D))[col_perm]`` -- then merge the two per-axis blocks
+    across the whole vector with ``vec_perm``, which satisfies
+    ``kron(vec(A), vec(B)) == vec(kron(A, B))[vec_perm]``.  ``total_perm``
+    is the composed map applied to the vectorized cascade.
+    """
+    col_perm = _swap_middle(dims.n_bs_y, dims.n_ue_y, dims.n_bs_z, dims.n_ue_z)
+    vec_perm = _swap_middle(
+        dims.n_ris_y, dims.n_ris_z,
+        dims.n_bs_y * dims.n_ue_y, dims.n_bs_z * dims.n_ue_z,
+    )
+    block = dims.n_ue * dims.n_bs
+    col_block = (
+        np.arange(dims.n_ris)[:, None] * block + np.argsort(col_perm)[None, :]
+    ).ravel()
+    return col_perm, vec_perm, col_block[vec_perm]
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +141,9 @@ def test_observation_routes_agree():
     for dims in (SMALL_DIMS, ODD_DIMS):
         ch = _realization(dims, seed=1)
         design = make_training(dims)
-        a = simulate_observation(ch, design, 0.0, route="blocks")
-        b = simulate_observation(ch, design, 0.0, route="tensor")
-        np.testing.assert_allclose(a.data.data, b.data.data, atol=1e-12)
+        a = simulate_observation(ch, design, 0.0)
+        b = _tensor_route_observation(ch, design)
+        np.testing.assert_allclose(a.data.data, b, atol=1e-12)
 
 
 def test_observation_noise_statistics():
@@ -99,8 +173,6 @@ def test_observation_validation():
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError):
         simulate_observation(ch, design, -1.0)
-    with pytest.raises(ValueError):
-        simulate_observation(ch, design, 0.1, route="nope")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +188,25 @@ def test_matched_filter_inverts_training_noiselessly():
         out = matched_filter(obs, design)
         assert out.shape == (dims.n_ue * dims.n_bs, dims.n_ris)
         np.testing.assert_allclose(out, ch.cascade, atol=1e-10)
+
+
+def test_matched_filter_matches_dense_oracle():
+    # two mode products against the factors == one product against the
+    # dense Kronecker operator, on noisy observations
+    for dims, seed in ((SMALL_DIMS, 20), (ODD_DIMS, 21), (REF_DIMS, 22)):
+        ch = _realization(dims, seed)
+        design = make_training(dims)
+        obs = simulate_observation(ch, design, 0.5, seed=seed)
+        dense = _dense_matched_filter(obs, design)
+        out = matched_filter(obs, design)
+        assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_matched_filter_rejects_shape_mismatch():
+    design = make_training(SMALL_DIMS)
+    obs = simulate_observation(_realization(ODD_DIMS), make_training(ODD_DIMS), 0.0)
+    with pytest.raises(ValueError, match="columns but observation has"):
+        matched_filter(obs, design)
 
 
 def test_matched_filter_preserves_noise_variance():
@@ -136,13 +227,18 @@ def test_matched_filter_preserves_noise_variance():
 def test_matched_filter_rejects_bad_training():
     ch = _realization(seed=7)
     design = make_training(SMALL_DIMS)
-    bad = dataclasses.replace(design, combined=design.combined * 1.5)
     obs = simulate_observation(ch, design, 0.0)
-    with pytest.raises(ValueError):
-        matched_filter(obs, bad, check=True)
-    # with validation off the call goes through (garbage in, garbage out)
-    out = matched_filter(obs, bad, check=False)
-    assert out.shape == (16, 16)
+    corrupted = design.ris_phases.copy()
+    corrupted[2, 3] += 0.05
+    for bad in (
+        dataclasses.replace(design, bs_pilots=design.bs_pilots * 1.5),
+        dataclasses.replace(design, ris_phases=corrupted),
+    ):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            matched_filter(obs, bad, check=True)
+        # with validation off the call goes through (garbage in, garbage out)
+        out = matched_filter(obs, bad, check=False)
+        assert out.shape == (16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +264,31 @@ def test_swap_middle_degenerate():
 
 
 def test_permutations_are_bijections():
-    for dims in (SMALL_DIMS, ODD_DIMS):
-        plan = build_permutations(dims)
+    for dims in PLAN_DIMS:
         n = dims.n_ue * dims.n_bs * dims.n_ris
-        for p in (plan.col_perm, plan.vec_perm):
+        for p in _gather_tables(dims):
             assert np.array_equal(np.sort(p), np.arange(len(p)))
-        assert np.array_equal(np.sort(plan.total_perm), np.arange(n))
-        assert np.array_equal(plan.total_perm[plan.total_perm_inv], np.arange(n))
-        assert np.array_equal(plan.total_perm_inv[plan.total_perm], np.arange(n))
+        plan = build_permutations(dims)
+        index = np.arange(n).reshape(dims.n_ue * dims.n_bs, dims.n_ris)
+        tensor = plan.to_tensor(index)
+        assert tensor.shape == plan.tensor_dims
+        assert np.array_equal(np.sort(tensor, axis=None), np.arange(n))
+        assert np.array_equal(plan.to_cascade(tensor), index)
+
+
+def test_reshape_transpose_equals_gather():
+    # the plan's reshape/transpose and its inverse reproduce the stored
+    # index tables exactly, at every extent including ones
+    rng = np.random.default_rng(23)
+    for dims in PLAN_DIMS:
+        plan = build_permutations(dims)
+        cascade = crandn(rng, dims.n_ue * dims.n_bs, dims.n_ris)
+        total_perm = _gather_tables(dims)[2]
+        gathered = tensorize(vec(cascade)[total_perm], plan.tensor_dims).data
+        assert np.array_equal(plan.to_tensor(cascade), gathered)
+        tensor = crandn(rng, *plan.tensor_dims)
+        undone = vec(tensor)[np.argsort(total_perm)]
+        assert np.array_equal(vec(plan.to_cascade(tensor)), undone)
 
 
 def test_plan_tensor_dims_ordering():
@@ -188,14 +301,12 @@ def test_rewired_cascade_is_separable():
     # product of the six per-axis vectors
     for dims, seed in ((SMALL_DIMS, 9), (ODD_DIMS, 10)):
         ch = _realization(dims, seed)
-        plan = build_permutations(dims)
-        rewired = vec(ch.cascade)[plan.total_perm]
-        box = tensorize(rewired, plan.tensor_dims)
+        box = build_permutations(dims).to_tensor(ch.cascade)
         expected = functools.reduce(
             np.multiply.outer,
             (ch.ue_z, ch.bs_z, ch.surface_z, ch.ue_y, ch.bs_y, ch.surface_y),
         )
-        np.testing.assert_allclose(box.data, expected, atol=1e-10)
+        np.testing.assert_allclose(box, expected, atol=1e-10)
 
 
 def test_all_singleton_dims_plan():
@@ -204,8 +315,9 @@ def test_all_singleton_dims_plan():
         n_pilots=1, n_blocks=1,
     )
     plan = build_permutations(dims)
-    np.testing.assert_array_equal(plan.total_perm, [0])
-    np.testing.assert_array_equal(plan.total_perm_inv, [0])
+    one = np.full((1, 1), 2.0 - 1.0j)
+    assert plan.to_tensor(one).shape == (1,) * 6
+    np.testing.assert_array_equal(plan.to_cascade(plan.to_tensor(one)), one)
 
 
 # ---------------------------------------------------------------------------

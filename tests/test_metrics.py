@@ -190,13 +190,18 @@ def test_flops_unknown_method():
         flops_measured("mmse", SMALL_DIMS)
 
 
+def _filter_macs(d):
+    # the two factor mode products: Q*M*T*K + Q*M*K*N
+    return d.n_ue * d.n_bs * d.n_pilots * d.n_blocks + d.n_ue * d.n_bs * d.n_blocks * d.n_ris
+
+
 def test_measured_flops_at_reference_dims():
-    # the common matched-filter term is Q * (T*K) * (M*N) exact; the
-    # estimator-specific extras come on top
-    assert flops_measured("ls", REF_DIMS) == 16 * 256 * 256
-    assert flops_measured("ls", SMALL_DIMS) == 4 * 256 * 64
-    assert flops_measured("hdr", REF_DIMS) == 1152340
-    assert flops_measured("krf", REF_DIMS) == 1122304
+    # the common matched-filter term is exact; the estimator-specific
+    # extras come on top
+    assert flops_measured("ls", REF_DIMS) == _filter_macs(REF_DIMS) == 131072
+    assert flops_measured("ls", SMALL_DIMS) == _filter_macs(SMALL_DIMS) == 8192
+    assert flops_measured("hdr", REF_DIMS) == 234836
+    assert flops_measured("krf", REF_DIMS) == 204800
     for m in ("hdr", "krf"):
         assert flops_measured(m, REF_DIMS) > flops_measured("ls", REF_DIMS)
 
@@ -209,13 +214,16 @@ def test_measured_flops_seed_invariant():
 
 
 def test_measured_tracks_analytic_trend():
-    # growing the surface widens the krf-vs-hdr gap in both accountings
-    gaps_meas, gaps_ana = [], []
+    # growing the surface widens the krf-vs-hdr gap analytically; the
+    # executed extras above the matched filter are pinned exactly
+    extras = {"hdr": [], "krf": []}
+    gaps_ana = []
     for axis in (4, 8):
         dims = _square_dims(axis)
-        gaps_meas.append(flops_measured("krf", dims) / flops_measured("hdr", dims))
+        for m in extras:
+            extras[m].append(flops_measured(m, dims) - flops_measured("ls", dims))
         gaps_ana.append(flops_analytic("krf", dims) / flops_analytic("hdr", dims))
-    assert gaps_meas[1] > gaps_meas[0]
+    assert extras == {"hdr": [103764, 545960], "krf": [73728, 294912]}
     assert gaps_ana[1] > gaps_ana[0]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from hdris.channel import SystemDims
 from hdris.cli import main
-from hdris.metrics import flops_analytic, ideal_spectral_efficiency
+from hdris.metrics import flops_analytic, flops_measured, ideal_spectral_efficiency
 from hdris.simulate import (
     ConfigError,
     ExperimentConfig,
@@ -274,17 +274,19 @@ def test_complexity_dims_rules():
 
 
 def test_complexity_sweep_rows():
-    cfg = _small_cfg(ris_grid=(16, 400), measured_max_unknowns=100)
+    cfg = _small_cfg(ris_grid=(16, 400))
     rows = run_complexity_sweep(cfg)
     analytic = [r for r in rows if r["metric"] == "flops_analytic"]
     measured = [r for r in rows if r["metric"] == "flops_measured"]
     assert len(analytic) == 6  # 3 methods x 2 grid points
-    # measured rows only where n_bs*n_ris fits the cap: 4*16=64 but not 4*400
-    assert {r["n_ris"] for r in measured} == {16}
-    assert len(measured) == 3
+    # measured rows at every grid point
+    assert len(measured) == 6
     for r in analytic:
         dims_n = _complexity_dims(cfg, r["n_ris"])
         assert r["value"] == flops_analytic(r["method"], dims_n)
+    for r in measured:
+        dims_n = _complexity_dims(cfg, r["n_ris"])
+        assert r["value"] == flops_measured(r["method"], dims_n, seed=cfg.seed)
     assert all("snr_db" not in r for r in rows)
 
 
@@ -365,7 +367,7 @@ def test_cli_overrides_change_output(tmp_path, capsys):
 
 
 def test_cli_complexity(tmp_path, capsys):
-    cfgpath = _write_small_config(tmp_path, ris_grid=[16], measured_max_unknowns=100)
+    cfgpath = _write_small_config(tmp_path, ris_grid=[16])
     rc = main(["complexity", "--config", cfgpath])
     assert rc == 0
     out = capsys.readouterr().out
@@ -391,6 +393,43 @@ def test_cli_unknown_key_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": _dims_json(), "oops": 1}))
     assert main(["validate", "--config", str(bad)]) == 2
+
+
+_ANGLES = {
+    "az_bs": 30, "el_bs": 120, "az_ris_arr": -10, "el_ris_arr": 95,
+    "az_ris_dep": 45, "el_ris_dep": 100, "az_ue": 0, "el_ue": 110,
+}
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        # non-finite SNR or power would make the noise variance NaN or 0
+        ({"snr_grid_db": [float("nan")]}, []),
+        ({"snr_grid_db": [float("inf")]}, []),
+        ({"snr_grid_db": [float("-inf")]}, []),
+        ({"snr_grid_db": [5000.0]}, []),
+        ({"snr_grid_db": ["10"]}, []),
+        ({"tx_power_watts": float("nan")}, []),
+        ({"tx_power_watts": float("inf")}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"angles_deg": 5}, []),
+        ({"dims": 5}, []),
+        ({"dims": dict(_dims_json(), n_bs_y="2")}, []),
+        ({"angles_deg": dict(_ANGLES, az_bs="north")}, []),
+        ({"angles_deg": dict(_ANGLES, az_bs=float("nan"))}, []),
+        ({"n_trials": 2.7}, []),
+        ({"n_trials": True}, []),
+        ({"methods": "hdr"}, []),
+        ({"ris_grid": [0]}, []),
+    ],
+)
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
+    rc = main(["nmse", "--config", _write_small_config(tmp_path, **extra), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_cli_io_error_exit_code(tmp_path):

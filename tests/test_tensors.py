@@ -1,7 +1,6 @@
 """Tests for the multiway-array toolbox: products, unfoldings, rank-one fits."""
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -528,17 +527,6 @@ def test_hosvd_rank1_gauge_invariance():
     for v1, v2 in zip(f1.vectors, f2.vectors):
         np.testing.assert_allclose(v1, v2, atol=1e-10)
     assert np.isclose(f2.core, np.exp(0.9j) * f1.core, atol=1e-10)
-
-
-def test_hosvd_rank1_parallel_map_matches_serial():
-    rng = np.random.default_rng(28)
-    x = ComplexTensor(crandn(rng, 3, 2, 4, 2, 3, 2))
-    serial = hosvd_rank1(x)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = hosvd_rank1(x, map_fn=pool.map)
-    for v1, v2 in zip(serial.vectors, parallel.vectors):
-        np.testing.assert_array_equal(v1, v2)
-    assert serial.core == parallel.core
 
 
 def test_hosvd_rank1_charges_flops():
