@@ -7,7 +7,20 @@ rank-one channels (:mod:`hdris.channel`), a DFT training design
 (:mod:`hdris.estimators`) built on generic multiway-array operations
 (:mod:`hdris.tensors`), scored by :mod:`hdris.metrics` and swept by
 :mod:`hdris.simulate` / the ``hdris`` command line.
+
+Importing the package holds BLAS to one thread per process unless the
+environment already says otherwise: the sweeps parallelise over worker
+processes, and BLAS threads on top of them only oversubscribe the CPUs
+for the small matrices used here.  BLAS reads these variables when numpy
+is first imported, so import hdris before numpy (as ``python -m
+hdris.cli`` does) or export them yourself.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .channel import (
     ChannelParams,

@@ -77,8 +77,10 @@ class SystemDims:
         return self.n_ris_y * self.n_ris_z
 
     def training_feasible(self) -> bool:
-        """Whether the pilot budget can support the matched-filter design."""
-        return self.n_pilots * self.n_blocks >= self.n_bs * self.n_ris
+        """Whether a Kronecker-structured training design with orthonormal
+        rows exists: it needs n_pilots >= n_bs and n_blocks >= n_ris, which
+        also gives the pilot budget n_pilots*n_blocks >= n_bs*n_ris."""
+        return self.n_pilots >= self.n_bs and self.n_blocks >= self.n_ris
 
 
 def spatial_frequencies(azimuth: float, elevation: float) -> tuple[float, float]:

@@ -35,6 +35,7 @@ __all__ = [
     "ideal_spectral_efficiency",
     "flops_analytic",
     "flops_measured",
+    "flops_measured_all",
     "summarize",
 ]
 
@@ -167,19 +168,33 @@ def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
     method = method.lower()
     if method not in METHODS:
         raise ValueError("unknown method %r (expected one of %s)" % (method, (METHODS,)))
+    return flops_measured_all(dims, seed, methods=(method,))[method]
+
+
+def flops_measured_all(dims: SystemDims, seed: int = 0, methods=METHODS) -> dict:
+    """:func:`flops_measured` for several methods, {method: MACs}.
+
+    The design, channel, pilot simulation and matched filter are built once
+    and every method is counted on the same filtered cascade, so each count
+    equals the one-method call.
+    """
     design = make_training(dims)
     rng = np.random.default_rng(seed)
     ch = build_channels(dims, sample_params(rng))
     obs = simulate_observation(ch, design, noise_var=0.0, rng=rng)
-    counter = FlopCounter()
-    cascade_obs = matched_filter(obs, design, counter=counter, check=False)
-    if method == "hdr":
-        hdr_estimate(cascade_obs, dims, counter=counter)
-    elif method == "krf":
-        krf_estimate(cascade_obs, dims, counter=counter)
-    else:
-        ls_estimate(cascade_obs, dims)
-    return counter.macs
+    filtered = FlopCounter()
+    cascade_obs = matched_filter(obs, design, counter=filtered, check=False)
+    counts = {}
+    for method in methods:
+        counter = FlopCounter()
+        if method == "hdr":
+            hdr_estimate(cascade_obs, dims, counter=counter)
+        elif method == "krf":
+            krf_estimate(cascade_obs, dims, counter=counter)
+        else:
+            ls_estimate(cascade_obs, dims)
+        counts[method] = filtered.macs + counter.macs
+    return counts
 
 
 def summarize(values) -> tuple[float, float]:

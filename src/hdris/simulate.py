@@ -14,10 +14,11 @@ numbers for SNRs, powers and angles, objects for ``dims``/``angles_deg``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,10 @@ from .estimators import (
     simulate_observation,
 )
 from .metrics import (
+    METHODS,
     TrialMetrics,
     flops_analytic,
-    flops_measured,
+    flops_measured_all,
     nmse,
     spectral_efficiency,
     summarize,
@@ -120,12 +122,12 @@ class ExperimentConfig:
                 "unknown methods %s (allowed: %s)" % (bad, list(ALLOWED_METHODS))
             )
         if not self.dims.training_feasible():
+            d = self.dims
             raise ConfigError(
-                "infeasible dims: n_pilots*n_blocks=%d < n_bs*n_ris=%d"
-                % (
-                    self.dims.n_pilots * self.dims.n_blocks,
-                    self.dims.n_bs * self.dims.n_ris,
-                )
+                "infeasible dims: Kronecker-structured training needs "
+                "n_pilots >= n_bs and n_blocks >= n_ris (got n_pilots=%d, "
+                "n_bs=%d, n_blocks=%d, n_ris=%d)"
+                % (d.n_pilots, d.n_bs, d.n_blocks, d.n_ris)
             )
 
     def to_dict(self) -> dict:
@@ -292,8 +294,19 @@ def _run_point(cfg, design, plan, methods, snr_idx, trial, want_se):
     return out
 
 
+def _run_chunk(cfg, design, plan, methods, want_se, pairs):
+    """_run_point over a run of (snr_idx, trial) pairs, in order."""
+    return [_run_point(cfg, design, plan, methods, s, t, want_se) for s, t in pairs]
+
+
 def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
-    """Run the trial grid and return {method: {snr_idx: [TrialMetrics]}}."""
+    """Run the trial grid and return {method: {snr_idx: [TrialMetrics]}}.
+
+    With more than one worker the grid is cut into one contiguous chunk per
+    worker, run in forked worker processes and reassembled in job order.
+    ``cfg.threads`` is capped at the usable CPUs and at the number of jobs,
+    so no count starts more processes than can run at once.
+    """
     design = make_training(cfg.dims)
     report = validate_training(design)
     if not report.ok(1e-8):
@@ -303,16 +316,24 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     plan = build_permutations(cfg.dims)
 
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
-
-    def job(pair):
-        s, t = pair
-        return _run_point(cfg, design, plan, methods, s, t, want_se)
-
-    if cfg.threads == 1:
-        results = [job(p) for p in jobs]
+    run = functools.partial(_run_chunk, cfg, design, plan, methods, want_se)
+    workers = min(cfg.threads, len(os.sched_getaffinity(0)), len(jobs))
+    if workers == 1:
+        results = run(jobs)
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(job, jobs))
+        # Imported here: the process pool pulls in multiprocessing, which
+        # the single-worker path (and `hdris validate`) never needs.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [len(jobs) * w // workers for w in range(workers + 1)]
+        chunks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+        # fork, not spawn: a spawned worker would import numpy and hdris
+        # again (about 0.25 s of CPU each) before its first trial.
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = [res for chunk in pool.map(run, chunks) for res in chunk]
 
     collected = {m: {s: [] for s in range(len(cfg.snr_grid_db))} for m in methods}
     for (s, _t), res in zip(jobs, results):
@@ -383,17 +404,17 @@ def run_complexity_sweep(cfg: ExperimentConfig):
     rows = []
     for n_ris in cfg.ris_grid:
         dims_n = _complexity_dims(cfg, n_ris)
-        for metric, count in (
-            ("flops_analytic", flops_analytic),
-            ("flops_measured", lambda m, d: flops_measured(m, d, seed=cfg.seed)),
+        for metric, counts in (
+            ("flops_analytic", {m: flops_analytic(m, dims_n) for m in METHODS}),
+            ("flops_measured", flops_measured_all(dims_n, seed=cfg.seed)),
         ):
-            for method in ("hdr", "krf", "ls"):
+            for method in METHODS:
                 rows.append({
                     "method": method,
                     "n_ris": n_ris,
                     "metric": metric,
                     "stat": "exact",
-                    "value": count(method, dims_n),
+                    "value": counts[method],
                     "n_trials": 1,
                     "config_hash": digest,
                 })

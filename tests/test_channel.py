@@ -1,5 +1,6 @@
 """Tests for the geometric channel model: steering vectors, hops, cascade."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,11 @@ def test_training_feasibility_threshold():
     )
     # 16 pilot symbols against 64 unknowns per receive antenna
     assert not skinny.training_feasible()
+    # 64 pilot symbols cover the 64 unknowns, but a Kronecker design with
+    # orthonormal rows also needs n_pilots >= n_bs and n_blocks >= n_ris
+    for n_pilots, n_blocks in ((2, 32), (32, 2)):
+        short = dataclasses.replace(SMALL_DIMS, n_pilots=n_pilots, n_blocks=n_blocks)
+        assert not short.training_feasible()
 
 
 # ---------------------------------------------------------------------------

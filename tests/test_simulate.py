@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from hdris.channel import SystemDims
+from hdris.channel import ChannelParams, SystemDims
 from hdris.cli import main
 from hdris.metrics import flops_analytic, flops_measured, ideal_spectral_efficiency
 from hdris.simulate import (
@@ -30,6 +30,11 @@ SMALL_DIMS = SystemDims(
 )
 
 HEADER = "method,snr_db,metric,stat,value,n_trials,config_hash"
+
+_ANGLES = {
+    "az_bs": 30, "el_bs": 120, "az_ris_arr": -10, "el_ris_arr": 95,
+    "az_ris_dep": 45, "el_ris_dep": 100, "az_ue": 0, "el_ue": 110,
+}
 
 
 def _small_cfg(**overrides):
@@ -233,11 +238,78 @@ def test_se_sweep_ideal_value_seed_invariant():
     np.testing.assert_allclose(va, vb, rtol=1e-12)
 
 
-def test_sweep_deterministic_across_thread_counts():
-    cfg1 = _small_cfg(threads=1)
-    cfg4 = _small_cfg(threads=4)
-    assert run_nmse_sweep(cfg1) == run_nmse_sweep(cfg4)
-    assert run_se_sweep(cfg1) == run_se_sweep(cfg4)
+def _csv_text(rows):
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "sweep, pinned, thread_counts",
+    [
+        pytest.param(run_nmse_sweep, False, (1, 4), id="nmse-1-4"),
+        pytest.param(run_se_sweep, False, (1, 4), id="se-1-4"),
+        pytest.param(run_se_sweep, True, (1, 2, 3), id="se-pinned-1-2-3"),
+    ],
+)
+def test_sweep_deterministic_across_thread_counts(sweep, pinned, thread_counts):
+    fixed = (
+        ChannelParams(**{k: math.radians(v) for k, v in _ANGLES.items()})
+        if pinned else None
+    )
+    texts = {
+        t: _csv_text(sweep(_small_cfg(threads=t, fixed_params=fixed)))
+        for t in thread_counts
+    }
+    assert len(set(texts.values())) == 1, texts
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments and the chunk
+    sizes, and runs the chunks in this process, so the test starts no
+    process."""
+
+    built = []
+
+    def __init__(self, max_workers, mp_context):
+        self.built.append([max_workers, mp_context.get_start_method()])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        self.built[-1].append([len(c) for c in chunks])
+        return map(fn, chunks)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 64, 10**6])
+@pytest.mark.parametrize("cpus", [1, 3, 256])
+@pytest.mark.parametrize("n_snr, n_trials", [(2, 6), (1, 1)])
+def test_sweep_workers_capped_by_cpus_and_jobs(
+    monkeypatch, threads, cpus, n_snr, n_trials
+):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = _small_cfg(threads=threads, snr_grid_db=(-5.0, 5.0)[:n_snr],
+                     n_trials=n_trials)
+    rows = run_nmse_sweep(cfg)
+    jobs = n_snr * n_trials
+    workers = min(threads, cpus, jobs)
+    if workers == 1:
+        assert _RecordingPool.built == []
+    else:
+        # one contiguous chunk per worker, sizes differing by at most one
+        sizes = [jobs * (w + 1) // workers - jobs * w // workers
+                 for w in range(workers)]
+        assert _RecordingPool.built == [[workers, "fork", sizes]]
+    assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
 
 
 def test_sweep_repeatable_same_seed():
@@ -395,12 +467,6 @@ def test_cli_unknown_key_exit_code(tmp_path):
     assert main(["validate", "--config", str(bad)]) == 2
 
 
-_ANGLES = {
-    "az_bs": 30, "el_bs": 120, "az_ris_arr": -10, "el_ris_arr": 95,
-    "az_ris_dep": 45, "el_ris_dep": 100, "az_ue": 0, "el_ue": 110,
-}
-
-
 @pytest.mark.parametrize(
     "extra, flags",
     [
@@ -423,6 +489,8 @@ _ANGLES = {
         ({"n_trials": True}, []),
         ({"methods": "hdr"}, []),
         ({"ris_grid": [0]}, []),
+        # enough pilot symbols (64 = n_bs*n_ris) but n_pilots < n_bs
+        ({"dims": dict(_dims_json(), n_pilots=2, n_blocks=32)}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
