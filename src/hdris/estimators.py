@@ -20,13 +20,14 @@ steering-related vectors.  Three estimators consume the cascade:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .flopcount import FlopCounter, counted_matmul
-from .tensors import ComplexTensor, dominant_left_singular_vector, hosvd_rank1, unvec
+from .flopcount import FlopCounter
+from .tensors import ComplexTensor, dominant_left_singular_vector, hosvd_rank1
 from .training import TrainingDesign, validate_training
 
 __all__ = [
@@ -66,18 +67,23 @@ def simulate_observation(
 
     Block k receives ris_ue @ diag(ris_phases[:, k]) @ bs_ris @ bs_pilots
     plus circular complex Gaussian noise of variance ``noise_var`` per
-    entry.
+    entry.  All blocks come from one product: entry (q, t, n) of the
+    (n_ue, n_pilots, n_ris) array ris_ue[q, n] * (bs_ris @ bs_pilots)[n, t],
+    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance must be >= 0")
+    if not 0 <= noise_var < math.inf:
+        raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
     dims = ch.dims
     if rng is None:
         rng = np.random.default_rng(seed)
 
     first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
-    x = np.empty((dims.n_ue, dims.n_pilots, dims.n_blocks), dtype=np.complex128)
-    for k in range(dims.n_blocks):
-        x[:, :, k] = ch.ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
+    # one expression, so the n_ue x n_pilots x n_ris product is freed
+    # before the noise is drawn
+    x = (
+        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris)
+        @ design.ris_phases
+    ).reshape(dims.n_ue, dims.n_pilots, dims.n_blocks)
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
@@ -132,7 +138,8 @@ def matched_filter(
     if counter is not None:
         counter.add(n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris)
     per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
-    return (per_bs @ ris_phases.conj().T).reshape(n_ue * n_bs, n_ris, order="F")
+    per_ris = per_bs.reshape(n_ue * n_bs, n_blocks) @ ris_phases.conj().T
+    return per_ris.reshape(n_ue, n_bs, n_ris).reshape(n_ue * n_bs, n_ris, order="F")
 
 
 # ------------------------------------------------------------ permutations #
@@ -234,10 +241,9 @@ def hdr_estimate(
             "expected cascade of shape (%d, %d), got %s"
             % (rows, n_ris, cascade_obs.shape)
         )
-    tensor = ComplexTensor(plan.to_tensor(cascade_obs))
-    factors = hosvd_rank1(tensor, counter=counter)
+    factors = hosvd_rank1(plan.to_tensor(cascade_obs), counter=counter)
     ue_z, bs_z, surface_z, ue_y, bs_y, surface_y = factors.vectors
-    cascade_hat = plan.to_cascade(factors.reconstruct().data)
+    cascade_hat = plan.to_cascade(factors.reconstruct())
     return EstimateSet(
         method="hdr",
         cascade=cascade_hat,
@@ -260,9 +266,11 @@ def krf_estimate(
 
     Column n reshapes (column-major) to the n_ue x n_bs outer product of
     second-hop column n with first-hop row n in the noiseless case; its
-    best rank-one approximation is extracted per column and
-    re-vectorized.  No structure is shared across columns, so the
-    per-axis link vectors are not identified.
+    best rank-one approximation u u^H M_n is extracted and re-vectorized.
+    The n_ris columns are fitted as one (n_ris, n_ue, n_bs) stack: one
+    stacked Gram and eigendecomposition, then broadcast products.  No
+    structure is shared across columns, so the per-axis link vectors are
+    not identified.
     """
     cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
     n_ue, n_bs = dims.n_ue, dims.n_bs
@@ -271,13 +279,14 @@ def krf_estimate(
             "expected cascade of shape (%d, %d), got %s"
             % (n_ue * n_bs, dims.n_ris, cascade_obs.shape)
         )
-    cascade_hat = np.empty_like(cascade_obs)
-    for n in range(dims.n_ris):
-        mat = unvec(cascade_obs[:, n], n_ue, n_bs)
-        u, _ = dominant_left_singular_vector(mat, counter)
-        right = counted_matmul(mat.conj().T, u[:, None], counter)[:, 0]
-        approx = counted_matmul(u[:, None], right.conj()[None, :], counter)
-        cascade_hat[:, n] = approx.reshape(-1, order="F")
+    n_ris = dims.n_ris
+    stack = cascade_obs.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
+    u, _ = dominant_left_singular_vector(stack, counter)      # n_ris x n_ue
+    right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
+    if counter is not None:     # u^H M_n and u (u^H M_n): two products per column
+        counter.add(2 * n_ris * n_ue * n_bs)
+    approx = u[:, :, None] * right_h[:, None, :]              # n_ris x n_ue x n_bs
+    cascade_hat = approx.transpose(1, 2, 0).reshape(n_ue * n_bs, n_ris, order="F")
     return EstimateSet(method="krf", cascade=cascade_hat)
 
 

@@ -93,13 +93,15 @@ def spectral_efficiency(
 
     Surface phases: the conjugate of the estimated per-element surface
     response, normalized to unit modulus.  Beamformers: dominant
-    left/right singular vectors of the estimated effective channel (the
-    estimated cascade contracted with the chosen phases).  The rate is
-    then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with the
-    effective channel built from the true cascade and the chosen phases.
+    left/right singular vectors of the estimated effective channel H (the
+    estimated cascade contracted with the chosen phases); the right one
+    is read off the left one as f = H^H w / ||H^H w||, which fixes it up
+    to a phase that the rate does not see.  The rate is then
+    log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with the effective
+    channel built from the true cascade and the chosen phases.
     """
-    if noise_var <= 0:
-        raise ValueError("noise variance must be > 0")
+    if not 0 < noise_var < math.inf:
+        raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
     dims = ch.dims
     surface = _effective_surface_vector(est)
     mods = np.abs(surface)
@@ -109,7 +111,8 @@ def spectral_efficiency(
 
     h_eff_est = unvec(est.cascade @ phases, dims.n_ue, dims.n_bs)
     w, _ = dominant_left_singular_vector(h_eff_est)
-    f, _ = dominant_left_singular_vector(h_eff_est.conj().T)
+    f = h_eff_est.conj().T @ w
+    f /= np.linalg.norm(f)
     h_eff_true = unvec(ch.cascade @ phases, dims.n_ue, dims.n_bs)
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))
@@ -121,8 +124,8 @@ def ideal_spectral_efficiency(
     """Closed form for perfect CSI: coherent surface combining contributes
     a factor n_ris and matched transmit/receive beamforming a factor
     sqrt(n_bs*n_ue) to the amplitude."""
-    if noise_var <= 0:
-        raise ValueError("noise variance must be > 0")
+    if not 0 < noise_var < math.inf:
+        raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
     return float(
         np.log2(1.0 + tx_power * dims.n_ue * dims.n_bs * dims.n_ris ** 2 / noise_var)
     )

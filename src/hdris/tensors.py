@@ -150,11 +150,12 @@ def _check_mode(mode: int, order: int) -> None:
         raise ValueError("mode %d out of range for order-%d tensor" % (mode, order))
 
 
-def unfold(x: ComplexTensor, mode: int) -> np.ndarray:
-    """Mode-``mode`` matricization: extent of ``mode`` on rows, remaining modes
-    along columns in ascending order."""
-    _check_mode(mode, x.order)
-    return np.moveaxis(x.data, mode - 1, 0).reshape(x.dims[mode - 1], -1, order="F")
+def unfold(x: ComplexTensor | np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` matricization of a tensor or ndarray: extent of ``mode``
+    on rows, remaining modes along columns in ascending order."""
+    arr = _as_array(x)
+    _check_mode(mode, arr.ndim)
+    return np.moveaxis(arr, mode - 1, 0).reshape(arr.shape[mode - 1], -1, order="F")
 
 
 def fold(m: np.ndarray, mode: int, dims: Sequence[int]) -> ComplexTensor:
@@ -235,52 +236,68 @@ def identity_tensor(order: int, n: int) -> ComplexTensor:
 def dominant_left_singular_vector(
     m: np.ndarray,
     counter: FlopCounter | None = None,
-) -> tuple[np.ndarray, float]:
-    """Dominant left singular vector and singular value of a complex matrix.
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Dominant left singular vector and singular value of a complex matrix,
+    or of every matrix in a stack.
 
-    Works on the smaller of the two Gram matrices instead of a full SVD.
-    The returned vector has unit norm and its largest-modulus entry is made
-    real and positive, which fixes the phase gauge deterministically.  With a
-    degenerate leading singular value the eigenbasis column chosen is the one
-    with the lowest index after sorting eigenvalues descending (stable sort),
-    so repeated calls agree bit for bit.
+    Works on the smaller of the two Gram matrices instead of a full SVD;
+    a stack forms all its Grams in one product and decomposes them in one
+    ``np.linalg.eigh`` call.  Each returned vector has unit norm and its
+    largest-modulus entry is made real and positive, which fixes the phase
+    gauge deterministically.  With a degenerate leading singular value the
+    eigenbasis column chosen is the first one holding the largest
+    eigenvalue, so repeated calls agree bit for bit.
 
     Parameters
     ----------
-    m : ndarray, shape (r, c)
+    m : ndarray, shape (r, c) or (..., r, c)
     counter : FlopCounter, optional
-        Charged for the Gram product (and the tall-case back-projection).
+        Charged for the Gram products (and the tall-case back-projections):
+        a stack of B matrices costs B times one matrix.
 
     Returns
     -------
-    u : ndarray, shape (r,)
-    sigma : float
+    u : ndarray, shape (r,) or (..., r)
+    sigma : float, or ndarray of shape (...) for a stack
+
+    Raises
+    ------
+    ValueError
+        If any matrix of the stack is zero, or so small that its Gram
+        underflows to zero.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix, got shape %s" % (m.shape,))
-    if not np.linalg.norm(m) > _ZERO_NORM:
+    if m.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices, got shape %s" % (m.shape,))
+    rows, cols = m.shape[-2:]
+    stack = m.reshape(-1, rows, cols)
+    batch = len(stack)
+    stack_h = stack.conj().transpose(0, 2, 1)
+    wide = rows <= cols
+    gram = stack @ stack_h if wide else stack_h @ stack
+    if counter is not None:
+        counter.add(batch * (rows * cols * rows if wide else cols * rows * cols + rows * cols))
+    w, basis = np.linalg.eigh(gram)
+    pick = np.arange(batch)
+    lead = np.argmax(w, axis=1)
+    sigma_sq = w[pick, lead]
+    # sigma^2 of a Gram is positive unless its matrix is zero (or underflows)
+    if not sigma_sq.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
-    rows, cols = m.shape
-    if rows <= cols:
-        gram = counted_matmul(m, m.conj().T, counter)
-        w, basis = np.linalg.eigh(gram)
-        lead = np.argsort(-w, kind="stable")[0]
-        u = basis[:, lead]
-        sigma = float(np.sqrt(max(float(w[lead]), 0.0)))
+    top = basis[pick, :, lead]                              # batch x (rows or cols)
+    if wide:
+        u = top
+        sigma = np.sqrt(sigma_sq)
     else:
-        gram = counted_matmul(m.conj().T, m, counter)
-        w, basis = np.linalg.eigh(gram)
-        lead = np.argsort(-w, kind="stable")[0]
-        v = basis[:, lead]
-        mv = counted_matmul(m, v[:, None], counter)[:, 0]
-        sigma = float(np.linalg.norm(mv))
-        if not sigma > _ZERO_NORM:
-            raise ValueError("dominant singular vector of a zero matrix is undefined")
-        u = mv / sigma
-    k = int(np.argmax(np.abs(u)))
-    u = u * (u[k].conjugate() / abs(u[k]))
-    return u, sigma
+        mv = (stack @ top[:, :, None])[:, :, 0]
+        sigma = np.linalg.norm(mv, axis=1)
+        u = mv / sigma[:, None]
+    modulus = np.abs(u)
+    k = np.argmax(modulus, axis=1)
+    u = u * (u[pick, k].conj() / modulus[pick, k])[:, None]
+    if m.ndim == 2:
+        return u[0], float(sigma[0])
+    return u.reshape(m.shape[:-1]), sigma.reshape(m.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -303,16 +320,16 @@ class RankOneFactors:
     def dims(self) -> tuple:
         return tuple(len(v) for v in self.vectors)
 
-    def reconstruct(self) -> ComplexTensor:
-        out = functools.reduce(np.multiply.outer, self.vectors)
-        return ComplexTensor(out * self.core)
+    def reconstruct(self) -> np.ndarray:
+        return functools.reduce(np.multiply.outer, self.vectors) * self.core
 
 
 def hosvd_rank1(
-    x: ComplexTensor,
+    x: ComplexTensor | np.ndarray,
     counter: FlopCounter | None = None,
 ) -> RankOneFactors:
-    """Rank-one truncated higher-order SVD of ``x``.
+    """Rank-one truncated higher-order SVD of ``x``, a ComplexTensor or an
+    ndarray (a view such as a transposed array is read in place).
 
     Each mode's factor is the dominant left singular vector of that mode's
     unfolding; the amplitude is the tensor contracted with all factor vectors
@@ -323,13 +340,13 @@ def hosvd_rank1(
     ValueError
         If ``x`` has (numerically) zero norm.
     """
-    if not x.norm() > _ZERO_NORM:
+    cur = _as_array(x)
+    if not np.linalg.norm(cur) > _ZERO_NORM:
         raise ValueError("rank-one HOSVD of a zero tensor is undefined")
     vectors = tuple(
-        dominant_left_singular_vector(unfold(x, mode), counter)[0]
-        for mode in range(1, x.order + 1)
+        dominant_left_singular_vector(unfold(cur, mode), counter)[0]
+        for mode in range(1, cur.ndim + 1)
     )
-    cur = x.data
     for v in vectors:
         if counter is not None:
             counter.add(cur.size)

@@ -1,18 +1,21 @@
 """Tests for the observation model, matched filter, re-indexing plan and
 the three cascade estimators.
 
-The dense forms the package no longer builds live here as oracles: the
-multilinear observation route, the matched filter against the explicit
-Kronecker training operator, and the index tables of the re-indexing."""
+The dense and looped forms the package no longer runs live here as
+oracles: the multilinear and the per-block observation routes, the
+matched filter against the explicit Kronecker training operator, the
+index tables of the re-indexing and the per-column rank-one fit."""
 
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
+from hdris.flopcount import FlopCounter, counted_matmul
 from hdris.estimators import (
     ObservationTensor,
     _swap_middle,
@@ -25,14 +28,17 @@ from hdris.estimators import (
     matched_filter,
     simulate_observation,
 )
+from hdris.metrics import nmse
 from hdris.tensors import (
     ComplexTensor,
+    dominant_left_singular_vector,
     fold,
     identity_tensor,
     kron,
     n_mode_product,
     tensorize,
     unfold,
+    unvec,
     vec,
 )
 from hdris.training import make_training
@@ -52,12 +58,15 @@ REF_DIMS = SystemDims(
     n_pilots=16, n_blocks=16,
 )
 
+# 16x16 surface: 256 elements, 256 blocks
+WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+
 # geometries for the re-indexing checks, including all-ones extents
 PLAN_DIMS = (
     SMALL_DIMS,
     ODD_DIMS,
     REF_DIMS,
-    SystemDims(4, 4, 4, 4, 16, 16, 16, 256),
+    WIDE_DIMS,
     SystemDims(2, 3, 3, 2, 2, 5, 7, 11),
     SystemDims(1, 3, 1, 2, 4, 1, 3, 4),
     SystemDims(1, 1, 1, 1, 1, 1, 1, 1),
@@ -84,6 +93,32 @@ def _tensor_route_observation(ch, design):
     hops = n_mode_product(hops, ch.bs_ris.T, 2)       # mode 3 keeps identity
     x = n_mode_product(hops, design.bs_pilots.T, 2)
     return n_mode_product(x, design.ris_phases.T, 3).data
+
+
+def _per_block_observation(ch, design, noise_var, rng):
+    """Block k as its own product ris_ue @ diag(ris_phases[:, k]) @
+    bs_ris @ bs_pilots, plus the package's noise draw."""
+    d = ch.dims
+    first_hop_tx = ch.bs_ris @ design.bs_pilots
+    x = np.empty((d.n_ue, d.n_pilots, d.n_blocks), dtype=np.complex128)
+    for k in range(d.n_blocks):
+        x[:, :, k] = ch.ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
+    if noise_var > 0:
+        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        x = x + np.sqrt(noise_var / 2.0) * noise
+    return x
+
+
+def _per_column_krf(cascade, dims, counter=None):
+    """Rank-one fit of each cascade column, one column at a time."""
+    out = np.empty_like(cascade)
+    for n in range(dims.n_ris):
+        mat = unvec(cascade[:, n], dims.n_ue, dims.n_bs)
+        u, _ = dominant_left_singular_vector(mat, counter)
+        right = counted_matmul(mat.conj().T, u[:, None], counter)[:, 0]
+        approx = counted_matmul(u[:, None], right.conj()[None, :], counter)
+        out[:, n] = approx.reshape(-1, order="F")
+    return out
 
 
 def _dense_matched_filter(obs, design):
@@ -146,6 +181,19 @@ def test_observation_routes_agree():
         np.testing.assert_allclose(a.data.data, b, atol=1e-12)
 
 
+def test_observation_matches_per_block_oracle():
+    # one product over all blocks == one product per block, noise included
+    for dims, seed in ((SMALL_DIMS, 40), (ODD_DIMS, 41), (WIDE_DIMS, 42)):
+        ch = _realization(dims, seed)
+        design = make_training(dims)
+        for noise_var in (0.0, 0.3):
+            got = simulate_observation(ch, design, noise_var, seed=seed).data.data
+            want = _per_block_observation(
+                ch, design, noise_var, np.random.default_rng(seed)
+            )
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_observation_noise_statistics():
     ch = _realization(seed=2)
     design = make_training(SMALL_DIMS)
@@ -173,6 +221,15 @@ def test_observation_validation():
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError):
         simulate_observation(ch, design, -1.0)
+
+
+@pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, -1.0])
+def test_observation_rejects_bad_noise_var(noise_var):
+    # NaN used to run noiseless and inf to fill the block with inf
+    ch = _realization()
+    design = make_training(SMALL_DIMS)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        simulate_observation(ch, design, noise_var, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +452,20 @@ def test_krf_noiseless_is_exact():
     assert est.surface_y is None  # no per-axis factors from this baseline
 
 
+def test_krf_matches_per_column_oracle():
+    # the stacked fit of all columns == one rank-one fit per column, in
+    # values and in charged MACs
+    for dims, seed in ((SMALL_DIMS, 43), (ODD_DIMS, 44), (REF_DIMS, 45), (WIDE_DIMS, 46)):
+        ch = _realization(dims, seed)
+        rng = np.random.default_rng(seed)
+        noisy = ch.cascade + 0.5 * crandn(rng, *ch.cascade.shape)
+        stacked, looped = FlopCounter(), FlopCounter()
+        got = krf_estimate(noisy, dims, counter=stacked).cascade
+        want = _per_column_krf(noisy, dims, counter=looped)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert stacked.macs == looped.macs
+
+
 def test_krf_rank_two_column_keeps_top_component():
     # a column that folds to the 2x2 identity has two equal singular
     # values; the per-column rank-one fit keeps exactly half the energy
@@ -497,3 +568,41 @@ def test_extract_frequency_gauge_invariant():
     a = extract_spatial_frequency(v)
     b = extract_spatial_frequency(np.exp(0.4j) * 2.5 * v)
     assert _angle_dist(a, b) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# memory of the per-trial stages
+# ---------------------------------------------------------------------------
+
+
+def test_stage_peak_memory_bounded_by_observation_size():
+    # tracemalloc sees numpy buffers; each stage's peak above what was live
+    # when it started stays within 6x the observation at the 256-element
+    # surface (a (n_blocks, n_ris, n_pilots) broadcast in the pilot
+    # simulation reads about 19x)
+    dims = WIDE_DIMS
+    design = make_training(dims)
+    plan = build_permutations(dims)
+    ch = _realization(dims, seed=47)
+    rng = np.random.default_rng(48)
+    peaks = {}
+
+    def stage(name, fn):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        return out
+
+    tracemalloc.start()
+    try:
+        obs = stage("simulate", lambda: simulate_observation(ch, design, 0.1, rng=rng))
+        cascade = stage("filter", lambda: matched_filter(obs, design, check=False))
+        hdr = stage("hdr", lambda: hdr_estimate(cascade, dims, plan=plan))
+        krf = stage("krf", lambda: krf_estimate(cascade, dims))
+        stage("nmse", lambda: (nmse(ch.cascade, hdr.cascade), nmse(ch.cascade, krf.cascade)))
+    finally:
+        tracemalloc.stop()
+    limit = 6 * obs.data.data.nbytes
+    assert min(peaks.values()) > 0
+    assert max(peaks.values()) <= limit, peaks

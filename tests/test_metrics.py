@@ -16,6 +16,7 @@ from hdris.estimators import (
 )
 from hdris.metrics import (
     METHODS,
+    _effective_surface_vector,
     flops_analytic,
     flops_measured,
     ideal_spectral_efficiency,
@@ -23,6 +24,7 @@ from hdris.metrics import (
     spectral_efficiency,
     summarize,
 )
+from hdris.tensors import dominant_left_singular_vector, unvec
 from hdris.training import make_training
 
 SMALL_DIMS = SystemDims(
@@ -146,6 +148,54 @@ def test_rate_validation():
         spectral_efficiency(ch, est, noise_var=0.0)
     with pytest.raises(ValueError):
         ideal_spectral_efficiency(SMALL_DIMS, noise_var=-1.0)
+
+
+@pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rate_rejects_non_finite_or_non_positive_noise(noise_var):
+    # NaN used to slip past a `noise_var <= 0` guard and return NaN
+    ch = build_channels(SMALL_DIMS, sample_params(np.random.default_rng(6)))
+    est = ls_estimate(ch.cascade, SMALL_DIMS)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        spectral_efficiency(ch, est, noise_var=noise_var)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ideal_spectral_efficiency(SMALL_DIMS, noise_var=noise_var)
+
+
+def _two_eigh_rate(ch, est, tx_power, noise_var):
+    """The rate with each beamformer from its own dominant singular pair:
+    w of H and f of H^H."""
+    dims = ch.dims
+    surface = _effective_surface_vector(est)
+    mods = np.abs(surface)
+    phases = np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
+    h_eff_est = unvec(est.cascade @ phases, dims.n_ue, dims.n_bs)
+    w, _ = dominant_left_singular_vector(h_eff_est)
+    f, _ = dominant_left_singular_vector(h_eff_est.conj().T)
+    h_eff_true = unvec(ch.cascade @ phases, dims.n_ue, dims.n_bs)
+    gain = abs(w.conj() @ h_eff_true @ f) ** 2
+    return float(np.log2(1.0 + tx_power * gain / noise_var))
+
+
+def test_transmit_beam_from_receive_beam_matches_two_eigh_oracle():
+    # f = H^H w / ||H^H w|| is the dominant right singular vector up to a
+    # phase, and |w^H H f|^2 does not see that phase
+    for dims in (SMALL_DIMS, REF_DIMS):
+        design = make_training(dims)
+        for trial in range(10):
+            rng = np.random.default_rng(trial + 200)
+            ch = build_channels(dims, sample_params(rng))
+            sigma2 = 10.0 ** (-(trial - 3) / 2.0)
+            obs = simulate_observation(ch, design, sigma2, rng=rng)
+            raw = matched_filter(obs, design, check=False)
+            for est in (
+                hdr_estimate(raw, dims),
+                krf_estimate(raw, dims),
+                ls_estimate(raw, dims),
+                ideal_estimate(ch),
+            ):
+                got = spectral_efficiency(ch, est, 1.0, sigma2)
+                want = _two_eigh_rate(ch, est, 1.0, sigma2)
+                assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------

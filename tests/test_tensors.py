@@ -413,6 +413,76 @@ def test_dominant_singular_vector_counts_work():
     assert counter.macs > 0
 
 
+def _dominant_pair_oracle(m, counter=None):
+    """One matrix at a time: the smaller Gram, eigh, the first eigenvector
+    of the largest eigenvalue (stable sort), tall-case back-projection,
+    largest-modulus entry made real positive."""
+    rows, cols = m.shape
+    if rows <= cols:
+        w, basis = np.linalg.eigh(counted_matmul(m, m.conj().T, counter))
+        lead = np.argsort(-w, kind="stable")[0]
+        u, sigma = basis[:, lead], float(np.sqrt(max(w[lead], 0.0)))
+    else:
+        w, basis = np.linalg.eigh(counted_matmul(m.conj().T, m, counter))
+        lead = np.argsort(-w, kind="stable")[0]
+        mv = counted_matmul(m, basis[:, lead, None], counter)[:, 0]
+        sigma = float(np.linalg.norm(mv))
+        u = mv / sigma
+    k = int(np.argmax(np.abs(u)))
+    return u * (u[k].conjugate() / abs(u[k])), sigma
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 7), (2, 5, 7, 4), (1, 1, 1), (2, 1, 1, 5)])
+def test_dominant_singular_vector_stack_matches_loop(shape):
+    rng = np.random.default_rng(31)
+    m = crandn(rng, *shape)
+    counter = FlopCounter()
+    u, sigma = dominant_left_singular_vector(m, counter)
+    assert u.shape == shape[:-1]
+    assert sigma.shape == shape[:-2]
+    oracle = FlopCounter()
+    for idx in np.ndindex(*shape[:-2]):
+        u_ref, s_ref = _dominant_pair_oracle(m[idx], oracle)
+        assert np.linalg.norm(u[idx] - u_ref) <= 1e-12
+        assert abs(sigma[idx] - s_ref) <= 1e-12 * s_ref
+        pivot = u[idx][np.argmax(np.abs(u[idx]))]
+        assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
+    # a single matrix returns (vector, float) and is charged 1/batch
+    one = FlopCounter()
+    first = (0,) * (len(shape) - 2)
+    u_one, s_one = dominant_left_singular_vector(m[first], one)
+    assert type(s_one) is float and s_one == pytest.approx(sigma[first], rel=1e-12)
+    assert np.linalg.norm(u_one - u[first]) <= 1e-12
+    batch = int(np.prod(shape[:-2]))
+    assert counter.macs == oracle.macs == batch * one.macs
+
+
+def test_dominant_singular_vector_stack_breaks_ties_like_loop():
+    # exactly degenerate leading values: each matrix of the stack takes the
+    # first eigenvector of the largest eigenvalue, as one call on it would
+    m = np.stack([np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 3.0, 3.0])])
+    m = m.astype(complex)
+    for stack in (m, m[:, :, :2]):            # wide (square) and tall
+        u, _ = dominant_left_singular_vector(stack)
+        for i in range(len(stack)):
+            np.testing.assert_array_equal(u[i], _dominant_pair_oracle(stack[i])[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 7), (2, 5, 7, 4)])
+def test_dominant_singular_vector_stack_rejects_any_zero(shape):
+    rng = np.random.default_rng(33)
+    for idx in ((0,) * (len(shape) - 2), tuple(n - 1 for n in shape[:-2])):
+        m = crandn(rng, *shape)
+        m[idx] = 0.0
+        with pytest.raises(ValueError, match="zero matrix"):
+            dominant_left_singular_vector(m)
+
+
+def test_dominant_singular_vector_rejects_vectors():
+    with pytest.raises(ValueError, match="expected a matrix"):
+        dominant_left_singular_vector(np.ones(3, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # rank-one factor container and the truncated orthogonal fit
 # ---------------------------------------------------------------------------
@@ -434,7 +504,7 @@ def test_rank_one_factors_reconstruct():
     core = 1.5 - 2.0j
     recon = RankOneFactors(vectors=vs, core=core).reconstruct()
     np.testing.assert_allclose(
-        recon.data, core * functools.reduce(np.multiply.outer, vs), atol=1e-12
+        recon, core * functools.reduce(np.multiply.outer, vs), atol=1e-12
     )
 
 
@@ -448,7 +518,7 @@ def test_hosvd_rank1_recovers_exact_rank_one():
     assert abs(abs(fit.core) - abs(core)) < 1e-10
     for v_true, v_hat in zip(vs, fit.vectors):
         assert abs(np.vdot(v_true, v_hat)) == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(fit.reconstruct().data, x.data, atol=1e-10)
+    np.testing.assert_allclose(fit.reconstruct(), x.data, atol=1e-10)
 
 
 def test_hosvd_rank1_noisy_alignment():
@@ -471,7 +541,7 @@ def test_hosvd_rank1_order_two_matches_svd():
     fit = hosvd_rank1(ComplexTensor(m))
     u, s, vh = np.linalg.svd(m)
     best = s[0] * np.outer(u[:, 0], vh[0])
-    np.testing.assert_allclose(fit.reconstruct().data, best, atol=1e-10)
+    np.testing.assert_allclose(fit.reconstruct(), best, atol=1e-10)
 
 
 def test_hosvd_rank1_near_orthogonal_fit_quality():
@@ -508,7 +578,7 @@ def test_hosvd_rank1_near_orthogonal_fit_quality():
                 noise /= np.linalg.norm(noise)
                 data = sig + noise
             x = ComplexTensor(data)
-            err_fit = np.linalg.norm(data - hosvd_rank1(x).reconstruct().data)
+            err_fit = np.linalg.norm(data - hosvd_rank1(x).reconstruct())
             err_ref = np.linalg.norm(data - hopm(x))
             assert err_fit <= slack * err_ref
 
@@ -527,6 +597,17 @@ def test_hosvd_rank1_gauge_invariance():
     for v1, v2 in zip(f1.vectors, f2.vectors):
         np.testing.assert_allclose(v1, v2, atol=1e-10)
     assert np.isclose(f2.core, np.exp(0.9j) * f1.core, atol=1e-10)
+
+
+def test_hosvd_rank1_takes_plain_arrays():
+    # an ndarray (here a non-contiguous view) gives the same fit as the
+    # ComplexTensor wrapping a copy of it
+    rng = np.random.default_rng(34)
+    data = crandn(rng, 4, 3, 2, 5).transpose(2, 0, 3, 1)
+    a, b = hosvd_rank1(data), hosvd_rank1(ComplexTensor(data))
+    for va, vb in zip(a.vectors, b.vectors):
+        np.testing.assert_allclose(va, vb, atol=1e-12)
+    assert a.core == pytest.approx(b.core, rel=1e-12)
 
 
 def test_hosvd_rank1_charges_flops():
