@@ -7,19 +7,22 @@ noiseless value is the column-wise Kronecker product of the transposed
 first hop with the second hop.  Because both hops are rank one per axis,
 one reshape and transpose of the cascade's entries arranges them into a
 sixth-order tensor that is exactly a rank-one outer product of the six
-steering-related vectors.  Three estimators consume the cascade:
+steering-related vectors.  ``ESTIMATORS`` maps each method name to the
+estimator that consumes the cascade:
 
-* ``hdr_estimate``  - rank-one truncated HOSVD of that sixth-order tensor
-  (six small independent eigenproblems, no iteration);
-* ``krf_estimate``  - per-column rank-one factorization of the cascade
-  (the classical Khatri-Rao factorization baseline), which ignores the
+* ``hdr`` - rank-one truncated HOSVD of that sixth-order tensor (six
+  small independent eigenproblems, no iteration);
+* ``krf`` - per-column rank-one factorization of the cascade (the
+  classical Khatri-Rao factorization baseline), which ignores the
   per-axis structure;
-* ``ls_estimate``   - the matched-filter output taken as-is.
+* ``ls``  - the matched-filter output taken as-is.
+
+Every entry is called as ``fn(cascade_obs, dims, counter=None)``; adding
+a method means adding one entry.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,33 +30,22 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemDims
 from .flopcount import FlopCounter
-from .tensors import ComplexTensor, dominant_left_singular_vector, hosvd_rank1
+from .tensors import dominant_left_singular_vector, hosvd_rank1
 from .training import TrainingDesign, validate_training
 
 __all__ = [
-    "ObservationTensor",
+    "ESTIMATORS",
     "PermutationPlan",
     "EstimateSet",
     "simulate_observation",
+    "filter_macs",
     "matched_filter",
     "build_permutations",
     "hdr_estimate",
     "krf_estimate",
     "ls_estimate",
-    "ideal_estimate",
     "extract_spatial_frequency",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ObservationTensor:
-    """Received pilot block of dims (n_ue, n_pilots, n_blocks); noise_var
-    is the complex noise variance per entry; seed records the draw when
-    one was used."""
-
-    data: ComplexTensor
-    noise_var: float
-    seed: int | None = None
 
 
 def simulate_observation(
@@ -62,8 +54,9 @@ def simulate_observation(
     noise_var: float,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-) -> ObservationTensor:
-    """Simulate the received pilot tensor for one channel realization.
+) -> np.ndarray:
+    """Simulate the (n_ue, n_pilots, n_blocks) received pilot block for
+    one channel realization.
 
     Block k receives ris_ue @ diag(ris_phases[:, k]) @ bs_ris @ bs_pilots
     plus circular complex Gaussian noise of variance ``noise_var`` per
@@ -89,13 +82,16 @@ def simulate_observation(
         scale = np.sqrt(noise_var / 2.0)
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         x = x + scale * noise
-    return ObservationTensor(
-        data=ComplexTensor(x), noise_var=float(noise_var), seed=seed
-    )
+    return x
+
+
+def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) -> int:
+    """Complex MACs of :func:`matched_filter`'s two mode products."""
+    return n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris
 
 
 def matched_filter(
-    obs: ObservationTensor,
+    obs: np.ndarray,
     design: TrainingDesign,
     counter: FlopCounter | None = None,
     check: bool = True,
@@ -104,9 +100,9 @@ def matched_filter(
     """Invert the training operator and rearrange into the cascade matrix.
 
     The joint operator kron(ris_phases, bs_pilots) is applied as two mode
-    products of the observation: the pilot mode against bs_pilots^H and
-    the block mode against ris_phases^H, which costs n_ue*n_bs*n_pilots*
-    n_blocks + n_ue*n_bs*n_blocks*n_ris MACs.  The (n_ue, n_bs, n_ris)
+    products of the (n_ue, n_pilots, n_blocks) observation: the pilot
+    mode against bs_pilots^H and the block mode against ris_phases^H
+    (:func:`filter_macs`).  The (n_ue, n_bs, n_ris)
     result is read column-major as the cascade matrix, so row
     (m*n_ue + q) of column n holds the product of first-hop entry (n, m)
     with second-hop entry (q, n) in the noiseless case.
@@ -119,7 +115,7 @@ def matched_filter(
         Sweep drivers validate the design once and pass check=False on
         the per-trial path.
     """
-    x = obs.data.data
+    x = np.asarray(obs)
     n_ue, n_pilots, n_blocks = x.shape
     bs_pilots, ris_phases = design.bs_pilots, design.ris_phases
     (n_bs, t_cols), (n_ris, k_cols) = bs_pilots.shape, ris_phases.shape
@@ -136,7 +132,7 @@ def matched_filter(
                 % residual
             )
     if counter is not None:
-        counter.add(n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris)
+        counter.add(filter_macs(n_ue, n_bs, n_ris, n_pilots, n_blocks))
     per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
     per_ris = per_bs.reshape(n_ue * n_bs, n_blocks) @ ris_phases.conj().T
     return per_ris.reshape(n_ue, n_bs, n_ris).reshape(n_ue * n_bs, n_ris, order="F")
@@ -291,20 +287,16 @@ def krf_estimate(
 
 
 def ls_estimate(
-    cascade_obs: np.ndarray, dims: SystemDims | None = None
+    cascade_obs: np.ndarray,
+    dims: SystemDims | None = None,
+    counter: FlopCounter | None = None,
 ) -> EstimateSet:
-    """Baseline: the matched-filter output itself (no denoising)."""
+    """Baseline: the matched-filter output itself (no denoising, no MACs)."""
     cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
     return EstimateSet(method="ls", cascade=cascade_obs.copy())
 
 
-def ideal_estimate(
-    ch: ChannelRealization,
-    plan: PermutationPlan | None = None,
-) -> EstimateSet:
-    """Benchmark estimate built from the true channel (perfect CSI)."""
-    est = hdr_estimate(ch.cascade, ch.dims, plan=plan)
-    return dataclasses.replace(est, method="ideal")
+ESTIMATORS = {"hdr": hdr_estimate, "krf": krf_estimate, "ls": ls_estimate}
 
 
 # ------------------------------------------------- frequency read-out #

@@ -8,9 +8,7 @@ complexity expressions count as well.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["FlopCounter", "counted_matmul"]
+__all__ = ["FlopCounter"]
 
 
 class FlopCounter:
@@ -29,18 +27,3 @@ class FlopCounter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlopCounter(macs={self.macs})"
-
-
-def counted_matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Matrix product a @ b, charging a.shape[0]*a.shape[1]*b.shape[1] MACs.
-
-    Both operands must be 2-D.  When ``counter`` is None the product is
-    computed without accounting.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("counted_matmul expects 2-D operands, got %s and %s" % (a.shape, b.shape))
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("inner dimensions do not match: %s @ %s" % (a.shape, b.shape))
-    if counter is not None:
-        counter.add(a.shape[0] * a.shape[1] * b.shape[1])
-    return a @ b

@@ -10,46 +10,23 @@ show up as beamforming loss rather than as a direct error norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, sample_params, build_channels
-from .estimators import (
-    EstimateSet,
-    hdr_estimate,
-    krf_estimate,
-    ls_estimate,
-    matched_filter,
-    simulate_observation,
-)
-from .flopcount import FlopCounter
+from .channel import ChannelRealization, SystemDims
 from .tensors import dominant_left_singular_vector, kron, unvec
-from .training import make_training
+
+if TYPE_CHECKING:
+    from .estimators import EstimateSet
 
 __all__ = [
-    "METHODS",
-    "TrialMetrics",
     "nmse",
     "spectral_efficiency",
     "ideal_spectral_efficiency",
     "flops_analytic",
-    "flops_measured",
-    "flops_measured_all",
     "summarize",
 ]
-
-METHODS = ("hdr", "krf", "ls")
-
-
-@dataclass(frozen=True)
-class TrialMetrics:
-    """Per-trial scores for one method at one operating point."""
-
-    method: str
-    snr_db: float
-    nmse: float
-    se_bits: float | None = None
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -158,46 +135,7 @@ def flops_analytic(method: str, dims: SystemDims) -> int:
         return shared + dims.n_ris ** 2 * dims.n_ue ** 2 * dims.n_bs ** 2
     if method == "ls":
         return shared
-    raise ValueError("unknown method %r (expected one of %s)" % (method, (METHODS,)))
-
-
-def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
-    """Complex MACs actually spent by one noiseless estimate at ``dims``.
-
-    Runs the full pipeline (pilot simulation excluded, filtering included)
-    with instrumented kernels and returns the MAC count.  Deterministic for
-    a given geometry seed; counts do not depend on the noise level.
-    """
-    method = method.lower()
-    if method not in METHODS:
-        raise ValueError("unknown method %r (expected one of %s)" % (method, (METHODS,)))
-    return flops_measured_all(dims, seed, methods=(method,))[method]
-
-
-def flops_measured_all(dims: SystemDims, seed: int = 0, methods=METHODS) -> dict:
-    """:func:`flops_measured` for several methods, {method: MACs}.
-
-    The design, channel, pilot simulation and matched filter are built once
-    and every method is counted on the same filtered cascade, so each count
-    equals the one-method call.
-    """
-    design = make_training(dims)
-    rng = np.random.default_rng(seed)
-    ch = build_channels(dims, sample_params(rng))
-    obs = simulate_observation(ch, design, noise_var=0.0, rng=rng)
-    filtered = FlopCounter()
-    cascade_obs = matched_filter(obs, design, counter=filtered, check=False)
-    counts = {}
-    for method in methods:
-        counter = FlopCounter()
-        if method == "hdr":
-            hdr_estimate(cascade_obs, dims, counter=counter)
-        elif method == "krf":
-            krf_estimate(cascade_obs, dims, counter=counter)
-        else:
-            ls_estimate(cascade_obs, dims)
-        counts[method] = filtered.macs + counter.macs
-    return counts
+    raise ValueError("unknown method %r (expected hdr, krf or ls)" % (method,))
 
 
 def summarize(values) -> tuple[float, float]:

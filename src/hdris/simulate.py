@@ -24,20 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, SystemDims, build_channels, sample_params
-from .estimators import (
-    build_permutations,
-    hdr_estimate,
-    ideal_estimate,
-    krf_estimate,
-    ls_estimate,
-    matched_filter,
-    simulate_observation,
-)
+from .estimators import ESTIMATORS, filter_macs, matched_filter, simulate_observation
+from .flopcount import FlopCounter
 from .metrics import (
-    METHODS,
-    TrialMetrics,
     flops_analytic,
-    flops_measured_all,
+    ideal_spectral_efficiency,
     nmse,
     spectral_efficiency,
     summarize,
@@ -53,10 +44,9 @@ __all__ = [
     "run_nmse_sweep",
     "run_se_sweep",
     "run_complexity_sweep",
+    "flops_measured",
     "write_csv",
 ]
-
-ALLOWED_METHODS = ("hdr", "krf", "ls", "ideal")
 
 _ANGLE_KEYS = (
     "az_bs", "el_bs",
@@ -116,11 +106,10 @@ class ExperimentConfig:
                     "(must be finite and > 0)"
                     % (snr_db, self.tx_power_watts, noise_var)
                 )
-        bad = [m for m in self.methods if m not in ALLOWED_METHODS]
+        allowed = [*ESTIMATORS, "ideal"]
+        bad = [m for m in self.methods if m not in allowed]
         if bad:
-            raise ConfigError(
-                "unknown methods %s (allowed: %s)" % (bad, list(ALLOWED_METHODS))
-            )
+            raise ConfigError("unknown methods %s (allowed: %s)" % (bad, allowed))
         if not self.dims.training_feasible():
             d = self.dims
             raise ConfigError(
@@ -259,10 +248,10 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
     )
 
 
-def _run_point(cfg, design, plan, methods, snr_idx, trial, want_se):
-    """All requested methods scored on one shared observation."""
-    snr_db = float(cfg.snr_grid_db[snr_idx])
-    noise_var = _noise_var(cfg.tx_power_watts, snr_db)
+def _run_point(cfg, design, methods, snr_idx, trial, want_se):
+    """Every requested estimator scored on one shared observation: its
+    beamformed rate when ``want_se``, else its NMSE."""
+    noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     params = cfg.fixed_params if cfg.fixed_params is not None else sample_params(rng)
     ch = build_channels(cfg.dims, params)
@@ -271,36 +260,21 @@ def _run_point(cfg, design, plan, methods, snr_idx, trial, want_se):
 
     out = {}
     for method in methods:
-        if method == "hdr":
-            est = hdr_estimate(cascade_obs, cfg.dims, plan=plan)
-        elif method == "krf":
-            est = krf_estimate(cascade_obs, cfg.dims)
-        elif method == "ls":
-            est = ls_estimate(cascade_obs, cfg.dims)
-        elif method == "ideal":
-            est = ideal_estimate(ch, plan=plan)
-        else:  # pragma: no cover - filtered by config validation
-            raise ConfigError("unknown method %r" % method)
-        se = (
+        est = ESTIMATORS[method](cascade_obs, cfg.dims)
+        out[method] = (
             spectral_efficiency(ch, est, cfg.tx_power_watts, noise_var)
-            if want_se else None
-        )
-        out[method] = TrialMetrics(
-            method=method,
-            snr_db=snr_db,
-            nmse=nmse(ch.cascade, est.cascade),
-            se_bits=se,
+            if want_se else nmse(ch.cascade, est.cascade)
         )
     return out
 
 
-def _run_chunk(cfg, design, plan, methods, want_se, pairs):
+def _run_chunk(cfg, design, methods, want_se, pairs):
     """_run_point over a run of (snr_idx, trial) pairs, in order."""
-    return [_run_point(cfg, design, plan, methods, s, t, want_se) for s, t in pairs]
+    return [_run_point(cfg, design, methods, s, t, want_se) for s, t in pairs]
 
 
 def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
-    """Run the trial grid and return {method: {snr_idx: [TrialMetrics]}}.
+    """Run the trial grid and return {method: {snr_idx: [value per trial]}}.
 
     With more than one worker the grid is cut into one contiguous chunk per
     worker, run in forked worker processes and reassembled in job order.
@@ -313,10 +287,9 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
         raise TrainingInfeasibleError(
             "constructed training design failed validation: %s" % (report,)
         )
-    plan = build_permutations(cfg.dims)
 
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
-    run = functools.partial(_run_chunk, cfg, design, plan, methods, want_se)
+    run = functools.partial(_run_chunk, cfg, design, methods, want_se)
     workers = min(cfg.threads, len(os.sched_getaffinity(0)), len(jobs))
     if workers == 1:
         results = run(jobs)
@@ -342,13 +315,12 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     return collected
 
 
-def _metric_rows(cfg, collected, metric_name, value_of):
+def _metric_rows(cfg, collected, metric_name):
     digest = config_hash(cfg)
     rows = []
     for method in collected:
         for s, snr_db in enumerate(cfg.snr_grid_db):
-            values = [value_of(tm) for tm in collected[method][s]]
-            mean, median = summarize(values)
+            mean, median = summarize(collected[method][s])
             for stat, value in (("mean", mean), ("median", median)):
                 rows.append({
                     "method": method,
@@ -367,16 +339,26 @@ def run_nmse_sweep(cfg: ExperimentConfig):
     methods = tuple(m for m in cfg.methods if m != "ideal")
     if not methods:
         raise ConfigError("nmse sweep needs at least one estimator method")
-    collected = _sweep(cfg, methods, want_se=False)
-    return _metric_rows(cfg, collected, "nmse", lambda tm: tm.nmse)
+    return _metric_rows(cfg, _sweep(cfg, methods, want_se=False), "nmse")
 
 
 def run_se_sweep(cfg: ExperimentConfig):
     """Beamformed spectral efficiency vs SNR, always including the perfect-CSI
-    benchmark row."""
+    benchmark row.
+
+    ``ideal`` runs no trial: every trial of an SNR point scores the
+    closed-form perfect-CSI rate, so its rows summarize ``n_trials``
+    copies of :func:`ideal_spectral_efficiency`.
+    """
     methods = tuple(cfg.methods) + (("ideal",) if "ideal" not in cfg.methods else ())
-    collected = _sweep(cfg, methods, want_se=True)
-    return _metric_rows(cfg, collected, "se_bits_per_hz", lambda tm: tm.se_bits)
+    estimators = tuple(m for m in methods if m != "ideal")
+    collected = _sweep(cfg, estimators, want_se=True) if estimators else {}
+    collected["ideal"] = {}
+    for s, snr_db in enumerate(cfg.snr_grid_db):
+        noise_var = _noise_var(cfg.tx_power_watts, float(snr_db))
+        rate = ideal_spectral_efficiency(cfg.dims, cfg.tx_power_watts, noise_var)
+        collected["ideal"][s] = [rate] * cfg.n_trials
+    return _metric_rows(cfg, {m: collected[m] for m in methods}, "se_bits_per_hz")
 
 
 def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
@@ -397,6 +379,35 @@ def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
     )
 
 
+def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
+    """Complex MACs one estimate spends at ``dims``: the matched filter
+    plus the estimator's instrumented kernels.
+
+    Counts depend on shapes only, not on the channel draw or the noise.
+    """
+    method = method.lower()
+    if method not in ESTIMATORS:
+        raise ValueError("unknown method %r (expected one of %s)" % (method, list(ESTIMATORS)))
+    return flops_measured_all(dims, seed, methods=(method,))[method]
+
+
+def flops_measured_all(dims: SystemDims, seed: int = 0, methods=tuple(ESTIMATORS)) -> dict:
+    """:func:`flops_measured` for several methods, {method: MACs}.
+
+    The filter is charged from its shapes and every estimator is counted on
+    the true cascade of one geometry draw, so neither the training design
+    nor a pilot block is built.
+    """
+    cascade = build_channels(dims, sample_params(np.random.default_rng(seed))).cascade
+    shared = filter_macs(dims.n_ue, dims.n_bs, dims.n_ris, dims.n_pilots, dims.n_blocks)
+    counts = {}
+    for method in methods:
+        counter = FlopCounter()
+        ESTIMATORS[method](cascade, dims, counter=counter)
+        counts[method] = shared + counter.macs
+    return counts
+
+
 def run_complexity_sweep(cfg: ExperimentConfig):
     """Analytic and instrumented MAC counts per method over the
     surface-size grid."""
@@ -405,10 +416,10 @@ def run_complexity_sweep(cfg: ExperimentConfig):
     for n_ris in cfg.ris_grid:
         dims_n = _complexity_dims(cfg, n_ris)
         for metric, counts in (
-            ("flops_analytic", {m: flops_analytic(m, dims_n) for m in METHODS}),
+            ("flops_analytic", {m: flops_analytic(m, dims_n) for m in ESTIMATORS}),
             ("flops_measured", flops_measured_all(dims_n, seed=cfg.seed)),
         ):
-            for method in METHODS:
+            for method in ESTIMATORS:
                 rows.append({
                     "method": method,
                     "n_ris": n_ris,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flopcount import FlopCounter, counted_matmul
+from .flopcount import FlopCounter
 
 __all__ = [
     "ComplexTensor",
@@ -28,12 +28,8 @@ __all__ = [
     "hadamard",
     "unfold",
     "fold",
-    "n_mode_product",
     "vec",
     "unvec",
-    "tensorize",
-    "reshape",
-    "identity_tensor",
     "dominant_left_singular_vector",
     "hosvd_rank1",
 ]
@@ -173,27 +169,6 @@ def fold(m: np.ndarray, mode: int, dims: Sequence[int]) -> ComplexTensor:
     return ComplexTensor(np.moveaxis(arr, 0, mode - 1))
 
 
-def n_mode_product(
-    x: ComplexTensor,
-    a: np.ndarray,
-    mode: int,
-    counter: FlopCounter | None = None,
-) -> ComplexTensor:
-    """Contract mode ``mode`` of ``x`` with the columns of matrix ``a``."""
-    _check_mode(mode, x.order)
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("n_mode_product factor must be a matrix, got %s" % (a.shape,))
-    if a.shape[1] != x.dims[mode - 1]:
-        raise ValueError(
-            "factor columns (%d) must equal mode-%d extent (%d)"
-            % (a.shape[1], mode, x.dims[mode - 1])
-        )
-    new_dims = list(x.dims)
-    new_dims[mode - 1] = a.shape[0]
-    return fold(counted_matmul(a, unfold(x, mode), counter), mode, new_dims)
-
-
 def vec(a) -> np.ndarray:
     """Column-major vectorization of a matrix or tensor."""
     arr = _as_array(a)
@@ -206,28 +181,6 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise ValueError("vector length %d != %d x %d" % (v.size, rows, cols))
     return v.reshape(rows, cols, order="F")
-
-
-def tensorize(v: np.ndarray, dims: Sequence[int]) -> ComplexTensor:
-    """Reassemble a tensor of the given dims from a column-major flat vector."""
-    return ComplexTensor.from_vec(v, dims)
-
-
-def reshape(x: ComplexTensor, dims: Sequence[int]) -> ComplexTensor:
-    """Relabel the flat column-major data of ``x`` with new mode extents."""
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != x.size:
-        raise ValueError("cannot reshape %s to %s" % (x.dims, (dims,)))
-    return ComplexTensor(x.data.reshape(dims, order="F"))
-
-
-def identity_tensor(order: int, n: int) -> ComplexTensor:
-    """Order-``order`` diagonal tensor with ones where all indices coincide."""
-    if order < 1 or n < 1:
-        raise ValueError("order and extent must be >= 1")
-    arr = np.zeros((n,) * order, dtype=np.complex128)
-    arr[(np.arange(n),) * order] = 1.0
-    return ComplexTensor(arr)
 
 
 # ------------------------------------------------------- rank-one routines #

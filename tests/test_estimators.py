@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
-from hdris.flopcount import FlopCounter, counted_matmul
+from hdris.flopcount import FlopCounter
 from hdris.estimators import (
-    ObservationTensor,
+    ESTIMATORS,
     _swap_middle,
     build_permutations,
     extract_spatial_frequency,
     hdr_estimate,
-    ideal_estimate,
     krf_estimate,
     ls_estimate,
     matched_filter,
@@ -30,18 +29,21 @@ from hdris.estimators import (
 )
 from hdris.metrics import nmse
 from hdris.tensors import (
-    ComplexTensor,
     dominant_left_singular_vector,
     fold,
-    identity_tensor,
     kron,
-    n_mode_product,
-    tensorize,
     unfold,
     unvec,
     vec,
 )
 from hdris.training import make_training
+from oracles import (
+    counted_matmul,
+    identity_tensor,
+    ideal_estimate,
+    n_mode_product,
+    tensorize,
+)
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -125,10 +127,10 @@ def _dense_matched_filter(obs, design):
     """Matched filter against the explicit n_bs*n_ris x n_pilots*n_blocks
     training operator kron(ris_phases, bs_pilots)."""
     joint = kron(design.ris_phases, design.bs_pilots)
-    y = unfold(obs.data, 1) @ joint.conj().T
+    y = unfold(obs, 1) @ joint.conj().T
     # y columns run over (bs index fastest, surface index slowest); regroup
     # as rows (ue fastest, bs slowest) by going through the 3-way layout.
-    n_ue = obs.data.dims[0]
+    n_ue = obs.shape[0]
     n_bs, n_ris = design.bs_pilots.shape[0], design.ris_phases.shape[0]
     return unfold(fold(y, 1, (n_ue, n_bs, n_ris)), 3).T
 
@@ -165,9 +167,9 @@ def test_observation_shape_and_metadata():
     ch = _realization()
     design = make_training(SMALL_DIMS)
     obs = simulate_observation(ch, design, noise_var=0.1, seed=7)
-    assert obs.data.dims == (4, 16, 16)
-    assert obs.noise_var == 0.1
-    assert obs.seed == 7
+    assert isinstance(obs, np.ndarray)
+    assert obs.shape == (4, 16, 16)
+    assert obs.dtype == np.complex128
 
 
 def test_observation_routes_agree():
@@ -178,7 +180,7 @@ def test_observation_routes_agree():
         design = make_training(dims)
         a = simulate_observation(ch, design, 0.0)
         b = _tensor_route_observation(ch, design)
-        np.testing.assert_allclose(a.data.data, b, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_observation_matches_per_block_oracle():
@@ -187,7 +189,7 @@ def test_observation_matches_per_block_oracle():
         ch = _realization(dims, seed)
         design = make_training(dims)
         for noise_var in (0.0, 0.3):
-            got = simulate_observation(ch, design, noise_var, seed=seed).data.data
+            got = simulate_observation(ch, design, noise_var, seed=seed)
             want = _per_block_observation(
                 ch, design, noise_var, np.random.default_rng(seed)
             )
@@ -198,12 +200,12 @@ def test_observation_noise_statistics():
     ch = _realization(seed=2)
     design = make_training(SMALL_DIMS)
     sigma2 = 0.5
-    clean = simulate_observation(ch, design, 0.0).data.data
+    clean = simulate_observation(ch, design, 0.0)
     acc = 0.0
     n_draws = 100
     rng = np.random.default_rng(3)
     for _ in range(n_draws):
-        noisy = simulate_observation(ch, design, sigma2, rng=rng).data.data
+        noisy = simulate_observation(ch, design, sigma2, rng=rng)
         acc += np.mean(np.abs(noisy - clean) ** 2)
     assert acc / n_draws == pytest.approx(sigma2, rel=0.03)
 
@@ -213,7 +215,7 @@ def test_observation_seed_reproducible():
     design = make_training(SMALL_DIMS)
     a = simulate_observation(ch, design, 0.2, seed=11)
     b = simulate_observation(ch, design, 0.2, seed=11)
-    np.testing.assert_array_equal(a.data.data, b.data.data)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_observation_validation():
@@ -266,6 +268,19 @@ def test_matched_filter_rejects_shape_mismatch():
         matched_filter(obs, design)
 
 
+def test_matched_filter_charges_filter_macs():
+    # the two mode products: n_ue*n_bs*n_pilots*n_blocks + n_ue*n_bs*n_blocks*n_ris
+    for d, seed in ((SMALL_DIMS, 50), (ODD_DIMS, 51), (REF_DIMS, 52)):
+        design = make_training(d)
+        obs = simulate_observation(_realization(d, seed), design, 0.0)
+        counter = FlopCounter()
+        matched_filter(obs, design, counter=counter)
+        assert counter.macs == (
+            d.n_ue * d.n_bs * d.n_pilots * d.n_blocks
+            + d.n_ue * d.n_bs * d.n_blocks * d.n_ris
+        )
+
+
 def test_matched_filter_preserves_noise_variance():
     # orthonormal training rows: pure input noise stays at variance sigma^2
     design = make_training(SMALL_DIMS)
@@ -275,8 +290,7 @@ def test_matched_filter_preserves_noise_variance():
     n_draws = 100
     for _ in range(n_draws):
         noise = np.sqrt(sigma2 / 2) * crandn(rng, 4, 16, 16)
-        obs = ObservationTensor(data=ComplexTensor(noise), noise_var=sigma2)
-        out = matched_filter(obs, design)
+        out = matched_filter(noise, design)
         acc += np.mean(np.abs(out) ** 2)
     assert acc / n_draws == pytest.approx(sigma2, rel=0.05)
 
@@ -375,6 +389,24 @@ def test_all_singleton_dims_plan():
     one = np.full((1, 1), 2.0 - 1.0j)
     assert plan.to_tensor(one).shape == (1,) * 6
     np.testing.assert_array_equal(plan.to_cascade(plan.to_tensor(one)), one)
+
+
+# ---------------------------------------------------------------------------
+# estimator table
+# ---------------------------------------------------------------------------
+
+
+def test_estimator_table_shares_one_call():
+    # every entry is called as fn(cascade_obs, dims, counter=...) and tags
+    # its estimate with its table name; only ls spends no MACs
+    ch = _realization(REF_DIMS, seed=53)
+    assert list(ESTIMATORS) == ["hdr", "krf", "ls"]
+    for name, fn in ESTIMATORS.items():
+        counter = FlopCounter()
+        est = fn(ch.cascade, REF_DIMS, counter=counter)
+        assert est.method == name
+        assert est.cascade.shape == ch.cascade.shape
+        assert (counter.macs == 0) == (name == "ls")
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +635,6 @@ def test_stage_peak_memory_bounded_by_observation_size():
         stage("nmse", lambda: (nmse(ch.cascade, hdr.cascade), nmse(ch.cascade, krf.cascade)))
     finally:
         tracemalloc.stop()
-    limit = 6 * obs.data.data.nbytes
+    limit = 6 * obs.nbytes
     assert min(peaks.values()) > 0
     assert max(peaks.values()) <= limit, peaks

@@ -7,25 +7,25 @@ import pytest
 
 from hdris.channel import SystemDims, build_channels, sample_params
 from hdris.estimators import (
+    ESTIMATORS,
     hdr_estimate,
-    ideal_estimate,
     krf_estimate,
     ls_estimate,
     matched_filter,
     simulate_observation,
 )
 from hdris.metrics import (
-    METHODS,
     _effective_surface_vector,
     flops_analytic,
-    flops_measured,
     ideal_spectral_efficiency,
     nmse,
     spectral_efficiency,
     summarize,
 )
+from hdris.simulate import flops_measured
 from hdris.tensors import dominant_left_singular_vector, unvec
 from hdris.training import make_training
+from oracles import ideal_estimate
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -37,6 +37,9 @@ REF_DIMS = SystemDims(
     n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
     n_pilots=16, n_blocks=16,
 )
+
+# 16x16 surface: 256 elements, 256 blocks
+WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
 
 
 def crandn(rng, *shape):
@@ -111,6 +114,22 @@ def test_noiseless_estimates_reach_ideal_rate():
     ):
         rate = spectral_efficiency(ch, est, tx_power=1.0, noise_var=1.0)
         assert rate == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("dims", [REF_DIMS, WIDE_DIMS], ids=["ref", "surface-16x16"])
+def test_closed_form_ideal_rate_matches_per_trial_path(dims):
+    # the se sweep writes the closed form for every trial of its ideal
+    # rows; the per-trial path it replaced (hdr fitted to the true cascade,
+    # then scored like any estimate) lands on it to rounding
+    worst = 0.0
+    for geometry in range(50):
+        ch = build_channels(dims, sample_params(np.random.default_rng(500 + geometry)))
+        est = ideal_estimate(ch)
+        for noise_var in (10.0, 1.0, 0.1):
+            want = ideal_spectral_efficiency(dims, 1.0, noise_var)
+            got = spectral_efficiency(ch, est, 1.0, noise_var)
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-15
 
 
 def test_ideal_rate_bounds_every_estimator():
@@ -224,10 +243,10 @@ def test_analytic_flops_large_surface_ratios():
 
 
 def test_analytic_flops_monotone_in_surface_size():
-    prev = {m: 0 for m in METHODS}
+    prev = {m: 0 for m in ESTIMATORS}
     for axis in (2, 4, 8, 16):
         dims = _square_dims(axis)
-        for m in METHODS:
+        for m in ESTIMATORS:
             cur = flops_analytic(m, dims)
             assert cur > prev[m]
             prev[m] = cur

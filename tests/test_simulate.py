@@ -10,13 +10,14 @@ import pytest
 
 from hdris.channel import ChannelParams, SystemDims
 from hdris.cli import main
-from hdris.metrics import flops_analytic, flops_measured, ideal_spectral_efficiency
+from hdris.metrics import flops_analytic, ideal_spectral_efficiency
 from hdris.simulate import (
     ConfigError,
     ExperimentConfig,
     _complexity_dims,
     config_hash,
     default_config,
+    flops_measured,
     load_config,
     run_complexity_sweep,
     run_nmse_sweep,
@@ -228,6 +229,33 @@ def test_se_sweep_appends_benchmark():
     expected = ideal_spectral_efficiency(cfg.dims, cfg.tx_power_watts, 1.0)
     for r in ideal_rows:
         assert r["value"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_se_sweep_ideal_only_runs_no_trial(monkeypatch):
+    # ideal rows come from the closed form, one value per SNR point
+    import hdris.simulate as simulate
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("an ideal-only se sweep ran a trial")
+
+    for name in ("_run_point", "make_training", "simulate_observation"):
+        monkeypatch.setattr(simulate, name, no_trial)
+    cfg = _small_cfg(methods=("ideal",), n_trials=5)
+    rows = run_se_sweep(cfg)
+    assert [(r["method"], r["snr_db"], r["stat"]) for r in rows] == [
+        ("ideal", snr, stat) for snr in (-5.0, 5.0) for stat in ("mean", "median")
+    ]
+    for r in rows:
+        noise_var = cfg.tx_power_watts / 10.0 ** (r["snr_db"] / 10.0)
+        want = ideal_spectral_efficiency(cfg.dims, cfg.tx_power_watts, noise_var)
+        assert r["value"] == pytest.approx(want, rel=1e-15)
+        assert r["n_trials"] == 5
+
+
+def test_se_sweep_keeps_configured_method_order():
+    rows = run_se_sweep(_small_cfg(snr_grid_db=(0.0,), n_trials=2,
+                                   methods=("ls", "ideal", "hdr")))
+    assert [r["method"] for r in rows] == ["ls", "ls", "ideal", "ideal", "hdr", "hdr"]
 
 
 def test_se_sweep_ideal_value_seed_invariant():
