@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import hadamard, khatri_rao, kron
+from .tensors import khatri_rao, kron
 
 __all__ = [
     "AZIMUTH_RANGE_DEG",
@@ -26,7 +26,6 @@ __all__ = [
     "ChannelRealization",
     "spatial_frequencies",
     "steering_1d",
-    "steering_2d",
     "build_channels",
     "sample_params",
 ]
@@ -136,22 +135,12 @@ def steering_1d(length: int, freq: float) -> np.ndarray:
     return np.exp(-1j * np.arange(length) * freq)
 
 
-def steering_2d(len_y: int, len_z: int, freq_y: float, freq_z: float) -> np.ndarray:
-    """URA response as the Kronecker product of the two 1-D responses.
-
-    The flat element index runs over the z axis fastest, i.e. element
-    (i_y, i_z) sits at position i_y*len_z + i_z and responds with
-    exp(-1j*(i_y*freq_y + i_z*freq_z)).
-    """
-    return kron(steering_1d(len_y, freq_y), steering_1d(len_z, freq_z))
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """All deterministic channel quantities implied by one geometry draw.
 
     bs_ris  (n_ris x n_bs): base station -> surface hop, Kronecker product
-        of the per-axis rank-one factors ``bs_ris_y``/``bs_ris_z``.
+        of a horizontal and a vertical rank-one factor (z index fastest).
     ris_ue  (n_ue x n_ris): surface -> user hop, likewise.
     cascade (n_bs*n_ue x n_ris): column-wise Kronecker product of the
         transposed first hop with the second hop; the quantity the pilot
@@ -166,18 +155,10 @@ class ChannelRealization:
     params: ChannelParams
     bs_y: np.ndarray
     bs_z: np.ndarray
-    ris_arr_y: np.ndarray
-    ris_arr_z: np.ndarray
-    ris_dep_y: np.ndarray
-    ris_dep_z: np.ndarray
     ue_y: np.ndarray
     ue_z: np.ndarray
     surface_y: np.ndarray
     surface_z: np.ndarray
-    bs_ris_y: np.ndarray
-    bs_ris_z: np.ndarray
-    ris_ue_y: np.ndarray
-    ris_ue_z: np.ndarray
     bs_ris: np.ndarray
     ris_ue: np.ndarray
     cascade: np.ndarray
@@ -220,18 +201,10 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
         params=params,
         bs_y=bs_y,
         bs_z=bs_z,
-        ris_arr_y=ris_arr_y,
-        ris_arr_z=ris_arr_z,
-        ris_dep_y=ris_dep_y,
-        ris_dep_z=ris_dep_z,
         ue_y=ue_y,
         ue_z=ue_z,
-        surface_y=hadamard(ris_arr_y, ris_dep_y),
-        surface_z=hadamard(ris_arr_z, ris_dep_z),
-        bs_ris_y=bs_ris_y,
-        bs_ris_z=bs_ris_z,
-        ris_ue_y=ris_ue_y,
-        ris_ue_z=ris_ue_z,
+        surface_y=ris_arr_y * ris_dep_y,
+        surface_z=ris_arr_z * ris_dep_z,
         bs_ris=bs_ris,
         ris_ue=ris_ue,
         cascade=cascade,

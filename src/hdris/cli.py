@@ -83,7 +83,7 @@ def _validate_command(cfg) -> int:
     report = validate_training(design)
     print("factor row orthonormality residual: %.3g" % report.row_orthonormality)
     print("surface profile modulus spread: %.3g" % report.modulus_spread)
-    if not report.ok(1e-10):
+    if not report.ok():
         print("training design FAILED validation", file=sys.stderr)
         return 2
     print("training design ok")

@@ -31,7 +31,7 @@ import numpy as np
 from .channel import ChannelRealization, SystemDims
 from .flopcount import FlopCounter
 from .tensors import dominant_left_singular_vector, hosvd_rank1
-from .training import TrainingDesign, validate_training
+from .training import CONTRACT_TOL, TrainingDesign, validate_training
 
 __all__ = [
     "ESTIMATORS",
@@ -95,7 +95,6 @@ def matched_filter(
     design: TrainingDesign,
     counter: FlopCounter | None = None,
     check: bool = True,
-    orth_tol: float = 1e-8,
 ) -> np.ndarray:
     """Invert the training operator and rearrange into the cascade matrix.
 
@@ -111,9 +110,9 @@ def matched_filter(
     ----------
     check : bool
         Verify both training factors have orthonormal rows within
-        ``orth_tol`` first (the design contract the filter relies on).
-        Sweep drivers validate the design once and pass check=False on
-        the per-trial path.
+        ``training.CONTRACT_TOL`` first (the design contract the filter
+        relies on).  The sweeps pass check=False: their DFT designs hold
+        it by construction.
     """
     x = np.asarray(obs)
     n_ue, n_pilots, n_blocks = x.shape
@@ -126,7 +125,7 @@ def matched_filter(
         )
     if check:
         residual = validate_training(design).row_orthonormality
-        if residual > orth_tol:
+        if residual > CONTRACT_TOL:
             raise ValueError(
                 "training operator rows are not orthonormal (residual %.3g)"
                 % residual

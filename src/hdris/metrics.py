@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .tensors import dominant_left_singular_vector, kron, unvec
+from .tensors import dominant_left_singular_vector, kron
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -86,11 +86,11 @@ def spectral_efficiency(
         mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0
     )
 
-    h_eff_est = unvec(est.cascade @ phases, dims.n_ue, dims.n_bs)
+    h_eff_est = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     w, _ = dominant_left_singular_vector(h_eff_est)
     f = h_eff_est.conj().T @ w
     f /= np.linalg.norm(f)
-    h_eff_true = unvec(ch.cascade @ phases, dims.n_ue, dims.n_bs)
+    h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))
 

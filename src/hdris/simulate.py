@@ -33,7 +33,7 @@ from .metrics import (
     spectral_efficiency,
     summarize,
 )
-from .training import TrainingInfeasibleError, make_training, validate_training
+from .training import make_training
 
 __all__ = [
     "ConfigError",
@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if any(n < 1 for n in self.ris_grid):
             raise ConfigError("ris_grid entries must be >= 1")
+        for key in ("snr_grid_db", "methods", "ris_grid"):
+            values = list(getattr(self, key))
+            if len(set(values)) != len(values):
+                raise ConfigError("%s must not repeat an entry, got %s" % (key, values))
         for snr_db in self.snr_grid_db:
             noise_var = _noise_var(self.tx_power_watts, snr_db)
             if not 0.0 < noise_var < math.inf:
@@ -160,7 +164,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -282,12 +286,6 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     so no count starts more processes than can run at once.
     """
     design = make_training(cfg.dims)
-    report = validate_training(design)
-    if not report.ok(1e-8):
-        raise TrainingInfeasibleError(
-            "constructed training design failed validation: %s" % (report,)
-        )
-
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
     run = functools.partial(_run_chunk, cfg, design, methods, want_se)
     workers = min(cfg.threads, len(os.sched_getaffinity(0)), len(jobs))

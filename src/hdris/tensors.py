@@ -25,16 +25,12 @@ __all__ = [
     "RankOneFactors",
     "kron",
     "khatri_rao",
-    "hadamard",
     "unfold",
     "fold",
     "vec",
-    "unvec",
     "dominant_left_singular_vector",
     "hosvd_rank1",
 ]
-
-_ZERO_NORM = 1e-300
 
 
 class ComplexTensor:
@@ -61,44 +57,11 @@ class ComplexTensor:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ComplexTensor is immutable")
 
-    @classmethod
-    def from_vec(cls, flat, dims: Sequence[int]) -> "ComplexTensor":
-        flat = np.asarray(flat, dtype=np.complex128).reshape(-1)
-        dims = tuple(int(d) for d in dims)
-        if flat.size != int(np.prod(dims)):
-            raise ValueError(
-                "flat length %d does not match dims %s" % (flat.size, (dims,))
-            )
-        return cls(flat.reshape(dims, order="F"))
-
-    @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def order(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def vec(self) -> np.ndarray:
-        """Column-major vectorization (mode-1 index fastest)."""
-        return self.data.reshape(-1, order="F").copy()
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ComplexTensor)
-            and self.dims == other.dims
             and bool(np.array_equal(self.data, other.data))
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplexTensor(dims={self.dims})"
 
 
 def _as_array(x) -> np.ndarray:
@@ -127,15 +90,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     m, n = a.shape[0], b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, a.shape[1])
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise product of two arrays of identical shape."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("shapes must match: %s vs %s" % (a.shape, b.shape))
-    return a * b
 
 
 # ----------------------------------------------------- unfold / fold / vec #
@@ -173,14 +127,6 @@ def vec(a) -> np.ndarray:
     """Column-major vectorization of a matrix or tensor."""
     arr = _as_array(a)
     return arr.reshape(-1, order="F").copy()
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Reassemble a rows x cols matrix from its column-major vectorization."""
-    v = np.asarray(v).reshape(-1)
-    if v.size != rows * cols:
-        raise ValueError("vector length %d != %d x %d" % (v.size, rows, cols))
-    return v.reshape(rows, cols, order="F")
 
 
 # ------------------------------------------------------- rank-one routines #
@@ -269,10 +215,6 @@ class RankOneFactors:
             if abs(nrm - 1.0) > 1e-6:
                 raise ValueError("factor vector %d is not unit norm (|v|=%g)" % (i + 1, nrm))
 
-    @property
-    def dims(self) -> tuple:
-        return tuple(len(v) for v in self.vectors)
-
     def reconstruct(self) -> np.ndarray:
         return functools.reduce(np.multiply.outer, self.vectors) * self.core
 
@@ -291,11 +233,9 @@ def hosvd_rank1(
     Raises
     ------
     ValueError
-        If ``x`` has (numerically) zero norm.
+        If ``x`` is zero (from :func:`dominant_left_singular_vector`).
     """
     cur = _as_array(x)
-    if not np.linalg.norm(cur) > _ZERO_NORM:
-        raise ValueError("rank-one HOSVD of a zero tensor is undefined")
     vectors = tuple(
         dominant_left_singular_vector(unfold(cur, mode), counter)[0]
         for mode in range(1, cur.ndim + 1)

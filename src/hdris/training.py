@@ -18,12 +18,16 @@ import numpy as np
 from .channel import SystemDims
 
 __all__ = [
+    "CONTRACT_TOL",
     "TrainingInfeasibleError",
     "TrainingDesign",
     "TrainingReport",
     "make_training",
     "validate_training",
 ]
+
+# Largest residual either design contract may show (3e-13 at 4096 DFT blocks).
+CONTRACT_TOL = 1e-10
 
 
 class TrainingInfeasibleError(ValueError):
@@ -59,19 +63,11 @@ def make_training(dims: SystemDims) -> TrainingDesign:
     Raises
     ------
     TrainingInfeasibleError
-        If the total pilot budget n_pilots*n_blocks is smaller than the
-        n_bs*n_ris unknowns, or if n_pilots < n_bs or n_blocks < n_ris,
-        in which case no Kronecker-structured design with orthonormal
-        rows exists at all.
+        Unless ``dims.training_feasible()``: with n_pilots < n_bs or
+        n_blocks < n_ris no Kronecker-structured design with orthonormal
+        rows exists (this covers any pilot budget below n_bs*n_ris).
     """
-    budget = dims.n_pilots * dims.n_blocks
-    unknowns = dims.n_bs * dims.n_ris
-    if budget < unknowns:
-        raise TrainingInfeasibleError(
-            "training design requires n_pilots*n_blocks >= n_bs*n_ris "
-            "(got %d < %d)" % (budget, unknowns)
-        )
-    if dims.n_pilots < dims.n_bs or dims.n_blocks < dims.n_ris:
+    if not dims.training_feasible():
         raise TrainingInfeasibleError(
             "Kronecker-structured training needs n_pilots >= n_bs and "
             "n_blocks >= n_ris (got n_pilots=%d, n_bs=%d, n_blocks=%d, "
@@ -90,8 +86,9 @@ class TrainingReport:
     row_orthonormality: float   # max over both factors of |F F^H - I|
     modulus_spread: float       # max - min modulus over profile entries
 
-    def ok(self, tol: float = 1e-10) -> bool:
-        return self.row_orthonormality <= tol and self.modulus_spread <= tol
+    def ok(self) -> bool:
+        return (self.row_orthonormality <= CONTRACT_TOL
+                and self.modulus_spread <= CONTRACT_TOL)
 
 
 def validate_training(design: TrainingDesign) -> TrainingReport:

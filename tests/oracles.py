@@ -32,17 +32,18 @@ def counted_matmul(a, b, counter=None):
 def n_mode_product(x, a, mode, counter=None):
     """Contract mode ``mode`` of ComplexTensor ``x`` with the columns of
     matrix ``a``."""
-    if not 1 <= mode <= x.order:
-        raise ValueError("mode %d out of range for order-%d tensor" % (mode, x.order))
+    dims = x.data.shape
+    if not 1 <= mode <= len(dims):
+        raise ValueError("mode %d out of range for order-%d tensor" % (mode, len(dims)))
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("n_mode_product factor must be a matrix, got %s" % (a.shape,))
-    if a.shape[1] != x.dims[mode - 1]:
+    if a.shape[1] != dims[mode - 1]:
         raise ValueError(
             "factor columns (%d) must equal mode-%d extent (%d)"
-            % (a.shape[1], mode, x.dims[mode - 1])
+            % (a.shape[1], mode, dims[mode - 1])
         )
-    new_dims = list(x.dims)
+    new_dims = list(dims)
     new_dims[mode - 1] = a.shape[0]
     return fold(counted_matmul(a, unfold(x, mode), counter), mode, new_dims)
 
@@ -58,14 +59,14 @@ def identity_tensor(order, n):
 
 def tensorize(v, dims):
     """Reassemble a tensor of the given dims from a column-major flat vector."""
-    return ComplexTensor.from_vec(v, dims)
+    return ComplexTensor(np.reshape(v, dims, order="F"))
 
 
 def reshape(x, dims):
     """Relabel the flat column-major data of ``x`` with new mode extents."""
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != x.size:
-        raise ValueError("cannot reshape %s to %s" % (x.dims, (dims,)))
+    if int(np.prod(dims)) != x.data.size:
+        raise ValueError("cannot reshape %s to %s" % (x.data.shape, (dims,)))
     return ComplexTensor(x.data.reshape(dims, order="F"))
 
 

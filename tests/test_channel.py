@@ -15,9 +15,8 @@ from hdris.channel import (
     sample_params,
     spatial_frequencies,
     steering_1d,
-    steering_2d,
 )
-from hdris.tensors import hadamard, khatri_rao, kron, vec
+from hdris.tensors import khatri_rao, kron, vec
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -74,26 +73,6 @@ def test_steering_1d_phase_progression():
 def test_steering_1d_rejects_empty():
     with pytest.raises(ValueError):
         steering_1d(0, 1.0)
-
-
-def test_steering_2d_is_kron_of_axes():
-    rng = np.random.default_rng(0)
-    fy, fz = rng.uniform(-math.pi, math.pi, size=2)
-    v = steering_2d(3, 4, fy, fz)
-    np.testing.assert_allclose(v, kron(steering_1d(3, fy), steering_1d(4, fz)), atol=1e-12)
-    # flat index iy * len_z + iz carries the sum of the per-axis phases
-    for iy in range(3):
-        for iz in range(4):
-            np.testing.assert_allclose(
-                v[iy * 4 + iz], np.exp(-1j * (fy * iy + fz * iz)), atol=1e-12
-            )
-
-
-def test_steering_2d_examples():
-    np.testing.assert_array_equal(steering_2d(2, 2, 0.0, 0.0), np.ones(4, dtype=complex))
-    np.testing.assert_allclose(
-        steering_2d(2, 2, math.pi, 0.0), [1.0, 1.0, -1.0, -1.0], atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +155,41 @@ def test_cascade_row_ordering():
             )
 
 
+def _surface_axes(ch, freqs):
+    """(y, z) steering vectors of the surface at ``freqs``, one of
+    ``ch.params``' surface frequency pairs."""
+    return tuple(
+        steering_1d(n, f) for n, f in zip((ch.dims.n_ris_y, ch.dims.n_ris_z), freqs)
+    )
+
+
+def _hop_axes(ch):
+    """Per-axis factors of both hops, rebuilt from the geometry:
+    (bs_ris_y, bs_ris_z), (ris_ue_y, ris_ue_z)."""
+    arr_y, arr_z = _surface_axes(ch, ch.params.ris_arr_freqs)
+    dep_y, dep_z = _surface_axes(ch, ch.params.ris_dep_freqs)
+    return (
+        (np.outer(arr_y, ch.bs_y), np.outer(arr_z, ch.bs_z)),
+        (np.outer(ch.ue_y, dep_y), np.outer(ch.ue_z, dep_z)),
+    )
+
+
 def test_hop_matrices_factor_by_axis():
     rng = np.random.default_rng(3)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
-    np.testing.assert_allclose(ch.bs_ris, kron(ch.bs_ris_y, ch.bs_ris_z), atol=1e-12)
-    np.testing.assert_allclose(ch.ris_ue, kron(ch.ris_ue_y, ch.ris_ue_z), atol=1e-12)
-    # each axis factor is itself an outer product of steering vectors
-    np.testing.assert_allclose(ch.bs_ris_y, np.outer(ch.ris_arr_y, ch.bs_y), atol=1e-12)
-    np.testing.assert_allclose(ch.ris_ue_y, np.outer(ch.ue_y, ch.ris_dep_y), atol=1e-12)
+    (bs_ris_y, bs_ris_z), (ris_ue_y, ris_ue_z) = _hop_axes(ch)
+    np.testing.assert_allclose(ch.bs_ris, kron(bs_ris_y, bs_ris_z), atol=1e-12)
+    np.testing.assert_allclose(ch.ris_ue, kron(ris_ue_y, ris_ue_z), atol=1e-12)
 
 
 def test_surface_vector_combines_arrival_and_departure():
     rng = np.random.default_rng(4)
     params = sample_params(rng)
     ch = build_channels(SMALL_DIMS, params)
-    np.testing.assert_allclose(
-        ch.surface_y, hadamard(ch.ris_arr_y, ch.ris_dep_y), atol=1e-12
-    )
+    arr = _surface_axes(ch, params.ris_arr_freqs)
+    dep = _surface_axes(ch, params.ris_dep_freqs)
+    np.testing.assert_allclose(ch.surface_y, arr[0] * dep[0], atol=1e-12)
+    np.testing.assert_allclose(ch.surface_z, arr[1] * dep[1], atol=1e-12)
     # elementwise product of steering vectors = steering vector at summed freq
     fy_sum = params.ris_arr_freqs[0] + params.ris_dep_freqs[0]
     np.testing.assert_allclose(
@@ -204,7 +201,8 @@ def test_single_axis_khatri_rao_vec_identity():
     # vec of the per-axis cascade equals the triple kron of its generators
     rng = np.random.default_rng(5)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
-    single_axis = khatri_rao(ch.bs_ris_y.T, ch.ris_ue_y)
+    (bs_ris_y, _), (ris_ue_y, _) = _hop_axes(ch)
+    single_axis = khatri_rao(bs_ris_y.T, ris_ue_y)
     np.testing.assert_allclose(
         vec(single_axis),
         kron(ch.surface_y, kron(ch.bs_y, ch.ue_y)),

@@ -33,7 +33,6 @@ from hdris.tensors import (
     fold,
     kron,
     unfold,
-    unvec,
     vec,
 )
 from hdris.training import make_training
@@ -115,7 +114,7 @@ def _per_column_krf(cascade, dims, counter=None):
     """Rank-one fit of each cascade column, one column at a time."""
     out = np.empty_like(cascade)
     for n in range(dims.n_ris):
-        mat = unvec(cascade[:, n], dims.n_ue, dims.n_bs)
+        mat = cascade[:, n].reshape(dims.n_ue, dims.n_bs, order="F")
         u, _ = dominant_left_singular_vector(mat, counter)
         right = counted_matmul(mat.conj().T, u[:, None], counter)[:, 0]
         approx = counted_matmul(u[:, None], right.conj()[None, :], counter)

@@ -23,7 +23,7 @@ from hdris.metrics import (
     summarize,
 )
 from hdris.simulate import flops_measured
-from hdris.tensors import dominant_left_singular_vector, unvec
+from hdris.tensors import dominant_left_singular_vector
 from hdris.training import make_training
 from oracles import ideal_estimate
 
@@ -187,10 +187,10 @@ def _two_eigh_rate(ch, est, tx_power, noise_var):
     surface = _effective_surface_vector(est)
     mods = np.abs(surface)
     phases = np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
-    h_eff_est = unvec(est.cascade @ phases, dims.n_ue, dims.n_bs)
+    h_eff_est = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     w, _ = dominant_left_singular_vector(h_eff_est)
     f, _ = dominant_left_singular_vector(h_eff_est.conj().T)
-    h_eff_true = unvec(ch.cascade @ phases, dims.n_ue, dims.n_bs)
+    h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))
 

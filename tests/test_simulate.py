@@ -170,7 +170,7 @@ def test_load_config_rejects_bad_payload(tmp_path, payload):
         load_config(str(path))
 
 
-def test_load_config_rejects_bad_json(tmp_path):
+def test_load_config_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
@@ -178,6 +178,13 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(str(path))
+    # not UTF-8: a UTF-16 byte-order mark before the object
+    path.write_bytes(b'\xff\xfe{"n_trials": 2}')
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(str(path))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +526,10 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"ris_grid": [0]}, []),
         # enough pilot symbols (64 = n_bs*n_ris) but n_pilots < n_bs
         ({"dims": dict(_dims_json(), n_pilots=2, n_blocks=32)}, []),
+        # a repeated grid entry would write duplicate rows
+        ({"snr_grid_db": [0, 0]}, []),
+        ({"methods": ["ls", "LS"]}, []),
+        ({"ris_grid": [16, 16]}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):

@@ -65,7 +65,8 @@ def test_design_stores_only_the_two_factors():
 
 
 def test_budget_shortfall_raises():
-    with pytest.raises(TrainingInfeasibleError, match="n_pilots\\*n_blocks"):
+    # 16 pilot symbols for 64 unknowns fails the one feasibility condition
+    with pytest.raises(TrainingInfeasibleError, match="n_pilots >= n_bs"):
         make_training(_dims(n_bs=4, n_ris=16, n_pilots=4, n_blocks=4))
 
 
