@@ -12,7 +12,7 @@ through an explicitly passed generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,12 +56,9 @@ class SystemDims:
     n_blocks: int
 
     def __post_init__(self):
-        for name in (
-            "n_bs_y", "n_bs_z", "n_ue_y", "n_ue_z",
-            "n_ris_y", "n_ris_z", "n_pilots", "n_blocks",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError("%s must be >= 1" % f.name)
 
     @property
     def n_bs(self) -> int:
@@ -74,12 +71,6 @@ class SystemDims:
     @property
     def n_ris(self) -> int:
         return self.n_ris_y * self.n_ris_z
-
-    def training_feasible(self) -> bool:
-        """Whether a Kronecker-structured training design with orthonormal
-        rows exists: it needs n_pilots >= n_bs and n_blocks >= n_ris, which
-        also gives the pilot budget n_pilots*n_blocks >= n_bs*n_ris."""
-        return self.n_pilots >= self.n_bs and self.n_blocks >= self.n_ris
 
 
 def spatial_frequencies(azimuth: float, elevation: float) -> tuple[float, float]:

@@ -21,9 +21,3 @@ class FlopCounter:
 
     def add(self, n: int) -> None:
         self.macs += int(n)
-
-    def reset(self) -> None:
-        self.macs = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlopCounter(macs={self.macs})"

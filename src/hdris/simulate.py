@@ -14,12 +14,12 @@ numbers for SNRs, powers and angles, objects for ``dims``/``angles_deg``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .metrics import (
     spectral_efficiency,
     summarize,
 )
-from .training import make_training
+from .training import TrainingInfeasibleError, check_feasible, make_training
 
 __all__ = [
     "ConfigError",
@@ -48,24 +48,15 @@ __all__ = [
     "write_csv",
 ]
 
-_ANGLE_KEYS = (
-    "az_bs", "el_bs",
-    "az_ris_arr", "el_ris_arr",
-    "az_ris_dep", "el_ris_dep",
-    "az_ue", "el_ue",
-)
-
-_DIM_KEYS = (
-    "n_bs_y", "n_bs_z", "n_ue_y", "n_ue_z",
-    "n_ris_y", "n_ris_z", "n_pilots", "n_blocks",
-)
+_ANGLE_KEYS = tuple(f.name for f in dataclasses.fields(ChannelParams))
+_DIM_KEYS = tuple(f.name for f in dataclasses.fields(SystemDims))
 
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed or infeasible."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs, minus scheduling details.
 
@@ -114,14 +105,10 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in allowed]
         if bad:
             raise ConfigError("unknown methods %s (allowed: %s)" % (bad, allowed))
-        if not self.dims.training_feasible():
-            d = self.dims
-            raise ConfigError(
-                "infeasible dims: Kronecker-structured training needs "
-                "n_pilots >= n_bs and n_blocks >= n_ris (got n_pilots=%d, "
-                "n_bs=%d, n_blocks=%d, n_ris=%d)"
-                % (d.n_pilots, d.n_bs, d.n_blocks, d.n_ris)
-            )
+        try:
+            check_feasible(self.dims)
+        except TrainingInfeasibleError as exc:
+            raise ConfigError("infeasible dims: %s" % exc) from exc
 
     def to_dict(self) -> dict:
         d = {
@@ -130,7 +117,7 @@ class ExperimentConfig:
             "n_trials": self.n_trials,
             "methods": list(self.methods),
             "seed": self.seed,
-            "tx_power_watts": self.tx_power_watts,
+            "tx_power_watts": float(self.tx_power_watts),
             "ris_grid": [int(n) for n in self.ris_grid],
         }
         if self.fixed_params is not None:
@@ -169,11 +156,10 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    known = {
-        "dims", "snr_grid_db", "n_trials", "methods", "seed", "output_path",
-        "threads", "tx_power_watts", "ris_grid", "angles_deg",
-    }
-    unknown = set(raw) - known
+    scalars = {"n_trials": int, "seed": int, "threads": int,
+               "output_path": str, "tx_power_watts": float}
+    arrays = {"snr_grid_db": float, "methods": str, "ris_grid": int}
+    unknown = set(raw) - {*scalars, *arrays, "dims", "angles_deg"}
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
 
@@ -195,9 +181,6 @@ def load_config(path: str) -> ExperimentConfig:
                for k in _ANGLE_KEYS}
         )
 
-    scalars = {"n_trials": int, "seed": int, "threads": int,
-               "output_path": str, "tx_power_watts": float}
-    arrays = {"snr_grid_db": float, "methods": str, "ris_grid": int}
     for key, kind in scalars.items():
         if key in raw:
             kwargs[key] = _typed(key, raw[key], kind)
@@ -366,15 +349,8 @@ def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
             "complexity grid entries must be perfect squares (square surface), "
             "got %d" % n_ris
         )
-    base = cfg.dims
-    n_bs, n_pilots = base.n_bs, base.n_pilots
-    n_blocks = max(n_ris, math.ceil(n_bs * n_ris / n_pilots))
-    return SystemDims(
-        n_bs_y=base.n_bs_y, n_bs_z=base.n_bs_z,
-        n_ue_y=base.n_ue_y, n_ue_z=base.n_ue_z,
-        n_ris_y=root, n_ris_z=root,
-        n_pilots=n_pilots, n_blocks=n_blocks,
-    )
+    # cfg passed check_feasible, so n_ris blocks cover the n_bs * n_ris unknowns
+    return dataclasses.replace(cfg.dims, n_ris_y=root, n_ris_z=root, n_blocks=n_ris)
 
 
 def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
@@ -382,28 +358,18 @@ def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
     plus the estimator's instrumented kernels.
 
     Counts depend on shapes only, not on the channel draw or the noise.
+    The filter is charged from its shapes and the estimator is counted on
+    the true cascade of one geometry draw, so neither the training design
+    nor a pilot block is built.
     """
     method = method.lower()
     if method not in ESTIMATORS:
         raise ValueError("unknown method %r (expected one of %s)" % (method, list(ESTIMATORS)))
-    return flops_measured_all(dims, seed, methods=(method,))[method]
-
-
-def flops_measured_all(dims: SystemDims, seed: int = 0, methods=tuple(ESTIMATORS)) -> dict:
-    """:func:`flops_measured` for several methods, {method: MACs}.
-
-    The filter is charged from its shapes and every estimator is counted on
-    the true cascade of one geometry draw, so neither the training design
-    nor a pilot block is built.
-    """
     cascade = build_channels(dims, sample_params(np.random.default_rng(seed))).cascade
+    counter = FlopCounter()
+    ESTIMATORS[method](cascade, dims, counter=counter)
     shared = filter_macs(dims.n_ue, dims.n_bs, dims.n_ris, dims.n_pilots, dims.n_blocks)
-    counts = {}
-    for method in methods:
-        counter = FlopCounter()
-        ESTIMATORS[method](cascade, dims, counter=counter)
-        counts[method] = shared + counter.macs
-    return counts
+    return shared + counter.macs
 
 
 def run_complexity_sweep(cfg: ExperimentConfig):
@@ -415,7 +381,7 @@ def run_complexity_sweep(cfg: ExperimentConfig):
         dims_n = _complexity_dims(cfg, n_ris)
         for metric, counts in (
             ("flops_analytic", {m: flops_analytic(m, dims_n) for m in ESTIMATORS}),
-            ("flops_measured", flops_measured_all(dims_n, seed=cfg.seed)),
+            ("flops_measured", {m: flops_measured(m, dims_n, cfg.seed) for m in ESTIMATORS}),
         ):
             for method in ESTIMATORS:
                 rows.append({

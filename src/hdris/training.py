@@ -22,6 +22,7 @@ __all__ = [
     "TrainingInfeasibleError",
     "TrainingDesign",
     "TrainingReport",
+    "check_feasible",
     "make_training",
     "validate_training",
 ]
@@ -50,6 +51,19 @@ def _dft_rows(rows: int, points: int) -> np.ndarray:
     return np.exp(-2j * np.pi * grid / points) / np.sqrt(points)
 
 
+def check_feasible(dims: SystemDims) -> None:
+    """Raise :class:`TrainingInfeasibleError` unless a Kronecker-structured
+    design with orthonormal rows exists for ``dims``: it needs n_pilots >=
+    n_bs and n_blocks >= n_ris, which also gives the pilot budget
+    n_pilots*n_blocks >= n_bs*n_ris."""
+    if dims.n_pilots < dims.n_bs or dims.n_blocks < dims.n_ris:
+        raise TrainingInfeasibleError(
+            "Kronecker-structured training needs n_pilots >= n_bs and "
+            "n_blocks >= n_ris (got n_pilots=%d, n_bs=%d, n_blocks=%d, "
+            "n_ris=%d)" % (dims.n_pilots, dims.n_bs, dims.n_blocks, dims.n_ris)
+        )
+
+
 def make_training(dims: SystemDims) -> TrainingDesign:
     """Build the deterministic DFT-based training design for ``dims``.
 
@@ -60,19 +74,10 @@ def make_training(dims: SystemDims) -> TrainingDesign:
     (constant-modulus surface states) and every entry of the joint
     operator has modulus 1/sqrt(n_pilots*n_blocks).
 
-    Raises
-    ------
-    TrainingInfeasibleError
-        Unless ``dims.training_feasible()``: with n_pilots < n_bs or
-        n_blocks < n_ris no Kronecker-structured design with orthonormal
-        rows exists (this covers any pilot budget below n_bs*n_ris).
+    Raises :class:`TrainingInfeasibleError` unless :func:`check_feasible`
+    passes.
     """
-    if not dims.training_feasible():
-        raise TrainingInfeasibleError(
-            "Kronecker-structured training needs n_pilots >= n_bs and "
-            "n_blocks >= n_ris (got n_pilots=%d, n_bs=%d, n_blocks=%d, "
-            "n_ris=%d)" % (dims.n_pilots, dims.n_bs, dims.n_blocks, dims.n_ris)
-        )
+    check_feasible(dims)
     return TrainingDesign(
         bs_pilots=_dft_rows(dims.n_bs, dims.n_pilots),
         ris_phases=_dft_rows(dims.n_ris, dims.n_blocks),

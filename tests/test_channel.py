@@ -1,6 +1,5 @@
 """Tests for the geometric channel model: steering vectors, hops, cascade."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -92,21 +91,6 @@ def test_system_dims_validation():
             n_bs_y=0, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
             n_pilots=16, n_blocks=16,
         )
-
-
-def test_training_feasibility_threshold():
-    assert SMALL_DIMS.training_feasible()
-    skinny = SystemDims(
-        n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-        n_pilots=4, n_blocks=4,
-    )
-    # 16 pilot symbols against 64 unknowns per receive antenna
-    assert not skinny.training_feasible()
-    # 64 pilot symbols cover the 64 unknowns, but a Kronecker design with
-    # orthonormal rows also needs n_pilots >= n_bs and n_blocks >= n_ris
-    for n_pilots, n_blocks in ((2, 32), (32, 2)):
-        short = dataclasses.replace(SMALL_DIMS, n_pilots=n_pilots, n_blocks=n_blocks)
-        assert not short.training_feasible()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +25,14 @@ from hdris.simulate import (
     run_se_sweep,
     write_csv,
 )
+from hdris.training import TrainingInfeasibleError, check_feasible
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
     n_pilots=16, n_blocks=16,
 )
+
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 HEADER = "method,snr_db,metric,stat,value,n_trials,config_hash"
 
@@ -58,7 +62,7 @@ def _small_cfg(**overrides):
 def test_default_config_dims():
     cfg = default_config()
     assert cfg.dims.n_bs == 16 and cfg.dims.n_ue == 16 and cfg.dims.n_ris == 16
-    assert cfg.dims.training_feasible()
+    check_feasible(cfg.dims)
     assert cfg.n_trials == 500
     assert cfg.methods == ("hdr", "krf", "ls")
 
@@ -83,8 +87,12 @@ def test_config_rejects_infeasible_dims():
         n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
         n_pilots=4, n_blocks=4,
     )
-    with pytest.raises(ConfigError, match="infeasible"):
+    with pytest.raises(TrainingInfeasibleError) as training_exc:
+        check_feasible(thin)
+    with pytest.raises(ConfigError) as config_exc:
         _small_cfg(dims=thin)
+    # the config check wraps the one training rule's message
+    assert str(config_exc.value) == "infeasible dims: " + str(training_exc.value)
 
 
 def test_config_hash_ignores_scheduling_fields():
@@ -94,6 +102,11 @@ def test_config_hash_ignores_scheduling_fields():
     c = dataclasses.replace(a, seed=1)
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 12
+
+
+def test_config_hash_ignores_python_type_of_tx_power():
+    as_int, as_float = _small_cfg(tx_power_watts=1), _small_cfg(tx_power_watts=1.0)
+    assert config_hash(as_int) == config_hash(as_float)
 
 
 def test_to_dict_carries_angles_only_when_pinned():
@@ -137,6 +150,23 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.snr_grid_db == (-5.0, 5.0)
     assert cfg.methods == ("hdr", "krf", "ls")  # case-insensitive
     assert cfg.seed == 3 and cfg.threads == 2
+
+
+@pytest.mark.parametrize("source", ["default", "pinned-se-mt"])
+def test_to_dict_reloads_to_the_same_config(tmp_path, source):
+    # every key to_dict writes must be one load_config accepts
+    if source == "default":
+        cfg = default_config()
+    else:
+        cfg = load_config(str(PERFBENCH_WORKLOADS / ("%s.json" % source)))
+    cfg = dataclasses.replace(cfg, threads=2, output_path="out.csv")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        **cfg.to_dict(), "threads": cfg.threads, "output_path": cfg.output_path,
+    }))
+    reloaded = load_config(str(path))
+    assert reloaded == cfg
+    assert config_hash(reloaded) == config_hash(cfg)
 
 
 def test_load_config_angles(tmp_path):
@@ -374,8 +404,10 @@ def test_complexity_dims_rules():
     dims400 = _complexity_dims(cfg, 400)
     assert (dims400.n_ris_y, dims400.n_ris_z) == (20, 20)
     assert dims400.n_pilots == cfg.dims.n_pilots
-    # enough blocks for both the unknown count and the phase matrix rows
-    assert dims400.n_blocks == max(400, math.ceil(cfg.dims.n_bs * 400 / 16))
+    # one block per surface element: n_pilots >= n_bs already covers the
+    # unknown count n_bs * n_ris
+    assert dims400.n_blocks == 400
+    check_feasible(dims400)
     with pytest.raises(ConfigError, match="perfect square"):
         _complexity_dims(cfg, 10)
 

@@ -611,8 +611,6 @@ def test_counted_matmul_charges_mac_volume():
     out = counted_matmul(a, b, counter)
     np.testing.assert_allclose(out, a @ b)
     assert counter.macs == 3 * 4 * 5
-    counter.reset()
-    assert counter.macs == 0
 
 
 def test_counted_matmul_validation():

@@ -11,6 +11,7 @@ import pytest
 from hdris.channel import SystemDims
 from hdris.training import (
     TrainingInfeasibleError,
+    check_feasible,
     make_training,
     validate_training,
 )
@@ -62,6 +63,23 @@ def test_design_stores_only_the_two_factors():
     assert [f.name for f in dataclasses.fields(design)] == ["bs_pilots", "ris_phases"]
     assert design.bs_pilots.shape == (4, 16)
     assert design.ris_phases.shape == (16, 16)
+
+
+def test_training_feasibility_threshold():
+    check_feasible(SMALL_DIMS)
+    skinny = SystemDims(
+        n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
+        n_pilots=4, n_blocks=4,
+    )
+    # 16 pilot symbols against 64 unknowns per receive antenna
+    with pytest.raises(TrainingInfeasibleError):
+        check_feasible(skinny)
+    # 64 pilot symbols cover the 64 unknowns, but a Kronecker design with
+    # orthonormal rows also needs n_pilots >= n_bs and n_blocks >= n_ris
+    for n_pilots, n_blocks in ((2, 32), (32, 2)):
+        short = dataclasses.replace(SMALL_DIMS, n_pilots=n_pilots, n_blocks=n_blocks)
+        with pytest.raises(TrainingInfeasibleError):
+            check_feasible(short)
 
 
 def test_budget_shortfall_raises():
