@@ -31,7 +31,7 @@ import numpy as np
 from .channel import ChannelRealization, SystemDims
 from .flopcount import FlopCounter
 from .tensors import dominant_left_singular_vector, hosvd_rank1
-from .training import CONTRACT_TOL, TrainingDesign, validate_training
+from .training import CONTRACT_TOL, TrainingDesign
 
 __all__ = [
     "ESTIMATORS",
@@ -111,8 +111,10 @@ def matched_filter(
     check : bool
         Verify both training factors have orthonormal rows within
         ``training.CONTRACT_TOL`` first (the design contract the filter
-        relies on).  The sweeps pass check=False: their DFT designs hold
-        it by construction.
+        relies on).  The check reads ``design.report``, so it validates
+        each design once however often it is filtered against.  The
+        sweeps pass check=False: their DFT designs hold it by
+        construction.
     """
     x = np.asarray(obs)
     n_ue, n_pilots, n_blocks = x.shape
@@ -124,7 +126,7 @@ def matched_filter(
             % (t_cols * k_cols, n_pilots * n_blocks)
         )
     if check:
-        residual = validate_training(design).row_orthonormality
+        residual = design.report.row_orthonormality
         if residual > CONTRACT_TOL:
             raise ValueError(
                 "training operator rows are not orthonormal (residual %.3g)"

@@ -1,8 +1,9 @@
 """Complex multiply-accumulate (MAC) accounting for dense linear-algebra kernels.
 
 Cost model: multiplying an (a x b) matrix by a (b x c) matrix is a*b*c complex
-MACs.  Decompositions (eigen/SVD of the small Gram matrices) are not charged;
-only the instrumented matrix products contribute, which is what the analytic
+MACs.  Decompositions (eigen/SVD of the small Gram matrices, and the repeated
+squaring that stands in for them on stacks) are not charged; only the
+instrumented matrix products contribute, which is what the analytic
 complexity expressions count as well.
 """
 

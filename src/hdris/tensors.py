@@ -131,6 +131,55 @@ def vec(a) -> np.ndarray:
 
 # ------------------------------------------------------- rank-one routines #
 
+# A stack's trace-one Grams are squared at most this many times; a member
+# whose leading eigenvalue gap exceeds ~5e-4 (relative) certifies within it.
+_MAX_SQUARINGS = 16
+# Certificate on 1 - ||A||_F^2 for a trace-one Hermitian PSD A: it equals
+# sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of A's
+# eigenvalue mass lies off the leading eigenvector.
+_CERTIFICATE_TOL = 1e-14
+
+
+def _eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpair of each Gram of a stack: the first eigenbasis
+    column holding the largest eigenvalue."""
+    w, basis = np.linalg.eigh(gram)
+    pick = np.arange(len(gram))
+    lead = np.argmax(w, axis=1)
+    return basis[pick, :, lead], w[pick, lead]
+
+
+def _squared_top(
+    gram: np.ndarray, trace: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading eigenpair of each Gram of a stack by repeated squaring.
+
+    A = G / tr(G) is squared in two alternating buffers, A <- A^2 /
+    tr(A^2), until every member meets the certificate 1 - ||A||_F^2 <=
+    _CERTIFICATE_TOL or _MAX_SQUARINGS is reached.  A certified A is rank
+    one to within the certificate: its largest-diagonal column is the
+    leading eigenvector, and the vector's Rayleigh quotient on the Gram
+    the eigenvalue.  Returns (vectors, eigenvalues, certified mask);
+    entries of uncertified members are meaningless.
+    """
+    a = gram * (1.0 / trace)[:, None, None]
+    spare = np.empty_like(a)
+    for step in range(_MAX_SQUARINGS + 1):
+        flat = a.reshape(len(a), -1).view(np.float64)
+        mass = np.einsum("bi,bi->b", flat, flat)        # ||A||_F^2 = tr(A^2)
+        certified = 1.0 - mass <= _CERTIFICATE_TOL
+        if step == _MAX_SQUARINGS or certified.all():
+            break
+        np.matmul(a, a, out=spare)
+        spare *= (1.0 / mass)[:, None, None]
+        a, spare = spare, a
+    pick = np.arange(len(a))
+    col = np.argmax(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
+    x = a[pick, :, col]
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    eig = np.einsum("bi,bi->b", x.conj(), (gram @ x[:, :, None])[:, :, 0]).real
+    return x, eig, certified
+
 
 def dominant_left_singular_vector(
     m: np.ndarray,
@@ -139,20 +188,34 @@ def dominant_left_singular_vector(
     """Dominant left singular vector and singular value of a complex matrix,
     or of every matrix in a stack.
 
-    Works on the smaller of the two Gram matrices instead of a full SVD;
-    a stack forms all its Grams in one product and decomposes them in one
-    ``np.linalg.eigh`` call.  Each returned vector has unit norm and its
-    largest-modulus entry is made real and positive, which fixes the phase
-    gauge deterministically.  With a degenerate leading singular value the
-    eigenbasis column chosen is the first one holding the largest
-    eigenvalue, so repeated calls agree bit for bit.
+    Works on the smaller of the two Gram matrices instead of a full SVD.
+    A single matrix (or a stack of one) decomposes its Gram with
+    ``np.linalg.eigh``.  A stack of B > 1 forms all its Grams in one
+    product and finds their leading eigenvectors by repeated squaring
+    (power method, Golub & Van Loan, *Matrix Computations*, 8.2): each
+    trace-one Gram A is squared, A <- A^2 / tr(A^2), until it certifies by
+    1 - ||A||_F^2 <= 1e-14.  For a trace-one PSD A with eigenvalues mu_i
+    that quantity is sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so a
+    certified A holds at most ~5e-15 of its eigenvalue mass off the
+    leading eigenvector.  The vector is read off A's largest-diagonal
+    column and the eigenvalue is its Rayleigh quotient on the Gram.
+    Members still uncertified after 16 squarings (exact or near ties of
+    the leading singular value) fall back to ``np.linalg.eigh`` and get
+    its bits.
+
+    Each returned vector has unit norm and its largest-modulus entry is
+    made real and positive, which fixes the phase gauge deterministically.
+    With a degenerate leading singular value the eigenbasis column chosen
+    is the first one holding the largest eigenvalue, so repeated calls
+    agree bit for bit.
 
     Parameters
     ----------
     m : ndarray, shape (r, c) or (..., r, c)
     counter : FlopCounter, optional
         Charged for the Gram products (and the tall-case back-projections):
-        a stack of B matrices costs B times one matrix.
+        a stack of B matrices costs B times one matrix.  The eigensolver
+        and the squarings are not charged.
 
     Returns
     -------
@@ -174,16 +237,21 @@ def dominant_left_singular_vector(
     stack_h = stack.conj().transpose(0, 2, 1)
     wide = rows <= cols
     gram = stack @ stack_h if wide else stack_h @ stack
+    del stack_h                 # freed before the squaring allocates its buffers
     if counter is not None:
         counter.add(batch * (rows * cols * rows if wide else cols * rows * cols + rows * cols))
-    w, basis = np.linalg.eigh(gram)
-    pick = np.arange(batch)
-    lead = np.argmax(w, axis=1)
-    sigma_sq = w[pick, lead]
-    # sigma^2 of a Gram is positive unless its matrix is zero (or underflows)
-    if not sigma_sq.min() > 0.0:
+    trace = np.trace(gram, axis1=1, axis2=2).real
+    # the trace of a Gram is positive unless its matrix is zero (or underflows)
+    if not trace.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
-    top = basis[pick, :, lead]                              # batch x (rows or cols)
+    if batch == 1:
+        top, sigma_sq = _eigh_top(gram)
+    else:
+        top, sigma_sq, certified = _squared_top(gram, trace)
+        if not certified.all():
+            rest = ~certified
+            top[rest], sigma_sq[rest] = _eigh_top(gram[rest])
+    pick = np.arange(batch)
     if wide:
         u = top
         sigma = np.sqrt(sigma_sq)

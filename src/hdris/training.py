@@ -11,6 +11,7 @@ hold exactly and every profile entry has the same modulus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,24 @@ class TrainingInfeasibleError(ValueError):
 class TrainingDesign:
     """Pilot block (n_bs x n_pilots) and surface profiles (n_ris x
     n_blocks), the two Kronecker factors of the joint training operator.
-    Plain container; see :func:`validate_training` for the checks."""
+
+    Both factors are stored as read-only complex copies, so a design
+    cannot change after construction and ``report`` (the
+    :func:`validate_training` result) is computed once per instance."""
 
     bs_pilots: np.ndarray
     ris_phases: np.ndarray
+
+    def __post_init__(self):
+        for name in ("bs_pilots", "ris_phases"):
+            factor = np.array(getattr(self, name), dtype=np.complex128)
+            factor.setflags(write=False)
+            object.__setattr__(self, name, factor)
+
+    @functools.cached_property
+    def report(self) -> TrainingReport:
+        """:func:`validate_training` of this design, computed on first use."""
+        return validate_training(self)
 
 
 def _dft_rows(rows: int, points: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from hdris.tensors import (
     unfold,
     vec,
 )
-from hdris.training import make_training
+from hdris.training import make_training, validate_training
 from oracles import (
     counted_matmul,
     identity_tensor,
@@ -309,6 +309,33 @@ def test_matched_filter_rejects_bad_training():
         # with validation off the call goes through (garbage in, garbage out)
         out = matched_filter(obs, bad, check=False)
         assert out.shape == (16, 16)
+
+
+def test_matched_filter_validates_each_design_once(monkeypatch):
+    import hdris.training as training
+
+    seen = []
+
+    def recording_validate(design):
+        seen.append(design)
+        return validate_training(design)
+
+    monkeypatch.setattr(training, "validate_training", recording_validate)
+    design = make_training(SMALL_DIMS)
+    obs = simulate_observation(_realization(seed=9), design, 0.1, seed=3)
+    first = matched_filter(obs, design, check=True)
+    for _ in range(11):
+        np.testing.assert_array_equal(matched_filter(obs, design, check=True), first)
+    assert [d is design for d in seen] == [True]
+    # the factors are read-only copies, so the cached report cannot go stale
+    pilots = np.array(design.bs_pilots)
+    for factor in (design.bs_pilots, design.ris_phases):
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 2.0
+    replaced = dataclasses.replace(design, bs_pilots=pilots)
+    assert not replaced.bs_pilots.flags.writeable and replaced.bs_pilots is not pilots
+    matched_filter(obs, replaced, check=True)
+    assert len(seen) == 2 and seen[1] is replaced
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from hdris.simulate import (
     write_csv,
 )
 from hdris.training import TrainingInfeasibleError, check_feasible
+from oracles import dominant_pairs_oracle
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -392,6 +393,47 @@ def test_sweep_pinned_geometry():
     # noiseless limit with one fixed geometry: mean equals median
     vals = {r["stat"]: r["value"] for r in rows}
     assert vals["mean"] == pytest.approx(vals["median"], rel=1e-9)
+
+
+_REF_DIMS = SystemDims(
+    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
+    n_pilots=16, n_blocks=16,
+)
+_WIDE_DIMS = dataclasses.replace(_REF_DIMS, n_ris_y=16, n_ris_z=16, n_blocks=256)
+
+
+@pytest.mark.parametrize(
+    "sweep, dims",
+    [
+        pytest.param(run_nmse_sweep, _REF_DIMS, id="nmse-ref"),
+        pytest.param(run_nmse_sweep, _WIDE_DIMS, id="nmse-16x16"),
+        pytest.param(run_se_sweep, _REF_DIMS, id="se-ref"),
+    ],
+)
+def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
+    # the stacked fast path against one eigh per matrix, end to end
+    import hdris.estimators
+    import hdris.metrics
+    import hdris.tensors
+
+    cfg = _small_cfg(dims=dims, snr_grid_db=(-10.0, 0.0, 20.0), n_trials=2)
+    fast = sweep(cfg)
+    stacks = []
+
+    def oracle(m, counter=None):
+        stacks.append(np.ndim(m) > 2)
+        return dominant_pairs_oracle(m, counter)
+
+    for module in (hdris.estimators, hdris.metrics, hdris.tensors):
+        monkeypatch.setattr(module, "dominant_left_singular_vector", oracle)
+    slow = sweep(cfg)
+    assert any(stacks)
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        assert {k: v for k, v in got.items() if k != "value"} == {
+            k: v for k, v in want.items() if k != "value"
+        }
+        assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from hdris.tensors import (
     unfold,
     vec,
 )
-from oracles import counted_matmul, identity_tensor, n_mode_product, reshape, tensorize
+from oracles import (
+    counted_matmul,
+    dominant_pair_oracle,
+    identity_tensor,
+    n_mode_product,
+    reshape,
+    tensorize,
+)
 
 
 def crandn(rng, *shape):
@@ -395,25 +402,6 @@ def test_dominant_singular_vector_counts_work():
     assert counter.macs > 0
 
 
-def _dominant_pair_oracle(m, counter=None):
-    """One matrix at a time: the smaller Gram, eigh, the first eigenvector
-    of the largest eigenvalue (stable sort), tall-case back-projection,
-    largest-modulus entry made real positive."""
-    rows, cols = m.shape
-    if rows <= cols:
-        w, basis = np.linalg.eigh(counted_matmul(m, m.conj().T, counter))
-        lead = np.argsort(-w, kind="stable")[0]
-        u, sigma = basis[:, lead], float(np.sqrt(max(w[lead], 0.0)))
-    else:
-        w, basis = np.linalg.eigh(counted_matmul(m.conj().T, m, counter))
-        lead = np.argsort(-w, kind="stable")[0]
-        mv = counted_matmul(m, basis[:, lead, None], counter)[:, 0]
-        sigma = float(np.linalg.norm(mv))
-        u = mv / sigma
-    k = int(np.argmax(np.abs(u)))
-    return u * (u[k].conjugate() / abs(u[k])), sigma
-
-
 @pytest.mark.parametrize("shape", [(3, 4, 7), (2, 5, 7, 4), (1, 1, 1), (2, 1, 1, 5)])
 def test_dominant_singular_vector_stack_matches_loop(shape):
     rng = np.random.default_rng(31)
@@ -424,7 +412,7 @@ def test_dominant_singular_vector_stack_matches_loop(shape):
     assert sigma.shape == shape[:-2]
     oracle = FlopCounter()
     for idx in np.ndindex(*shape[:-2]):
-        u_ref, s_ref = _dominant_pair_oracle(m[idx], oracle)
+        u_ref, s_ref = dominant_pair_oracle(m[idx], oracle)
         assert np.linalg.norm(u[idx] - u_ref) <= 1e-12
         assert abs(sigma[idx] - s_ref) <= 1e-12 * s_ref
         pivot = u[idx][np.argmax(np.abs(u[idx]))]
@@ -447,7 +435,7 @@ def test_dominant_singular_vector_stack_breaks_ties_like_loop():
     for stack in (m, m[:, :, :2]):            # wide (square) and tall
         u, _ = dominant_left_singular_vector(stack)
         for i in range(len(stack)):
-            np.testing.assert_array_equal(u[i], _dominant_pair_oracle(stack[i])[0])
+            np.testing.assert_array_equal(u[i], dominant_pair_oracle(stack[i])[0])
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 7), (2, 5, 7, 4)])
@@ -463,6 +451,107 @@ def test_dominant_singular_vector_stack_rejects_any_zero(shape):
 def test_dominant_singular_vector_rejects_vectors():
     with pytest.raises(ValueError, match="expected a matrix"):
         dominant_left_singular_vector(np.ones(3, dtype=complex))
+
+
+def _unitary_columns(rng, rows, cols):
+    q, _ = np.linalg.qr(crandn(rng, rows, cols))
+    return q
+
+
+def _mixed_stack(rng):
+    """4 x 6 members: well separated, exactly rank one, a leading gap of
+    relative size 1e-3 in sigma^2, and three exactly degenerate ones whose
+    Grams are exact in floating point.  Returns (stack, degenerate idx)."""
+    left, right = _unitary_columns(rng, 4, 4), _unitary_columns(rng, 6, 4)
+    near = left @ np.diag([1.0, np.sqrt(1.0 - 1e-3), 0.5, 0.25]) @ right.conj().T
+    pad = np.zeros((4, 6), dtype=complex)
+    hadamard = pad.copy()
+    hadamard[:2, :2] = [[1.0, 1.0], [1.0, -1.0]]
+    hadamard[2, 2], hadamard[3, 3] = 0.5, 0.25
+    phased = pad.copy()
+    phased[[0, 1, 2], [3, 1, 5]] = [1.0, 1j, -1.0]
+    members = [
+        crandn(rng, 4, 6),
+        np.outer(crandn(rng, 4), crandn(rng, 6).conj()),
+        near,
+        hadamard,
+        np.eye(4, 6),
+        phased,
+        crandn(rng, 4, 6),
+    ]
+    return np.stack(members).astype(complex), [3, 4, 5]
+
+
+class _RecordingEigh:
+    """Stands in for np.linalg.eigh and keeps every matrix stack it gets."""
+
+    def __init__(self):
+        self.calls = []
+        self._eigh = np.linalg.eigh
+
+    def __call__(self, a):
+        self.calls.append(np.array(a))
+        return self._eigh(a)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("orient", ["wide", "tall"])
+def test_dominant_singular_vector_certifies_or_falls_back(monkeypatch, scale, orient):
+    # certified members match the per-matrix eigh oracle; only the exactly
+    # degenerate members reach eigh, and they get its bits
+    stack, degenerate = _mixed_stack(np.random.default_rng(41))
+    if orient == "tall":
+        stack = stack.transpose(0, 2, 1)
+    stack = stack * scale
+    eigh = _RecordingEigh()
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", eigh)
+        u, sigma = dominant_left_singular_vector(stack)
+    assert len(eigh.calls) == 1
+    fallback = stack[degenerate]
+    fallback_h = fallback.conj().transpose(0, 2, 1)
+    gram = fallback @ fallback_h if orient == "wide" else fallback_h @ fallback
+    np.testing.assert_array_equal(eigh.calls[0], gram)
+    for i in range(len(stack)):
+        u_ref, s_ref = dominant_pair_oracle(stack[i])
+        if i in degenerate:
+            np.testing.assert_array_equal(u[i], u_ref)
+            assert sigma[i] == s_ref
+        else:
+            assert np.linalg.norm(u[i] - u_ref) <= 1e-12
+            assert abs(sigma[i] - s_ref) <= 1e-12 * s_ref
+    # a zero member anywhere still raises, before any eigendecomposition
+    for idx in (0, 3, len(stack) - 1):
+        zeroed = stack.copy()
+        zeroed[idx] = 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh)
+            with pytest.raises(ValueError, match="zero matrix"):
+                dominant_left_singular_vector(zeroed)
+    assert len(eigh.calls) == 1
+
+
+def test_dominant_singular_vector_eigh_sees_only_uncertified(monkeypatch):
+    # a well-separated stack never reaches eigh; a single matrix always
+    # does, and keeps its bits
+    rng = np.random.default_rng(42)
+    stack = crandn(rng, 9, 5, 8)
+    eigh = _RecordingEigh()
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    u, sigma = dominant_left_singular_vector(stack)
+    assert eigh.calls == []
+    for i in range(len(stack)):
+        u_ref, s_ref = dominant_pair_oracle(stack[i])
+        assert np.linalg.norm(u[i] - u_ref) <= 1e-12
+        assert abs(sigma[i] - s_ref) <= 1e-12 * s_ref
+    calls = len(eigh.calls)
+    for m in (stack[0], stack[0].T, stack[:1]):
+        u_one, s_one = dominant_left_singular_vector(m)
+        u_ref, s_ref = dominant_pair_oracle(m.reshape(m.shape[-2:]))
+        np.testing.assert_array_equal(u_one.reshape(u_ref.shape), u_ref)
+        assert float(np.squeeze(s_one)) == s_ref
+        calls += 2              # the call under test, then the oracle's
+        assert len(eigh.calls) == calls
 
 
 # ---------------------------------------------------------------------------
