@@ -27,7 +27,7 @@ from .simulate import (
     run_se_sweep,
     write_csv,
 )
-from .training import make_training, validate_training
+from .training import FFT_MIN_BLOCKS, make_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,9 +79,14 @@ def _validate_command(cfg) -> int:
     print("pilot budget: %d vs %d unknowns -> feasible"
           % (dims.n_pilots * dims.n_blocks, dims.n_bs * dims.n_ris))
     design = make_training(dims)
-    report = validate_training(design)
+    report = design.report
     print("factor row orthonormality residual: %.3g" % report.row_orthonormality)
     print("surface profile modulus spread: %.3g" % report.modulus_spread)
+    if design.block_fft:
+        route = "FFT (DFT profiles, %d blocks >= %d)" % (dims.n_blocks, FFT_MIN_BLOCKS)
+    else:
+        route = "dense (%d blocks < %d)" % (dims.n_blocks, FFT_MIN_BLOCKS)
+    print("surface block product: %s" % route)
     if not report.ok():
         print("training design FAILED validation", file=sys.stderr)
         return 2

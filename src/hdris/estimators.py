@@ -48,6 +48,20 @@ __all__ = [
 ]
 
 
+def _block_product(a: np.ndarray, design: TrainingDesign, adjoint: bool) -> np.ndarray:
+    """``a @ ris_phases`` (or ``a @ ris_phases^H`` when ``adjoint``) for a
+    2-D ``a``.  When ``design.block_fft`` holds the profiles are the leading
+    rows of the unitary n_blocks-point DFT, so the product is a zero-padded
+    FFT along the rows (the adjoint a truncated inverse FFT); every other
+    design takes the dense product."""
+    if design.block_fft:
+        n_ris, n_blocks = design.ris_phases.shape
+        if adjoint:
+            return np.fft.ifft(a, axis=1, norm="ortho")[:, :n_ris]
+        return np.fft.fft(a, n=n_blocks, axis=1, norm="ortho")
+    return a @ (design.ris_phases.conj().T if adjoint else design.ris_phases)
+
+
 def simulate_observation(
     ch: ChannelRealization,
     design: TrainingDesign,
@@ -62,31 +76,43 @@ def simulate_observation(
     plus circular complex Gaussian noise of variance ``noise_var`` per
     entry.  All blocks come from one product: entry (q, t, n) of the
     (n_ue, n_pilots, n_ris) array ris_ue[q, n] * (bs_ris @ bs_pilots)[n, t],
-    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases.
+    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases.  That
+    product is a zero-padded FFT over the rows when ``design.block_fft``
+    holds and a dense product otherwise.  The noise is added in place,
+    real parts first, from two full-size normal draws.
     """
     if not 0 <= noise_var < math.inf:
         raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
     dims = ch.dims
+    # the FFT route would zero-pad a surface mismatch instead of failing
+    if design.ris_phases.shape != (dims.n_ris, dims.n_blocks):
+        raise ValueError(
+            "surface profiles are %d x %d but the channel has n_ris=%d, n_blocks=%d"
+            % (design.ris_phases.shape + (dims.n_ris, dims.n_blocks))
+        )
     if rng is None:
         rng = np.random.default_rng(seed)
 
     first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
     # one expression, so the n_ue x n_pilots x n_ris product is freed
     # before the noise is drawn
-    x = (
-        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris)
-        @ design.ris_phases
+    x = _block_product(
+        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris),
+        design, adjoint=False,
     ).reshape(dims.n_ue, dims.n_pilots, dims.n_blocks)
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
-        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-        x = x + scale * noise
+        x.real += scale * rng.standard_normal(x.shape)
+        x.imag += scale * rng.standard_normal(x.shape)
     return x
 
 
 def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) -> int:
-    """Complex MACs of :func:`matched_filter`'s two mode products."""
+    """Complex MACs of :func:`matched_filter`'s two mode products, each
+    charged as a dense product.  A design whose block product runs as an
+    FFT (``TrainingDesign.block_fft``) spends fewer, so for it this is an
+    upper bound."""
     return n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris
 
 
@@ -135,7 +161,7 @@ def matched_filter(
     if counter is not None:
         counter.add(filter_macs(n_ue, n_bs, n_ris, n_pilots, n_blocks))
     per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
-    per_ris = per_bs.reshape(n_ue * n_bs, n_blocks) @ ris_phases.conj().T
+    per_ris = _block_product(per_bs.reshape(n_ue * n_bs, n_blocks), design, adjoint=True)
     return per_ris.reshape(n_ue, n_bs, n_ris).reshape(n_ue * n_bs, n_ris, order="F")
 
 

@@ -20,6 +20,7 @@ from .channel import SystemDims
 
 __all__ = [
     "CONTRACT_TOL",
+    "FFT_MIN_BLOCKS",
     "TrainingInfeasibleError",
     "TrainingDesign",
     "TrainingReport",
@@ -30,6 +31,11 @@ __all__ = [
 
 # Largest residual either design contract may show (3e-13 at 4096 DFT blocks).
 CONTRACT_TOL = 1e-10
+
+# Fewest blocks at which DFT profiles are applied by FFT instead of a dense
+# product.  On 256 rows with one BLAS thread the two tie at 36-64 blocks
+# and the FFT is 3-9x faster from 256 blocks up.
+FFT_MIN_BLOCKS = 64
 
 
 class TrainingInfeasibleError(ValueError):
@@ -42,8 +48,9 @@ class TrainingDesign:
     n_blocks), the two Kronecker factors of the joint training operator.
 
     Both factors are stored as read-only complex copies, so a design
-    cannot change after construction and ``report`` (the
-    :func:`validate_training` result) is computed once per instance."""
+    cannot change after construction, and ``report`` (the
+    :func:`validate_training` result) and ``block_fft`` (the route of the
+    surface-block product) are computed once per instance."""
 
     bs_pilots: np.ndarray
     ris_phases: np.ndarray
@@ -58,6 +65,18 @@ class TrainingDesign:
     def report(self) -> TrainingReport:
         """:func:`validate_training` of this design, computed on first use."""
         return validate_training(self)
+
+    @functools.cached_property
+    def block_fft(self) -> bool:
+        """True when the surface-block products may run as FFTs: at least
+        ``FFT_MIN_BLOCKS`` blocks and profiles bit for bit the leading rows
+        of the unitary n_blocks-point DFT, so ``a @ ris_phases`` is a
+        zero-padded FFT and ``p @ ris_phases^H`` a truncated inverse FFT.
+        The block count is tested first, so smaller designs build no DFT."""
+        n_ris, n_blocks = self.ris_phases.shape
+        return n_blocks >= FFT_MIN_BLOCKS and np.array_equal(
+            self.ris_phases, _dft_rows(n_ris, n_blocks)
+        )
 
 
 def _dft_rows(rows: int, points: int) -> np.ndarray:

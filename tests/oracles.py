@@ -4,8 +4,9 @@ Each helper is the plain, general form of something the package does in a
 faster or narrower way: MAC-counted 2-D products, the n-mode product with
 its diagonal core, column-major tensor relabelling, the per-matrix
 ``eigh`` dominant pair that stacks replaced by certified repeated
-squaring, and the per-trial perfect-CSI estimate that the se sweep
-replaced by its closed form.
+squaring, the per-trial perfect-CSI estimate that the se sweep
+replaced by its closed form, and the out-of-place noise sum that the
+pilot simulation replaced by in-place additions.
 """
 
 import dataclasses
@@ -70,6 +71,14 @@ def reshape(x, dims):
     if int(np.prod(dims)) != x.data.size:
         raise ValueError("cannot reshape %s to %s" % (x.data.shape, (dims,)))
     return ComplexTensor(x.data.reshape(dims, order="F"))
+
+
+def noisy_observation(clean, noise_var, rng):
+    """``clean`` plus circular Gaussian noise of variance ``noise_var``,
+    drawn as two full-size normal arrays (real parts first) and added as
+    one complex array."""
+    noise = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+    return clean + np.sqrt(noise_var / 2.0) * noise
 
 
 def dominant_pair_oracle(m, counter=None):

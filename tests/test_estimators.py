@@ -41,6 +41,7 @@ from oracles import (
     identity_tensor,
     ideal_estimate,
     n_mode_product,
+    noisy_observation,
     tensorize,
 )
 
@@ -61,6 +62,12 @@ REF_DIMS = SystemDims(
 
 # 16x16 surface: 256 elements, 256 blocks
 WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+
+# 8x8 surfaces on the FFT block route, small enough for the dense oracles:
+# square at the threshold, and oversampled to a non-power-of-two length so
+# both the zero-padding and the truncation run
+FFT64_DIMS = SystemDims(2, 2, 2, 2, 8, 8, 4, 64)
+FFT72_DIMS = SystemDims(2, 2, 2, 2, 8, 8, 4, 72)
 
 # geometries for the re-indexing checks, including all-ones extents
 PLAN_DIMS = (
@@ -184,7 +191,8 @@ def test_observation_routes_agree():
 
 def test_observation_matches_per_block_oracle():
     # one product over all blocks == one product per block, noise included
-    for dims, seed in ((SMALL_DIMS, 40), (ODD_DIMS, 41), (WIDE_DIMS, 42)):
+    for dims, seed in ((SMALL_DIMS, 40), (ODD_DIMS, 41), (WIDE_DIMS, 42),
+                       (FFT64_DIMS, 43), (FFT72_DIMS, 44)):
         ch = _realization(dims, seed)
         design = make_training(dims)
         for noise_var in (0.0, 0.3):
@@ -193,6 +201,18 @@ def test_observation_matches_per_block_oracle():
                 ch, design, noise_var, np.random.default_rng(seed)
             )
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_in_place_noise_is_bit_identical():
+    # the two draws added in place == the old out-of-place complex sum
+    for dims, seed in ((SMALL_DIMS, 45), (REF_DIMS, 46), (WIDE_DIMS, 47)):
+        ch = _realization(dims, seed)
+        design = make_training(dims)
+        clean = simulate_observation(ch, design, 0.0)
+        for noise_var in (0.3, 10.0):
+            got = simulate_observation(ch, design, noise_var, seed=seed)
+            want = noisy_observation(clean, noise_var, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
 
 
 def test_observation_noise_statistics():
@@ -222,6 +242,11 @@ def test_observation_validation():
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError):
         simulate_observation(ch, design, -1.0)
+    # a design for another surface fails on both block routes, even when
+    # the block counts agree and an FFT could zero-pad the difference
+    for dims in (ODD_DIMS, dataclasses.replace(FFT72_DIMS, n_ris_z=9)):
+        with pytest.raises(ValueError, match="surface profiles are"):
+            simulate_observation(_realization(FFT72_DIMS), make_training(dims), 0.1)
 
 
 @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, -1.0])
@@ -251,7 +276,8 @@ def test_matched_filter_inverts_training_noiselessly():
 def test_matched_filter_matches_dense_oracle():
     # two mode products against the factors == one product against the
     # dense Kronecker operator, on noisy observations
-    for dims, seed in ((SMALL_DIMS, 20), (ODD_DIMS, 21), (REF_DIMS, 22)):
+    for dims, seed in ((SMALL_DIMS, 20), (ODD_DIMS, 21), (REF_DIMS, 22),
+                       (FFT64_DIMS, 23), (FFT72_DIMS, 24)):
         ch = _realization(dims, seed)
         design = make_training(dims)
         obs = simulate_observation(ch, design, 0.5, seed=seed)
@@ -336,6 +362,47 @@ def test_matched_filter_validates_each_design_once(monkeypatch):
     assert not replaced.bs_pilots.flags.writeable and replaced.bs_pilots is not pilots
     matched_filter(obs, replaced, check=True)
     assert len(seen) == 2 and seen[1] is replaced
+
+
+def test_block_product_route(monkeypatch):
+    # DFT profiles at >= FFT_MIN_BLOCKS blocks go through one FFT per
+    # simulation and one inverse FFT per filter; everything else is a GEMM
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", recording("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", recording("ifft", np.fft.ifft))
+
+    design = make_training(REF_DIMS)
+    obs = simulate_observation(_realization(REF_DIMS, 60), design, 0.1, seed=60)
+    matched_filter(obs, design)
+    assert not design.block_fft and calls == []
+
+    for dims, seed in ((FFT64_DIMS, 61), (WIDE_DIMS, 62)):
+        design = make_training(dims)
+        obs = simulate_observation(_realization(dims, seed), design, 0.1, seed=seed)
+        assert calls == ["fft"]
+        matched_filter(obs, design, check=False)
+        assert calls == ["fft", "ifft"]
+        calls.clear()
+
+    # one profile entry off the DFT grid: dense route, bit for bit the GEMM
+    design = make_training(WIDE_DIMS)
+    moved = np.array(design.ris_phases)
+    moved[3, 5] += 1e-3
+    perturbed = dataclasses.replace(design, ris_phases=moved)
+    obs = simulate_observation(_realization(WIDE_DIMS, 63), perturbed, 0.1, seed=63)
+    out = matched_filter(obs, perturbed, check=False)
+    assert not perturbed.block_fft and calls == []
+    d = WIDE_DIMS
+    per_bs = np.matmul(perturbed.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)
+    want = (per_bs @ perturbed.ris_phases.conj().T).reshape(d.n_ue, d.n_bs, d.n_ris)
+    assert np.array_equal(out, want.reshape(d.n_ue * d.n_bs, d.n_ris, order="F"))
 
 
 # ---------------------------------------------------------------------------

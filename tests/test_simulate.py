@@ -25,7 +25,7 @@ from hdris.simulate import (
     run_se_sweep,
     write_csv,
 )
-from hdris.training import TrainingInfeasibleError, check_feasible
+from hdris.training import TrainingDesign, TrainingInfeasibleError, check_feasible, make_training
 from oracles import dominant_pairs_oracle
 
 SMALL_DIMS = SystemDims(
@@ -304,6 +304,29 @@ def test_se_sweep_ideal_value_seed_invariant():
     np.testing.assert_allclose(va, vb, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sweep, dims",
+    [
+        pytest.param(run_nmse_sweep, SystemDims(4, 4, 4, 4, 16, 16, 16, 256), id="nmse-wide"),
+        pytest.param(run_se_sweep, SystemDims(2, 2, 2, 2, 8, 8, 4, 72), id="se-8x8-72"),
+    ],
+)
+def test_sweep_rows_agree_across_block_routes(sweep, dims, monkeypatch):
+    # the FFT block route moves no row by more than rounding.  A rounding
+    # change d in the cascade estimate moves an NMSE v by about
+    # 2*sqrt(v)*|d|, so the bound scales with sqrt(v): at 20 dB `hdr`
+    # (v ~ 6e-6) differs by ~1e-12 relative, ~4e-15*sqrt(v) absolute.
+    cfg = _small_cfg(dims=dims, snr_grid_db=(-10.0, 0.0, 20.0), n_trials=3)
+    assert make_training(dims).block_fft
+    fft_rows = sweep(cfg)
+    monkeypatch.setattr(TrainingDesign, "block_fft", False)
+    assert not make_training(dims).block_fft
+    dense_rows = sweep(cfg)
+    assert [dict(r, value=0) for r in fft_rows] == [dict(r, value=0) for r in dense_rows]
+    for got, want in zip(fft_rows, dense_rows):
+        assert abs(got["value"] - want["value"]) <= 1e-13 * math.sqrt(want["value"]), got
+
+
 def _csv_text(rows):
     buf = io.StringIO()
     write_csv(rows, buf)
@@ -562,6 +585,13 @@ def test_cli_validate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "training design ok" in out
     assert "feasible" in out
+    assert "surface block product: dense (16 blocks < 64)\n" in out
+    fft_dims = dict(_dims_json(), n_ris_y=8, n_ris_z=8, n_pilots=4, n_blocks=72)
+    rc = main(["validate", "--config", _write_small_config(tmp_path, dims=fft_dims)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "surface block product: FFT (DFT profiles, 72 blocks >= 64)\n" in out
+    assert "training design ok" in out
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from hdris.channel import SystemDims
+import hdris.training as training
 from hdris.training import (
+    FFT_MIN_BLOCKS,
     TrainingInfeasibleError,
     check_feasible,
     make_training,
@@ -142,6 +144,40 @@ def test_training_noise_variance_preserved():
         filtered = np.matmul(design.bs_pilots.conj(), noise) @ design.ris_phases.conj().T
         acc += np.mean(np.abs(filtered) ** 2)
     assert acc / n_draws == pytest.approx(sigma2, rel=0.05)
+
+
+def test_block_fft_rule():
+    # DFT profiles qualify from FFT_MIN_BLOCKS blocks on; anything off the
+    # DFT grid, however close, does not
+    assert FFT_MIN_BLOCKS == 64
+    assert not make_training(_dims(n_blocks=FFT_MIN_BLOCKS - 1)).block_fft
+    design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
+    assert design.block_fft
+    assert make_training(_dims(n_ris=16, n_blocks=72)).block_fft
+    moved = np.array(design.ris_phases)
+    moved[1, 2] *= np.exp(1e-12j)
+    assert not dataclasses.replace(design, ris_phases=moved).block_fft
+
+
+def test_block_fft_is_computed_once_per_design(monkeypatch):
+    built = []
+    dft_rows = training._dft_rows
+
+    def recording(rows, points):
+        built.append((rows, points))
+        return dft_rows(rows, points)
+
+    design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
+    small = make_training(_dims(n_blocks=16))
+    monkeypatch.setattr(training, "_dft_rows", recording)
+    for _ in range(3):
+        assert design.block_fft
+    assert built == [(16, 64)]
+    # replace builds a new instance, which decides afresh
+    replaced = dataclasses.replace(design, bs_pilots=np.array(design.bs_pilots))
+    assert replaced.block_fft and built == [(16, 64), (16, 64)]
+    # the block count is tested first: a small design builds no DFT
+    assert not small.block_fft and len(built) == 2
 
 
 def test_training_is_deterministic():
