@@ -11,7 +11,8 @@ steering-related vectors.  ``ESTIMATORS`` maps each method name to the
 estimator that consumes the cascade:
 
 * ``hdr`` - rank-one truncated HOSVD of that sixth-order tensor (six
-  small independent eigenproblems, no iteration);
+  small mode Grams, one stacked eigenproblem per Gram size, no
+  iteration);
 * ``krf`` - per-column rank-one factorization of the cascade (the
   classical Khatri-Rao factorization baseline), which ignores the
   per-axis structure;
@@ -186,7 +187,7 @@ class PermutationPlan:
     Moving every y digit behind every z digit gives the sixth-order
     layout ``tensor_dims`` = (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y,
     n_ris_y), which in the noiseless case is the outer product of the six
-    link vectors.  Both directions are one reshape plus one transpose.
+    link vectors.  The re-indexing is one reshape plus one transpose.
     """
 
     dims: SystemDims
@@ -201,13 +202,6 @@ class PermutationPlan:
         d = self.dims
         digits = (d.n_ue_z, d.n_ue_y, d.n_bs_z, d.n_bs_y, d.n_ris_z, d.n_ris_y)
         return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
-
-    def to_cascade(self, tensor: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_tensor`."""
-        d = self.dims
-        return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(
-            d.n_ue * d.n_bs, d.n_ris, order="F"
-        )
 
 
 def build_permutations(dims: SystemDims) -> PermutationPlan:
@@ -253,7 +247,9 @@ def hdr_estimate(
     by a single rank-one outer product.  Modes 1..6 give the user-z,
     base-station-z, surface-z, user-y, base-station-y and surface-y
     vectors respectively.  The returned cascade estimate is the rank-one
-    reconstruction pushed back through the inverse re-indexing.
+    reconstruction written straight into the cascade layout: the outer
+    product of the amplitude-scaled row vector bs_y (x) bs_z (x) ue_y (x)
+    ue_z with the column vector surface_y (x) surface_z.
     """
     cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
     if plan is None:
@@ -266,7 +262,11 @@ def hdr_estimate(
         )
     factors = hosvd_rank1(plan.to_tensor(cascade_obs), counter=counter)
     ue_z, bs_z, surface_z, ue_y, bs_y, surface_y = factors.vectors
-    cascade_hat = plan.to_cascade(factors.reconstruct())
+    # cascade rows run over (bs_y, bs_z, ue_y, ue_z) and columns over
+    # (surface_y, surface_z), slowest digit first
+    outer = np.multiply.outer
+    row = outer(outer(bs_y, bs_z), outer(ue_y, ue_z)).reshape(-1)
+    cascade_hat = outer(factors.core * row, outer(surface_y, surface_z).reshape(-1))
     return EstimateSet(
         method="hdr",
         cascade=cascade_hat,

@@ -29,16 +29,21 @@ __all__ = [
 ]
 
 
+def _squared_norm(a: np.ndarray) -> float:
+    """||a||_F^2 as one BLAS inner product."""
+    return float(np.vdot(a, a).real)
+
+
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     """Normalized squared error ||truth - estimate||_F^2 / ||truth||_F^2."""
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     if truth.shape != estimate.shape:
         raise ValueError("shape mismatch: %s vs %s" % (truth.shape, estimate.shape))
-    denom = np.linalg.norm(truth) ** 2
+    denom = _squared_norm(truth)
     if not denom > 0:
         raise ValueError("reference has zero norm")
-    return float(np.linalg.norm(truth - estimate) ** 2 / denom)
+    return _squared_norm(truth - estimate) / denom
 
 
 def _effective_surface_vector(est: EstimateSet) -> np.ndarray:

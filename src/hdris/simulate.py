@@ -27,9 +27,9 @@ from .channel import ChannelParams, SystemDims, build_channels, sample_params
 from .estimators import ESTIMATORS, filter_macs, matched_filter, simulate_observation
 from .flopcount import FlopCounter
 from .metrics import (
+    _squared_norm,
     flops_analytic,
     ideal_spectral_efficiency,
-    nmse,
     spectral_efficiency,
     summarize,
 )
@@ -237,7 +237,9 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 
 def _run_point(cfg, design, methods, snr_idx, trial, want_se):
     """Every requested estimator scored on one shared observation: its
-    beamformed rate when ``want_se``, else its NMSE."""
+    beamformed rate when ``want_se``, else its NMSE (the true cascade's
+    squared norm is taken once for all methods; the values equal
+    :func:`metrics.nmse` bit for bit)."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     params = cfg.fixed_params if cfg.fixed_params is not None else sample_params(rng)
@@ -245,12 +247,13 @@ def _run_point(cfg, design, methods, snr_idx, trial, want_se):
     obs = simulate_observation(ch, design, noise_var, rng=rng)
     cascade_obs = matched_filter(obs, design, check=False)
 
+    energy = None if want_se else _squared_norm(ch.cascade)
     out = {}
     for method in methods:
         est = ESTIMATORS[method](cascade_obs, cfg.dims)
         out[method] = (
             spectral_efficiency(ch, est, cfg.tx_power_watts, noise_var)
-            if want_se else nmse(ch.cascade, est.cascade)
+            if want_se else _squared_norm(ch.cascade - est.cascade) / energy
         )
     return out
 
@@ -260,14 +263,51 @@ def _run_chunk(cfg, design, methods, want_se, pairs):
     return [_run_point(cfg, design, methods, s, t, want_se) for s, t in pairs]
 
 
+# glibc mallopt(3) parameters from <malloc.h>, with the values the sweeps
+# set.  Blocks below 32 MiB (the largest mmap threshold glibc accepts on
+# 64-bit) come from the heap instead of their own mappings, and the heap is
+# trimmed only once 64 MiB lies free at its top (twice the mmap threshold,
+# as glibc's own adaptive rule pairs them).  A trial's temporaries, about
+# 1 MiB each at a 16x16 surface, then reuse the previous trial's pages
+# instead of being unmapped and faulted in again.
+_MALLOPT_SETTINGS = (
+    (-3, 32 << 20),     # M_MMAP_THRESHOLD
+    (-1, 64 << 20),     # M_TRIM_THRESHOLD
+)
+
+
+def _keep_freed_heap() -> bool:
+    """Make this process's allocator keep freed heap for reuse.
+
+    Sets ``_MALLOPT_SETTINGS`` through glibc's ``mallopt``.  This is a
+    setting of the calling process (inherited by forked workers), not of
+    the machine.  Where the C library has no ``mallopt`` it does nothing.
+    Setting the same values again changes nothing.  Returns True when the
+    C library accepted every setting.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):    # no such symbol, or no C library handle
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # a list, not a generator, so a refused setting does not skip the next
+    return all([mallopt(param, value) == 1 for param, value in _MALLOPT_SETTINGS])
+
+
 def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     """Run the trial grid and return {method: {snr_idx: [value per trial]}}.
 
     With more than one worker the grid is cut into one contiguous chunk per
     worker, run in forked worker processes and reassembled in job order.
     ``cfg.threads`` is capped at the usable CPUs and at the number of jobs,
-    so no count starts more processes than can run at once.
+    so no count starts more processes than can run at once.  The freed
+    heap is kept across trials (:func:`_keep_freed_heap`), set before any
+    worker is forked.
     """
+    _keep_freed_heap()
     design = make_training(cfg.dims)
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
     run = functools.partial(_run_chunk, cfg, design, methods, want_se)

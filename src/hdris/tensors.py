@@ -149,6 +149,15 @@ def _eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis[pick, :, lead], w[pick, lead]
 
 
+def _fix_phase(u: np.ndarray) -> np.ndarray:
+    """Each row of a stack of vectors with its largest-modulus entry
+    rotated onto the positive real axis (the first such entry on ties)."""
+    modulus = np.abs(u)
+    pick = np.arange(len(u))
+    k = np.argmax(modulus, axis=1)
+    return u * (u[pick, k].conj() / modulus[pick, k])[:, None]
+
+
 def _squared_top(
     gram: np.ndarray, trace: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,7 +260,6 @@ def dominant_left_singular_vector(
         if not certified.all():
             rest = ~certified
             top[rest], sigma_sq[rest] = _eigh_top(gram[rest])
-    pick = np.arange(batch)
     if wide:
         u = top
         sigma = np.sqrt(sigma_sq)
@@ -259,9 +267,7 @@ def dominant_left_singular_vector(
         mv = (stack @ top[:, :, None])[:, :, 0]
         sigma = np.linalg.norm(mv, axis=1)
         u = mv / sigma[:, None]
-    modulus = np.abs(u)
-    k = np.argmax(modulus, axis=1)
-    u = u * (u[pick, k].conj() / modulus[pick, k])[:, None]
+    u = _fix_phase(u)
     if m.ndim == 2:
         return u[0], float(sigma[0])
     return u.reshape(m.shape[:-1]), sigma.reshape(m.shape[:-2])
@@ -295,21 +301,61 @@ def hosvd_rank1(
     ndarray (a view such as a transposed array is read in place).
 
     Each mode's factor is the dominant left singular vector of that mode's
-    unfolding; the amplitude is the tensor contracted with all factor vectors
-    conjugated.
+    unfolding (De Lathauwer, De Moor & Vandewalle 2000, *A multilinear
+    singular value decomposition*); the amplitude is the tensor contracted
+    with all factor vectors conjugated.
+
+    No unfolding is formed.  The tensor is held C-ordered (one copy unless
+    it already is) and conjugated once.  Mode n of extent d is the middle
+    axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H: a
+    batched product summed over a (a single product for the first mode),
+    or one product over a when b is 1.  All Grams of one size go through
+    one stacked ``eigh``, and each factor gets the lead choice and phase
+    gauge of :func:`dominant_left_singular_vector`.  A mode longer than the
+    rest of the tensor together (d^2 > size) is handed to that function on
+    its unfolding, which works on the smaller Gram.  The amplitude is the
+    conjugate of the conjugated tensor contracted with the factors by
+    successive matrix-vector products.
+
+    ``counter`` is charged what the per-unfolding fit multiplies: d * size
+    per Gram, the tall route's own charge, and the size left before each
+    contraction.
 
     Raises
     ------
     ValueError
-        If ``x`` is zero (from :func:`dominant_left_singular_vector`).
+        If ``x`` is zero (or its Grams underflow to zero).
     """
-    cur = _as_array(x)
-    vectors = tuple(
-        dominant_left_singular_vector(unfold(cur, mode), counter)[0]
-        for mode in range(1, cur.ndim + 1)
-    )
+    data = np.ascontiguousarray(_as_array(x), dtype=np.complex128)
+    data_c = data.conj()
+    size = data.size
+    vectors = [None] * data.ndim
+    by_size = {}                    # Gram size -> [(mode index, Gram)]
+    lead = 1                        # product of the extents before the mode
+    for n, d in enumerate(data.shape):
+        if d * d > size:
+            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1), counter)[0]
+        else:
+            x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
+            if x3.shape[2] == 1:        # b == 1: one product over the leading axis
+                gram = x3[:, :, 0].T @ c3[:, :, 0]
+            else:
+                gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
+            if counter is not None:
+                counter.add(d * size)
+            by_size.setdefault(d, []).append((n, gram))
+        lead *= d
+    for members in by_size.values():
+        grams = np.stack([gram for _, gram in members])
+        # a Gram's trace is the tensor's squared norm
+        if not np.trace(grams, axis1=1, axis2=2).real.min() > 0.0:
+            raise ValueError("rank-one fit of a zero tensor is undefined")
+        top = _fix_phase(_eigh_top(grams)[0])
+        for (n, _), v in zip(members, top):
+            vectors[n] = v
+    cur = data_c.reshape(-1)
     for v in vectors:
         if counter is not None:
             counter.add(cur.size)
-        cur = np.tensordot(v.conj(), cur, axes=(0, 0))
-    return RankOneFactors(vectors, complex(cur))
+        cur = v @ cur.reshape(len(v), -1)
+    return RankOneFactors(tuple(vectors), complex(cur[0]).conjugate())

@@ -5,8 +5,11 @@ faster or narrower way: MAC-counted 2-D products, the n-mode product with
 its diagonal core, column-major tensor relabelling, the per-matrix
 ``eigh`` dominant pair that stacks replaced by certified repeated
 squaring, the per-trial perfect-CSI estimate that the se sweep
-replaced by its closed form, and the out-of-place noise sum that the
-pilot simulation replaced by in-place additions.
+replaced by its closed form, the out-of-place noise sum that the
+pilot simulation replaced by in-place additions, the per-unfolding
+rank-one HOSVD that ``hosvd_rank1`` replaced by Grams of reshaped views,
+and the tensor-to-cascade re-indexing that ``hdr_estimate`` replaced by
+writing its reconstruction straight into the cascade layout.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from hdris.estimators import hdr_estimate
-from hdris.tensors import ComplexTensor, fold, unfold
+from hdris.tensors import ComplexTensor, RankOneFactors, fold, unfold
 
 
 def counted_matmul(a, b, counter=None):
@@ -118,3 +121,27 @@ def ideal_estimate(ch):
     ``ideal``.  The se sweep scored this per trial before it switched to
     the closed-form rate."""
     return dataclasses.replace(hdr_estimate(ch.cascade, ch.dims), method="ideal")
+
+
+def hosvd_rank1_oracle(x, counter=None):
+    """Rank-one truncated HOSVD one unfolding at a time: the dominant pair
+    of each mode's unfolding through :func:`dominant_pair_oracle`, then the
+    amplitude by contracting the modes in order with ``tensordot``,
+    charging the size left before each contraction."""
+    cur = np.asarray(x, dtype=np.complex128)
+    vectors = tuple(
+        dominant_pair_oracle(unfold(cur, mode), counter)[0]
+        for mode in range(1, cur.ndim + 1)
+    )
+    for v in vectors:
+        if counter is not None:
+            counter.add(cur.size)
+        cur = np.tensordot(v.conj(), cur, axes=(0, 0))
+    return RankOneFactors(vectors, complex(cur))
+
+
+def to_cascade(plan, tensor):
+    """Inverse of ``plan.to_tensor``: a ``plan.tensor_dims`` array back to
+    the (n_ue*n_bs, n_ris) cascade."""
+    d = plan.dims
+    return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(d.n_ue * d.n_bs, d.n_ris, order="F")

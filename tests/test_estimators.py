@@ -41,8 +41,10 @@ from oracles import (
     identity_tensor,
     ideal_estimate,
     n_mode_product,
+    hosvd_rank1_oracle,
     noisy_observation,
     tensorize,
+    to_cascade,
 )
 
 SMALL_DIMS = SystemDims(
@@ -437,7 +439,7 @@ def test_permutations_are_bijections():
         tensor = plan.to_tensor(index)
         assert tensor.shape == plan.tensor_dims
         assert np.array_equal(np.sort(tensor, axis=None), np.arange(n))
-        assert np.array_equal(plan.to_cascade(tensor), index)
+        assert np.array_equal(to_cascade(plan, tensor), index)
 
 
 def test_reshape_transpose_equals_gather():
@@ -452,7 +454,7 @@ def test_reshape_transpose_equals_gather():
         assert np.array_equal(plan.to_tensor(cascade), gathered)
         tensor = crandn(rng, *plan.tensor_dims)
         undone = vec(tensor)[np.argsort(total_perm)]
-        assert np.array_equal(vec(plan.to_cascade(tensor)), undone)
+        assert np.array_equal(vec(to_cascade(plan, tensor)), undone)
 
 
 def test_plan_tensor_dims_ordering():
@@ -481,7 +483,7 @@ def test_all_singleton_dims_plan():
     plan = build_permutations(dims)
     one = np.full((1, 1), 2.0 - 1.0j)
     assert plan.to_tensor(one).shape == (1,) * 6
-    np.testing.assert_array_equal(plan.to_cascade(plan.to_tensor(one)), one)
+    np.testing.assert_array_equal(to_cascade(plan, plan.to_tensor(one)), one)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +543,20 @@ def test_hdr_accepts_precomputed_plan():
     a = hdr_estimate(noisy, SMALL_DIMS)
     b = hdr_estimate(noisy, SMALL_DIMS, plan=plan)
     np.testing.assert_array_equal(a.cascade, b.cascade)
+
+
+def test_hdr_writes_reconstruction_into_cascade_layout():
+    # the row (x) column outer product equals the rank-one tensor pushed
+    # back through the inverse re-indexing, at every plan geometry
+    rng = np.random.default_rng(16)
+    for dims in PLAN_DIMS:
+        plan = build_permutations(dims)
+        noisy = crandn(rng, dims.n_ue * dims.n_bs, dims.n_ris)
+        est = hdr_estimate(noisy, dims, plan=plan)
+        fit = hosvd_rank1_oracle(plan.to_tensor(noisy))
+        want = to_cascade(plan, fit.reconstruct())
+        assert est.cascade.shape == want.shape
+        assert np.linalg.norm(est.cascade - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_hdr_never_loses_to_matched_filter_alone():

@@ -1,21 +1,33 @@
 """Tests for experiment configs, Monte-Carlo sweeps, CSV output and the CLI."""
 
+import ctypes
 import dataclasses
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdris.channel import ChannelParams, SystemDims
+import hdris
+from hdris.channel import ChannelParams, SystemDims, build_channels, sample_params
 from hdris.cli import main
-from hdris.metrics import flops_analytic, ideal_spectral_efficiency
+from hdris.estimators import ESTIMATORS, matched_filter, simulate_observation
+from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
 from hdris.simulate import (
+    _MALLOPT_SETTINGS,
     ConfigError,
     ExperimentConfig,
     _complexity_dims,
+    _keep_freed_heap,
+    _noise_var,
+    _run_point,
+    _trial_rng,
     config_hash,
     default_config,
     flops_measured,
@@ -457,6 +469,128 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
             k: v for k, v in want.items() if k != "value"
         }
         assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
+
+
+def test_run_point_nmse_equals_metrics_nmse():
+    # one squared norm of the truth per trial, shared by the methods, gives
+    # the public nmse() of each estimate bit for bit
+    cfg = _small_cfg()
+    design = make_training(cfg.dims)
+    for snr_idx, trial in ((0, 0), (1, 3)):
+        got = _run_point(cfg, design, cfg.methods, snr_idx, trial, want_se=False)
+        rng = _trial_rng(cfg.seed, snr_idx, trial)
+        ch = build_channels(cfg.dims, sample_params(rng))
+        noise_var = _noise_var(cfg.tx_power_watts, cfg.snr_grid_db[snr_idx])
+        obs = simulate_observation(ch, design, noise_var, rng=rng)
+        cascade_obs = matched_filter(obs, design, check=False)
+        for method in cfg.methods:
+            est = ESTIMATORS[method](cascade_obs, cfg.dims)
+            assert got[method] == nmse(ch.cascade, est.cascade)
+
+
+# ---------------------------------------------------------------------------
+# freed-heap setting
+# ---------------------------------------------------------------------------
+
+_ON_GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class _RecordingLibc:
+    """Stands in for the C library handle: records each mallopt call."""
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def test_keep_freed_heap_is_idempotent(monkeypatch):
+    if _ON_GLIBC:
+        assert _keep_freed_heap() is True
+        assert _keep_freed_heap() is True
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _RecordingLibc(calls))
+    assert _keep_freed_heap() is True
+    assert _keep_freed_heap() is True
+    assert calls == 2 * list(_MALLOPT_SETTINGS)
+
+
+def test_keep_freed_heap_is_a_no_op_without_mallopt(monkeypatch):
+    cfg = _small_cfg(n_trials=1)
+    rows = run_nmse_sweep(cfg)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert _keep_freed_heap() is False
+
+    def no_library(name):
+        raise OSError("no C library handle")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert _keep_freed_heap() is False
+    # the sweeps run on without it
+    assert run_nmse_sweep(cfg) == rows
+
+
+def _cli_env():
+    env = dict(os.environ)
+    src = str(Path(hdris.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_kept_heap_leaves_csv_bytes_and_hash_unchanged(tmp_path):
+    # with the setting on, threads 1 and 2 write the same bytes; a fresh
+    # process whose helper is switched off writes them too
+    cfg = _small_cfg(snr_grid_db=(-10.0, 10.0), n_trials=3)
+    texts = {t: _csv_text(run_nmse_sweep(dataclasses.replace(cfg, threads=t)))
+             for t in (1, 2)}
+    assert texts[1] == texts[2]
+    assert {ln.rsplit(",", 1)[1] for ln in texts[1].splitlines()[1:]} == {config_hash(cfg)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    off = (
+        "import hdris.simulate as s\n"
+        "s._keep_freed_heap = lambda: False\n"
+        "from hdris.cli import main\n"
+        "raise SystemExit(main(['nmse', '--config', %r, '--out', %r]))\n"
+    )
+    for name, argv in (
+        ("on", ["-m", "hdris.cli", "nmse", "--config", str(cfg_path),
+                "--out", str(tmp_path / "on.csv")]),
+        ("off", ["-c", off % (str(cfg_path), str(tmp_path / "off.csv"))]),
+    ):
+        subprocess.run([sys.executable, *argv], env=_cli_env(), check=True,
+                       stdout=subprocess.DEVNULL, timeout=120)
+        assert (tmp_path / (name + ".csv")).read_text(encoding="utf-8") == texts[1]
+
+
+@pytest.mark.skipif(not _ON_GLIBC, reason="minor-fault counts of glibc's heap on Linux")
+def test_cli_sweep_faults_do_not_grow_with_trials(tmp_path):
+    # a 16x16-surface trial frees about 1 MiB temporaries; with the freed
+    # heap kept, ten more trials add (almost) no minor page faults, where
+    # returning it to the OS costs about 2,270 faults per trial
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps({
+        "dims": {k: getattr(_WIDE_DIMS, k) for k in _dims_json()},
+        "snr_grid_db": [10.0],
+        "methods": ["hdr", "krf", "ls"],
+        "threads": 1,
+    }))
+
+    def minor_faults(trials):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdris.cli", "nmse", "--config", str(cfg_path),
+             "--trials", str(trials), "--out", str(tmp_path / "out.csv")],
+            env=_cli_env(), stdout=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_minflt
+
+    per_extra_trial = (minor_faults(12) - minor_faults(2)) / 10
+    assert per_extra_trial <= 50, per_extra_trial
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the multiway-array toolbox: products, unfoldings, rank-one fits."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hdris.tensors import (
 from oracles import (
     counted_matmul,
     dominant_pair_oracle,
+    hosvd_rank1_oracle,
     identity_tensor,
     n_mode_product,
     reshape,
@@ -679,6 +681,51 @@ def test_hosvd_rank1_takes_plain_arrays():
     for va, vb in zip(a.vectors, b.vectors):
         np.testing.assert_allclose(va, vb, atol=1e-12)
     assert a.core == pytest.approx(b.core, rel=1e-12)
+
+
+def _hosvd_macs(shape):
+    """The per-unfolding fit's MACs: the smaller Gram of each unfolding
+    (plus the back-projection when the mode is the tall side), then the
+    size left before each contraction."""
+    size = math.prod(shape)
+    grams = sum(d * size if d * d <= size else (size // d) * size + size for d in shape)
+    rest = [size // math.prod(shape[:n]) for n in range(len(shape))]
+    return grams + sum(rest)
+
+
+# re-indexed tensor layouts (ue_z, bs_z, ris_z, ue_y, bs_y, ris_y) of the
+# estimator tests' SMALL, ODD, REF and WIDE dims and of the all-singleton
+# plan, a generic order-3 shape and a tall order-2 shape
+HOSVD_SHAPES = {
+    "small": (2, 2, 4, 2, 2, 4),
+    "odd": (1, 2, 2, 2, 3, 5),
+    "ref": (4, 4, 4, 4, 4, 4),
+    "wide": (4, 4, 16, 4, 4, 16),
+    "singleton": (1, 1, 1, 1, 1, 1),
+    "3x4x5": (3, 4, 5),
+    "tall-5x2": (5, 2),
+}
+
+
+@pytest.mark.parametrize("shape", list(HOSVD_SHAPES.values()), ids=list(HOSVD_SHAPES))
+def test_hosvd_rank1_matches_unfold_oracle(shape):
+    # Grams of reshaped views and stacked eigh against one eigh per
+    # unfolding; the input is a non-contiguous view, as in hdr
+    rng = np.random.default_rng(sum(shape))
+    data = crandn(rng, *shape[::-1]).transpose(*range(len(shape) - 1, -1, -1))
+    lean_counter, oracle_counter = FlopCounter(), FlopCounter()
+    lean = hosvd_rank1(data, counter=lean_counter)
+    oracle = hosvd_rank1_oracle(data, counter=oracle_counter)
+    assert len(lean.vectors) == len(shape)
+    for got, want in zip(lean.vectors, oracle.vectors):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert abs(lean.core - oracle.core) <= 1e-12 * abs(oracle.core)
+    recon = oracle.reconstruct()
+    assert np.linalg.norm(lean.reconstruct() - recon) <= 1e-12 * np.linalg.norm(recon)
+    assert lean_counter.macs == oracle_counter.macs == _hosvd_macs(shape)
+    with pytest.raises(ValueError):
+        hosvd_rank1(np.zeros(shape, dtype=complex))
 
 
 def test_hosvd_rank1_charges_flops():
