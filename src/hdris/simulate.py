@@ -27,9 +27,9 @@ from .channel import ChannelParams, SystemDims, build_channels, sample_params
 from .estimators import ESTIMATORS, filter_macs, matched_filter, simulate_observation
 from .flopcount import FlopCounter
 from .metrics import (
-    _squared_norm,
     flops_analytic,
     ideal_spectral_efficiency,
+    nmse,
     spectral_efficiency,
     summarize,
 )
@@ -237,9 +237,7 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 
 def _run_point(cfg, design, methods, snr_idx, trial, want_se):
     """Every requested estimator scored on one shared observation: its
-    beamformed rate when ``want_se``, else its NMSE (the true cascade's
-    squared norm is taken once for all methods; the values equal
-    :func:`metrics.nmse` bit for bit)."""
+    beamformed rate when ``want_se``, else its NMSE."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     params = cfg.fixed_params if cfg.fixed_params is not None else sample_params(rng)
@@ -247,13 +245,12 @@ def _run_point(cfg, design, methods, snr_idx, trial, want_se):
     obs = simulate_observation(ch, design, noise_var, rng=rng)
     cascade_obs = matched_filter(obs, design, check=False)
 
-    energy = None if want_se else _squared_norm(ch.cascade)
     out = {}
     for method in methods:
         est = ESTIMATORS[method](cascade_obs, cfg.dims)
         out[method] = (
             spectral_efficiency(ch, est, cfg.tx_power_watts, noise_var)
-            if want_se else _squared_norm(ch.cascade - est.cascade) / energy
+            if want_se else nmse(ch.cascade, est.cascade)
         )
     return out
 
@@ -276,14 +273,16 @@ _MALLOPT_SETTINGS = (
 )
 
 
+@functools.cache
 def _keep_freed_heap() -> bool:
     """Make this process's allocator keep freed heap for reuse.
 
     Sets ``_MALLOPT_SETTINGS`` through glibc's ``mallopt``.  This is a
     setting of the calling process (inherited by forked workers), not of
-    the machine.  Where the C library has no ``mallopt`` it does nothing.
-    Setting the same values again changes nothing.  Returns True when the
-    C library accepted every setting.
+    the machine, and it is never undone.  Where the C library has no
+    ``mallopt`` it does nothing.  It runs once per process: later calls
+    return the first call's result without touching the allocator again.
+    Returns True when the C library accepted every setting.
     """
     import ctypes
 
@@ -304,8 +303,8 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     worker, run in forked worker processes and reassembled in job order.
     ``cfg.threads`` is capped at the usable CPUs and at the number of jobs,
     so no count starts more processes than can run at once.  The freed
-    heap is kept across trials (:func:`_keep_freed_heap`), set before any
-    worker is forked.
+    heap is kept across trials (:func:`_keep_freed_heap`, once per process,
+    before any worker is forked).
     """
     _keep_freed_heap()
     design = make_training(cfg.dims)
@@ -356,7 +355,13 @@ def _metric_rows(cfg, collected, metric_name):
 
 
 def run_nmse_sweep(cfg: ExperimentConfig):
-    """Estimation error vs SNR for the configured methods."""
+    """Estimation error vs SNR for the configured methods.
+
+    Side effect: on glibc the calling process keeps up to 64 MiB of freed
+    heap and serves blocks below 32 MiB from it for the rest of its life
+    (``mallopt`` mmap/trim thresholds, set on the first sweep and never
+    undone); elsewhere nothing changes.
+    """
     methods = tuple(m for m in cfg.methods if m != "ideal")
     if not methods:
         raise ConfigError("nmse sweep needs at least one estimator method")
@@ -370,6 +375,9 @@ def run_se_sweep(cfg: ExperimentConfig):
     ``ideal`` runs no trial: every trial of an SNR point scores the
     closed-form perfect-CSI rate, so its rows summarize ``n_trials``
     copies of :func:`ideal_spectral_efficiency`.
+
+    Side effect: as :func:`run_nmse_sweep`, the first sweep with an
+    estimator makes the process keep freed heap on glibc.
     """
     methods = tuple(cfg.methods) + (("ideal",) if "ideal" not in cfg.methods else ())
     estimators = tuple(m for m in methods if m != "ideal")

@@ -15,19 +15,15 @@ import numpy as np
 import pytest
 
 import hdris
-from hdris.channel import ChannelParams, SystemDims, build_channels, sample_params
+from hdris.channel import ChannelParams, SystemDims
 from hdris.cli import main
-from hdris.estimators import ESTIMATORS, matched_filter, simulate_observation
-from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
+from hdris.metrics import flops_analytic, ideal_spectral_efficiency
 from hdris.simulate import (
     _MALLOPT_SETTINGS,
     ConfigError,
     ExperimentConfig,
     _complexity_dims,
     _keep_freed_heap,
-    _noise_var,
-    _run_point,
-    _trial_rng,
     config_hash,
     default_config,
     flops_measured,
@@ -471,23 +467,6 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
         assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
 
 
-def test_run_point_nmse_equals_metrics_nmse():
-    # one squared norm of the truth per trial, shared by the methods, gives
-    # the public nmse() of each estimate bit for bit
-    cfg = _small_cfg()
-    design = make_training(cfg.dims)
-    for snr_idx, trial in ((0, 0), (1, 3)):
-        got = _run_point(cfg, design, cfg.methods, snr_idx, trial, want_se=False)
-        rng = _trial_rng(cfg.seed, snr_idx, trial)
-        ch = build_channels(cfg.dims, sample_params(rng))
-        noise_var = _noise_var(cfg.tx_power_watts, cfg.snr_grid_db[snr_idx])
-        obs = simulate_observation(ch, design, noise_var, rng=rng)
-        cascade_obs = matched_filter(obs, design, check=False)
-        for method in cfg.methods:
-            est = ESTIMATORS[method](cascade_obs, cfg.dims)
-            assert got[method] == nmse(ch.cascade, est.cascade)
-
-
 # ---------------------------------------------------------------------------
 # freed-heap setting
 # ---------------------------------------------------------------------------
@@ -506,30 +485,50 @@ class _RecordingLibc:
         self.mallopt = mallopt
 
 
-def test_keep_freed_heap_is_idempotent(monkeypatch):
+@pytest.fixture
+def fresh_heap_helper():
+    """The helper's once-per-process result dropped before and after."""
+    _keep_freed_heap.cache_clear()
+    yield _keep_freed_heap
+    _keep_freed_heap.cache_clear()
+
+
+def test_keep_freed_heap_is_idempotent(monkeypatch, fresh_heap_helper):
+    setting = fresh_heap_helper.__wrapped__
     if _ON_GLIBC:
-        assert _keep_freed_heap() is True
-        assert _keep_freed_heap() is True
+        assert setting() is True
+        assert setting() is True
     calls = []
     monkeypatch.setattr(ctypes, "CDLL", lambda name: _RecordingLibc(calls))
-    assert _keep_freed_heap() is True
-    assert _keep_freed_heap() is True
+    assert setting() is True
+    assert setting() is True
     assert calls == 2 * list(_MALLOPT_SETTINGS)
 
 
-def test_keep_freed_heap_is_a_no_op_without_mallopt(monkeypatch):
+def test_keep_freed_heap_runs_once_per_process(monkeypatch, fresh_heap_helper):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _RecordingLibc(calls))
+    cfg = _small_cfg(n_trials=1)
+    run_nmse_sweep(cfg)
+    run_se_sweep(cfg)
+    assert fresh_heap_helper() is True
+    assert calls == list(_MALLOPT_SETTINGS)
+
+
+def test_keep_freed_heap_is_a_no_op_without_mallopt(monkeypatch, fresh_heap_helper):
     cfg = _small_cfg(n_trials=1)
     rows = run_nmse_sweep(cfg)
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    assert _keep_freed_heap() is False
+    assert fresh_heap_helper.__wrapped__() is False
 
     def no_library(name):
         raise OSError("no C library handle")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
-    assert _keep_freed_heap() is False
+    fresh_heap_helper.cache_clear()
     # the sweeps run on without it
     assert run_nmse_sweep(cfg) == rows
+    assert fresh_heap_helper() is False
 
 
 def _cli_env():
