@@ -148,11 +148,18 @@ def summarize(values) -> tuple[float, float]:
 
     The mean uses compensated summation and the median a full sort, so the
     result does not depend on accumulation order (and hence not on how many
-    workers produced the values).
+    workers produced the values).  The median is read off the sorted list
+    with the bits of ``np.median`` (the mean of the two middle values for
+    an even count, NaN if any value is NaN) without its ``numpy.ma``
+    import.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("no values to summarize")
     mean = math.fsum(vals) / len(vals)
-    median = float(np.median(np.asarray(vals)))
+    if any(math.isnan(v) for v in vals):
+        return mean, math.nan
+    vals.sort()
+    mid = len(vals) // 2
+    median = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
     return mean, median

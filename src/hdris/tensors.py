@@ -13,6 +13,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,8 +75,21 @@ def _as_array(x) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or matrices (left operand varies slowest)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product of two vectors or matrices (left operand varies slowest).
+
+    Formed as one broadcast outer product and a reshape, so every entry is
+    the single product a[i, j] * b[k, l] that ``np.kron`` computes, without
+    its general-rank bookkeeping.  As in ``np.kron``, a vector paired with a
+    matrix counts as a row.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2):
+        raise ValueError("kron expects vectors or matrices, got %s and %s" % (a.shape, b.shape))
+    if a.ndim == b.ndim == 1:
+        return np.multiply.outer(a, b).reshape(-1)
+    a, b = np.atleast_2d(a, b)
+    (m, n), (p, q) = a.shape, b.shape
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(m * p, n * q)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,6 +152,14 @@ _MAX_SQUARINGS = 16
 # sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of A's
 # eigenvalue mass lies off the leading eigenvector.
 _CERTIFICATE_TOL = 1e-14
+# The matrix-vector tail that replaces the last squarings reaches at most
+# this power of the current A, in at most _MAX_TAIL_POWER - 1 products.
+_MAX_TAIL_POWER = 16
+# hosvd_rank1 forms the Gram of a mode with more than one entry before it
+# and 1 < b <= this after it by one GEMM over a transposed copy: with so
+# short a trailing axis, a batched product pays more per slice than the
+# copy costs.
+_GRAM_COPY_MAX_TRAIL = 16
 
 
 def _eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,33 +180,83 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     return u * (u[pick, k].conj() / modulus[pick, k])[:, None]
 
 
+def _tail_power(eps: float, n: int) -> int:
+    """Power p of a trace-one n x n PSD A with 1 - ||A||_F^2 = eps whose
+    normalised A^p meets the certificate, or 0 when the tail may not start.
+
+    With s = (1 - sqrt(1 - 2 eps)) / 2, written without cancellation:
+    eps >= 2 mu_1 (1 - mu_1), and mu_1 >= ||A||_F^2 = 1 - eps > 1/2 when
+    eps < 1/2 picks the root 1 - mu_1 <= s.  The other eigenvalues then
+    sum to at most s, so 1 - ||A^p / tr A^p||_F^2 <= 2 (s / (1 - s))^p and p
+    is the smallest power that brings this to _CERTIFICATE_TOL.  No tail
+    when eps >= 1/2 (no bound), when s > 1/(4n) (the column rule, see
+    :func:`_squared_top`) or when p > _MAX_TAIL_POWER.
+    """
+    if not eps < 0.5:
+        return 0
+    s = eps / (1.0 + math.sqrt(1.0 - 2.0 * eps))
+    if s > 0.25 / n:
+        return 0
+    ratio = s / (1.0 - s)
+    power = 1
+    while 2.0 * ratio ** power > _CERTIFICATE_TOL:
+        power += 1
+        if power > _MAX_TAIL_POWER:
+            return 0
+    return power
+
+
 def _squared_top(
     gram: np.ndarray, trace: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading eigenpair of each Gram of a stack by repeated squaring.
+    """Leading eigenpair of each Gram of a stack by repeated squaring with
+    a matrix-vector tail.
 
     A = G / tr(G) is squared in two alternating buffers, A <- A^2 /
     tr(A^2), until every member meets the certificate 1 - ||A||_F^2 <=
-    _CERTIFICATE_TOL or _MAX_SQUARINGS is reached.  A certified A is rank
-    one to within the certificate: its largest-diagonal column is the
-    leading eigenvector, and the vector's Rayleigh quotient on the Gram
-    the eigenvalue.  Returns (vectors, eigenvalues, certified mask);
-    entries of uncertified members are meaningless.
+    _CERTIFICATE_TOL, or until the worst member's eps = 1 - ||A||_F^2
+    fixes a tail power p (:func:`_tail_power`), or _MAX_SQUARINGS is
+    reached.  The vector is A's largest-diagonal column c, multiplied by A
+    another p - 1 times (p = 1 for a certified A): the column c of A^p,
+    whose normalised form meets the certificate for every member.  That
+    costs n^2 per product instead of n^3 per squaring.
+
+    Column rule: the tail starts only once s <= 1/(4n).  Then 1 - mu_1 <=
+    s, A's largest diagonal is at least mu_1 / n, and the leading
+    eigenvector's entry at c has squared modulus at least (3n - 1) /
+    (2n (2n - 1)), about 3/(4n), against the ~1/n a column of the
+    certified matrix is picked with; the vector's error bound (~5e-15
+    over that modulus) grows by at most sqrt(4/3) over a read-off after
+    full squaring.
+
+    Returns (vectors, eigenvalues, certified mask); entries of uncertified
+    members are meaningless.  The vector's Rayleigh quotient on the Gram is
+    the eigenvalue.
     """
     a = gram * (1.0 / trace)[:, None, None]
     spare = np.empty_like(a)
+    power = 0                   # tail power once fixed, else 0: no products
     for step in range(_MAX_SQUARINGS + 1):
         flat = a.reshape(len(a), -1).view(np.float64)
         mass = np.einsum("bi,bi->b", flat, flat)        # ||A||_F^2 = tr(A^2)
         certified = 1.0 - mass <= _CERTIFICATE_TOL
         if step == _MAX_SQUARINGS or certified.all():
             break
+        power = _tail_power(1.0 - mass.min(), a.shape[-1])
+        if power:
+            certified[:] = True
+            break
         np.matmul(a, a, out=spare)
         spare *= (1.0 / mass)[:, None, None]
         a, spare = spare, a
     pick = np.arange(len(a))
     col = np.argmax(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
-    x = a[pick, :, col]
+    x = a[pick, :, col][:, :, None]
+    y = np.empty_like(x)
+    for _ in range(power - 1):
+        np.matmul(a, x, out=y)
+        x, y = y, x
+    x = x[:, :, 0]
     x /= np.linalg.norm(x, axis=1)[:, None]
     eig = np.einsum("bi,bi->b", x.conj(), (gram @ x[:, :, None])[:, :, 0]).real
     return x, eig, certified
@@ -208,9 +280,18 @@ def dominant_left_singular_vector(
     certified A holds at most ~5e-15 of its eigenvalue mass off the
     leading eigenvector.  The vector is read off A's largest-diagonal
     column and the eigenvalue is its Rayleigh quotient on the Gram.
-    Members still uncertified after 16 squarings (exact or near ties of
-    the leading singular value) fall back to ``np.linalg.eigh`` and get
-    its bits.
+
+    The last squarings give way to a matrix-vector tail.  For the worst
+    member's eps = 1 - ||A||_F^2 < 1/2, s = (1 - sqrt(1 - 2 eps)) / 2
+    bounds 1 - mu_1, and the normalised A^p has 1 - ||.||_F^2 <= 2 (s /
+    (1 - s))^p.  Once s <= 1/(4n) (the column rule, which keeps the read
+    column's overlap with the leading eigenvector near a certified
+    read's) and that bound reaches 1e-14 within p <= 16, the column is
+    multiplied by A another p - 1 times instead of squaring on: the
+    column of a matrix that meets the certificate, at n^2 per product
+    instead of n^3 (:func:`_squared_top`).  Members still uncertified
+    after 16 squarings (exact or near ties of the leading singular value)
+    fall back to ``np.linalg.eigh`` and get its bits.
 
     Each returned vector has unit norm and its largest-modulus entry is
     made real and positive, which fixes the phase gauge deterministically.
@@ -223,8 +304,8 @@ def dominant_left_singular_vector(
     m : ndarray, shape (r, c) or (..., r, c)
     counter : FlopCounter, optional
         Charged for the Gram products (and the tall-case back-projections):
-        a stack of B matrices costs B times one matrix.  The eigensolver
-        and the squarings are not charged.
+        a stack of B matrices costs B times one matrix.  The eigensolver,
+        the squarings and the tail products are not charged.
 
     Returns
     -------
@@ -249,7 +330,7 @@ def dominant_left_singular_vector(
     del stack_h                 # freed before the squaring allocates its buffers
     if counter is not None:
         counter.add(batch * (rows * cols * rows if wide else cols * rows * cols + rows * cols))
-    trace = np.trace(gram, axis1=1, axis2=2).real
+    trace = np.einsum("bii->b", gram).real          # np.trace loops per member
     # the trace of a Gram is positive unless its matrix is zero (or underflows)
     if not trace.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
@@ -307,13 +388,22 @@ def hosvd_rank1(
 
     No unfolding is formed.  The tensor is held C-ordered (one copy unless
     it already is) and conjugated once.  Mode n of extent d is the middle
-    axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H: a
-    batched product summed over a (a single product for the first mode),
-    or one product over a when b is 1.  All Grams of one size go through
-    one stacked ``eigh``, and each factor gets the lead choice and phase
-    gauge of :func:`dominant_left_singular_vector`.  A mode longer than the
-    rest of the tensor together (d^2 > size) is handed to that function on
-    its unfolding, which works on the smaller Gram.  The amplitude is the
+    axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H, formed
+    by one of three routes that depend on the shape only:
+
+    * b == 1: one product over a;
+    * 1 < b <= 16 with a > 1: one transposed C-order copy of the tensor
+      read as d rows of length a * b, and one GEMM of it with its
+      conjugate, since a batch of many small slices pays more per-slice
+      overhead than the copy costs;
+    * otherwise a batched product summed over a (a single product for the
+      first mode).
+
+    All Grams of one size go through one stacked ``eigh``, and each factor
+    gets the lead choice and phase gauge of
+    :func:`dominant_left_singular_vector`.  A mode longer than the rest of
+    the tensor together (d^2 > size) is handed to that function on its
+    unfolding, which works on the smaller Gram.  The amplitude is the
     conjugate of the conjugated tensor contracted with the factors by
     successive matrix-vector products.
 
@@ -337,8 +427,13 @@ def hosvd_rank1(
             vectors[n] = dominant_left_singular_vector(unfold(data, n + 1), counter)[0]
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
-            if x3.shape[2] == 1:        # b == 1: one product over the leading axis
+            trail = x3.shape[2]
+            if trail == 1:              # one product over the leading axis
                 gram = x3[:, :, 0].T @ c3[:, :, 0]
+            elif lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL:
+                # (d, a*b) rows from one transposed copy, then one GEMM
+                rows = np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(d, -1)
+                gram = np.matmul(rows, rows.conj().T)
             else:
                 gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
             if counter is not None:
@@ -348,7 +443,7 @@ def hosvd_rank1(
     for members in by_size.values():
         grams = np.stack([gram for _, gram in members])
         # a Gram's trace is the tensor's squared norm
-        if not np.trace(grams, axis1=1, axis2=2).real.min() > 0.0:
+        if not np.einsum("bii->b", grams).real.min() > 0.0:
             raise ValueError("rank-one fit of a zero tensor is undefined")
         top = _fix_phase(_eigh_top(grams)[0])
         for (n, _), v in zip(members, top):

@@ -38,6 +38,7 @@ from hdris.tensors import (
 from hdris.training import make_training, validate_training
 from oracles import (
     counted_matmul,
+    dominant_pairs_oracle,
     identity_tensor,
     ideal_estimate,
     n_mode_product,
@@ -605,6 +606,26 @@ def test_krf_matches_per_column_oracle():
         want = _per_column_krf(noisy, dims, counter=looped)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert stacked.macs == looped.macs
+
+
+@pytest.mark.parametrize(
+    "dims", [SMALL_DIMS, ODD_DIMS, REF_DIMS, WIDE_DIMS], ids=["small", "odd", "ref", "wide"]
+)
+def test_krf_stack_members_match_eigh_oracle_across_snr(dims):
+    # every member of krf's stack, fitted by squaring and the matrix-vector
+    # tail, against one eigh per matrix, from -20 to 40 dB
+    design = make_training(dims)
+    n_ue, n_bs, n_ris = dims.n_ue, dims.n_bs, dims.n_ris
+    for snr_db in range(-20, 41, 10):
+        rng = np.random.default_rng(snr_db + 100)
+        ch = build_channels(dims, sample_params(rng))
+        obs = simulate_observation(ch, design, 10 ** (-snr_db / 10), rng=rng)
+        raw = matched_filter(obs, design, check=False)
+        stack = raw.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
+        u, sigma = dominant_left_singular_vector(stack)
+        u_ref, sigma_ref = dominant_pairs_oracle(stack)
+        assert np.max(np.linalg.norm(u - u_ref, axis=1)) <= 1e-12
+        assert np.max(np.abs(sigma - sigma_ref) / sigma_ref) <= 1e-12
 
 
 def test_krf_rank_two_column_keeps_top_component():

@@ -318,3 +318,33 @@ def test_summarize_order_invariant():
 def test_summarize_empty_raises():
     with pytest.raises(ValueError):
         summarize([])
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [3.0, 1.0, 2.0],
+        [0.1, 0.7, 0.2, 0.3],
+        [1e-3, 2.5e-3, 7e-4, 1.1e-3, 9e-4, 3e-3],
+        [2.0, 1.0, 2.0, 1.0, 2.0],
+        [5.0, 5.0, 5.0, 5.0],
+        [0.1, 0.2, 0.1, 0.2],
+        [1.0],
+        [1.0, float("nan"), 2.0],
+        [float("nan"), 0.5],
+    ],
+    ids=["odd", "even", "even-six", "tied-odd", "all-tied", "tied-even", "single",
+         "nan-odd", "nan-even"],
+)
+def test_summarize_median_has_np_median_bits(vals):
+    _, median = summarize(vals)
+    want = np.median(np.asarray(vals))
+    assert type(median) is float
+    assert np.float64(median).tobytes() == np.float64(want).tobytes()
+
+
+def test_summarize_median_matches_np_median_on_random_lists():
+    rng = np.random.default_rng(7)
+    for n in range(1, 40):
+        vals = list(10 ** rng.uniform(-6, 2, size=n))
+        assert summarize(vals)[1] == float(np.median(np.asarray(vals)))

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -467,6 +468,54 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
         assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
 
 
+def test_krf_squarings_per_call_at_reference_dims(monkeypatch):
+    # full squarings of krf's stacked Grams per call at seed 0: the
+    # matrix-vector tail takes over once the bound allows (3/4/5/9 per call
+    # at 20/10/0/-10 dB before it)
+    import hdris.estimators
+
+    snrs = (20.0, 10.0, 0.0, -10.0)
+    n_trials = 3
+    calls = []
+    matmul, krf = np.matmul, hdris.estimators.ESTIMATORS["krf"]
+
+    def recording(a, b, *args, **kwargs):
+        if a is b:
+            calls[-1]["square"] += 1
+        elif np.ndim(a) == 3 and np.shape(b)[-1:] == (1,):
+            calls[-1]["tail"] += 1
+        return matmul(a, b, *args, **kwargs)
+
+    def counted_krf(*args, **kwargs):
+        calls.append({"square": 0, "tail": 0})
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", recording)
+            return krf(*args, **kwargs)
+
+    monkeypatch.setitem(hdris.estimators.ESTIMATORS, "krf", counted_krf)
+    run_nmse_sweep(_small_cfg(dims=_REF_DIMS, snr_grid_db=snrs, n_trials=n_trials,
+                              methods=("krf",)))
+    squarings = [[c["square"] for c in calls[i:i + n_trials]]
+                 for i in range(0, len(calls), n_trials)]
+    assert squarings == [[0] * n_trials, [1] * n_trials, [2] * n_trials, [6] * n_trials]
+    assert all(1 <= c["tail"] < 16 for c in calls)
+
+
+def test_sweep_never_imports_numpy_ma():
+    # the median of a summary row comes from a sorted list, not np.median,
+    # whose NaN check imports numpy.ma (14-25 ms and ~1 MiB per process)
+    code = (
+        "import sys, dataclasses\n"
+        "from hdris.simulate import default_config, run_nmse_sweep\n"
+        "cfg = dataclasses.replace(default_config(), n_trials=2, snr_grid_db=(0.0, 10.0))\n"
+        "assert len(run_nmse_sweep(cfg)) == 12\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # freed-heap setting
 # ---------------------------------------------------------------------------
@@ -625,6 +674,14 @@ def test_complexity_sweep_rows():
         dims_n = _complexity_dims(cfg, r["n_ris"])
         assert r["value"] == flops_measured(r["method"], dims_n, seed=cfg.seed)
     assert all("snr_db" not in r for r in rows)
+
+
+def test_cli_complexity_default_csv_is_pinned(tmp_path):
+    # the default grid's MAC counts depend on shapes only; the kernels of
+    # the fits may change how they multiply, not what they are charged
+    out = tmp_path / "complexity.csv"
+    assert main(["complexity", "--out", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == "fc27f8ef40fa8625dd000bc095e69891"
 
 
 def test_complexity_sweep_rejects_non_square_grid():

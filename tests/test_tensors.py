@@ -8,8 +8,14 @@ import pytest
 
 from hdris.flopcount import FlopCounter
 from hdris.tensors import (
+    _CERTIFICATE_TOL,
+    _GRAM_COPY_MAX_TRAIL,
+    _MAX_TAIL_POWER,
     ComplexTensor,
     RankOneFactors,
+    _fix_phase,
+    _squared_top,
+    _tail_power,
     dominant_left_singular_vector,
     fold,
     hosvd_rank1,
@@ -128,6 +134,29 @@ def test_kron_elementwise_oracle():
                     np.testing.assert_allclose(
                         out[i * 2 + k, j * 4 + l], a[i, j] * b[k, l], rtol=1e-13
                     )
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((4,), (3,)), ((3, 3), (2, 2)), ((3, 2), (2, 5)), ((1, 4), (3, 2)),
+     ((3, 2), (1, 4)), ((4, 1), (2, 3)), ((2, 3), (4, 1)), ((4,), (3, 2)),
+     ((3, 2), (5,))],
+    ids=["vec-vec", "square", "non-square", "row-left", "row-right",
+         "column-left", "column-right", "vec-mat", "mat-vec"],
+)
+def test_kron_matches_np_kron_bitwise(shapes):
+    rng = np.random.default_rng(3)
+    a, b = (crandn(rng, *shape) for shape in shapes)
+    for x, y in ((a, b), (a.real, b), (a, b.real), (a.real, b.real)):
+        got, want = kron(x, y), np.kron(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kron_rejects_other_orders():
+    for a, b in ((np.ones((2, 2, 2)), np.ones(2)), (np.ones(2), np.float64(2.0))):
+        with pytest.raises(ValueError, match="vectors or matrices"):
+            kron(a, b)
 
 
 def test_khatri_rao_identity_columns():
@@ -557,6 +586,177 @@ def test_dominant_singular_vector_eigh_sees_only_uncertified(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# matrix-vector tail of the stacked squaring
+# ---------------------------------------------------------------------------
+
+
+def _off_mass(mu, power):
+    """1 - ||A^p / tr A^p||_F^2 of a PSD A with descending eigenvalues mu,
+    summed without cancellation: sum_i nu_i (1 - nu_i)."""
+    w = (np.asarray(mu) / mu[0]) ** power
+    nu = w / w.sum()
+    return nu[0] * nu[1:].sum() + np.sum(nu[1:] * (1.0 - nu[1:]))
+
+
+def _bound_power(eps, n):
+    """The tail power read off the stated bound, from scratch: the
+    smallest p <= 16 with 2 (s / (1 - s))^p <= 1e-14, or 0 when eps >= 1/2,
+    s > 1/(4n) or no such p."""
+    if eps >= 0.5:
+        return 0
+    s = (1.0 - math.sqrt(1.0 - 2.0 * eps)) / 2.0
+    if s > 0.25 / n:
+        return 0
+    for p in range(1, 17):
+        if 2.0 * (s / (1.0 - s)) ** p <= 1e-14:
+            return p
+    return 0
+
+
+def _trace_one_spectra(rng, n, count):
+    """Descending trace-one spectra of length n >= 2: the mass t off the
+    lead on one eigenvalue (where the bound is tight), spread at random,
+    tied across the trailing ones, or a near tie of the leading pair."""
+    spectra = []
+    for i in range(count):
+        t = 10 ** rng.uniform(-7, math.log10(0.6))
+        mu = np.zeros(n)
+        kind = i % 4
+        if kind == 0:
+            mu[1] = t
+        elif kind == 1:
+            mu[1:] = t * rng.dirichlet(np.ones(n - 1))
+        elif kind == 2:
+            mu[1:] = t / (n - 1)
+        else:
+            gap = 10 ** rng.uniform(-6, -0.5)
+            rest = min(t, 1e-2) if n > 2 else 0.0
+            mu[:2] = (1.0 - rest) * np.array([1.0 + gap, 1.0 - gap]) / 2.0
+            mu[2:] = rest / (n - 2) if n > 2 else 0.0
+        mu[0] = 1.0 - mu[1:].sum()
+        spectra.append(np.sort(mu)[::-1])
+    return spectra
+
+
+def test_tail_power_bound_holds_on_exact_spectra():
+    # the power the tail reaches certifies every spectrum it starts on,
+    # is the shortest the bound allows, and is refused only when the
+    # bound cannot start or needs more than the cap
+    rng = np.random.default_rng(51)
+    entered = tight = 0
+    for n in (2, 3, 4, 8, 16):
+        for mu in _trace_one_spectra(rng, n, 400):
+            eps = _off_mass(mu, 1)
+            power = _tail_power(eps, n)
+            assert power == _bound_power(eps, n)
+            if eps >= 0.5:
+                assert power == 0
+            if power == 0:
+                continue
+            entered += 1
+            assert 1 <= power <= _MAX_TAIL_POWER
+            assert 1.0 - mu[0] <= 0.25 / n                  # the column rule held
+            assert _off_mass(mu, power) <= _CERTIFICATE_TOL
+            if np.count_nonzero(mu) == 2 and power > 1:     # tight: one power less fails
+                tight += 1
+                assert _off_mass(mu, power - 1) > _CERTIFICATE_TOL
+    assert entered > 300 and tight > 100, (entered, tight)
+
+
+def test_tail_power_refuses_without_a_bound():
+    for n in (1, 2, 16):
+        for eps in (0.5, 0.5 + 1e-12, 0.6, 0.9, 1.0 - 1e-9):
+            assert _tail_power(eps, n) == 0
+    # the column rule: s just above 1/(4n) refuses, just below starts
+    for n in (4, 16):
+        s = 0.25 / n
+        eps = 2.0 * s * (1.0 - s)
+        assert _tail_power(eps * (1 + 1e-9), n) == 0
+        assert _tail_power(eps * (1 - 1e-9), n) > 0
+
+
+def _psd_stack(rng, spectra):
+    """Hermitian PSD Grams (trace 1 to 8) with the given spectra, and the
+    leading eigenvector of each."""
+    grams, leads = [], []
+    for mu in spectra:
+        q = _unitary_columns(rng, len(mu), len(mu))
+        grams.append(rng.uniform(1, 8) * (q * mu) @ q.conj().T)
+        leads.append(q[:, 0])
+    grams = np.stack(grams)
+    grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
+    return grams, np.stack(leads)
+
+
+def _expected_counts(spectra):
+    """(squarings, tail products) that the bound prescribes for a stack,
+    followed on the exact spectra."""
+    mus = [np.asarray(mu, dtype=float) for mu in spectra]
+    n = len(mus[0])
+    for step in range(17):
+        eps = [_off_mass(mu, 1) for mu in mus]
+        if max(eps) <= 1e-14 or step == 16:
+            return step, 0
+        power = _bound_power(max(eps), n)
+        if power:
+            return step, power - 1
+        mus = [mu ** 2 / np.sum(mu ** 2) for mu in mus]
+
+
+class _RecordingMatmul:
+    """Stands in for np.matmul and sorts the stacked calls it gets into
+    squarings (A @ A) and tail products (A @ x with x a column stack)."""
+
+    def __init__(self):
+        self.kinds = []
+        self._matmul = np.matmul
+
+    def __call__(self, a, b, *args, **kwargs):
+        if a is b:
+            self.kinds.append("square")
+        elif np.ndim(a) == 3 and np.shape(b)[-1:] == (1,):
+            self.kinds.append("tail")
+        else:
+            self.kinds.append("other")
+        return self._matmul(a, b, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, spectra",
+    [
+        # tight rank-two members entering at once: 2 (t/(1-t))^p <= 1e-14
+        # first at p = 8 for t = 0.01
+        (8, [[0.99, 0.01] + [0] * 6, [0.995, 0.005] + [0] * 6, [1.0 - 1e-4, 1e-4] + [0] * 6]),
+        # one squaring takes t = 0.2 at n = 4 below the column rule's 1/16
+        (4, [[0.8, 0.2, 0, 0], [0.9, 0.05, 0.03, 0.02]]),
+        # a near tie: eps >= 1/2 for several squarings before any tail
+        (4, [[0.5, 0.45, 0.05, 0], [0.7, 0.1, 0.1, 0.1]]),
+        # n = 2, t = 0.115: the column rule's 1/8 allows the tail, but it
+        # would need p = 17, beyond the cap, so one squaring comes first
+        (2, [[0.885, 0.115], [0.95, 0.05]]),
+    ],
+    ids=["at-once", "one-squaring", "near-tie", "capped"],
+)
+def test_squared_top_tail_length(monkeypatch, n, spectra):
+    # the squarings stop, and the tail takes exactly p - 1 products, where
+    # the bound on the exact spectra says; no product precedes a squaring
+    rng = np.random.default_rng(52)
+    spectra = [np.asarray(mu, dtype=float) for mu in spectra]
+    grams, leads = _psd_stack(rng, spectra)
+    trace = np.trace(grams, axis1=1, axis2=2).real
+    matmul = _RecordingMatmul()
+    monkeypatch.setattr(np, "matmul", matmul)
+    x, eig, certified = _squared_top(grams, trace)
+    monkeypatch.undo()
+    squarings, products = _expected_counts(spectra)
+    assert matmul.kinds == ["square"] * squarings + ["tail"] * products
+    assert certified.all()
+    for i, (mu, lead) in enumerate(zip(spectra, leads)):
+        assert np.linalg.norm(_fix_phase(x[i:i + 1])[0] - _fix_phase(lead[None])[0]) <= 1e-13
+        assert eig[i] == pytest.approx(mu[0] * trace[i], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # rank-one factor container and the truncated orthogonal fit
 # ---------------------------------------------------------------------------
 
@@ -726,6 +926,45 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
     assert lean_counter.macs == oracle_counter.macs == _hosvd_macs(shape)
     with pytest.raises(ValueError):
         hosvd_rank1(np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "shape, copied",
+    [((4, 4, 4, 4, 4, 4), {4, 5}), ((4, 4, 16, 4, 4, 16), {5}),
+     ((2, 2, 4, 2, 2, 4), {3, 4, 5}), ((3, 4, 5), {2}), ((4, 2, 2), {2})],
+    ids=["ref", "wide", "small", "3x4x5", "short-first-mode"],
+)
+def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
+    # a mode with 1 < b <= 16 trailing and a > 1 leading entries forms its
+    # Gram by one GEMM over a transposed copy, a mode with b == 1 by one
+    # product over a, and every other mode by the batched product
+    data = crandn(np.random.default_rng(53), *shape)
+    calls = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        calls.append(np.array(a))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    hosvd_rank1(data)
+    monkeypatch.undo()
+    routes, lead = {}, 1
+    for mode, d in enumerate(shape, start=1):
+        x3 = data.reshape(lead, d, -1)
+        trail = x3.shape[2]
+        rows = x3.transpose(1, 0, 2).reshape(d, -1)
+        took = [
+            "copy" if call.ndim == 2 else "batched"
+            for call in calls
+            if (call.ndim == 2 and np.array_equal(call, rows))
+            or (call.ndim == 3 and call.shape == x3.shape and np.array_equal(call, x3))
+        ]
+        assert took == ([] if trail == 1 else ["copy" if mode in copied else "batched"])
+        assert (mode in copied) == (lead > 1 and 1 < trail <= _GRAM_COPY_MAX_TRAIL)
+        routes[mode] = took
+        lead *= d
+    assert len(calls) == sum(len(took) for took in routes.values())
 
 
 def test_hosvd_rank1_charges_flops():
