@@ -152,13 +152,10 @@ _MAX_SQUARINGS = 16
 # sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of A's
 # eigenvalue mass lies off the leading eigenvector.
 _CERTIFICATE_TOL = 1e-14
-# The matrix-vector tail that replaces the last squarings reaches at most
-# this power of the current A, in at most _MAX_TAIL_POWER - 1 products.
-_MAX_TAIL_POWER = 16
 # hosvd_rank1 forms the Gram of a mode with more than one entry before it
-# and 1 < b <= this after it by one GEMM over a transposed copy: with so
-# short a trailing axis, a batched product pays more per slice than the
-# copy costs.
+# and at most this many after it by one GEMM over its rows: with so short
+# a trailing axis, a batched product pays more per slice than the
+# transposed copies cost.
 _GRAM_COPY_MAX_TRAIL = 16
 
 
@@ -189,8 +186,9 @@ def _tail_power(eps: float, n: int) -> int:
     eps < 1/2 picks the root 1 - mu_1 <= s.  The other eigenvalues then
     sum to at most s, so 1 - ||A^p / tr A^p||_F^2 <= 2 (s / (1 - s))^p and p
     is the smallest power that brings this to _CERTIFICATE_TOL.  No tail
-    when eps >= 1/2 (no bound), when s > 1/(4n) (the column rule, see
-    :func:`_squared_top`) or when p > _MAX_TAIL_POWER.
+    when eps >= 1/2 (no bound) or when s > 1/(4n) (the column rule, see
+    :func:`_squared_top`).  The column rule also bounds p: s / (1 - s) <=
+    1 / (4n - 1), so p <= 17 at n = 2, 14 at n = 3 and 8 at n = 16.
     """
     if not eps < 0.5:
         return 0
@@ -201,8 +199,6 @@ def _tail_power(eps: float, n: int) -> int:
     power = 1
     while 2.0 * ratio ** power > _CERTIFICATE_TOL:
         power += 1
-        if power > _MAX_TAIL_POWER:
-            return 0
     return power
 
 
@@ -286,8 +282,9 @@ def dominant_left_singular_vector(
     bounds 1 - mu_1, and the normalised A^p has 1 - ||.||_F^2 <= 2 (s /
     (1 - s))^p.  Once s <= 1/(4n) (the column rule, which keeps the read
     column's overlap with the leading eigenvector near a certified
-    read's) and that bound reaches 1e-14 within p <= 16, the column is
-    multiplied by A another p - 1 times instead of squaring on: the
+    read's), the smallest p for which that bound reaches 1e-14 is at most
+    17 (8 for n = 16), and the column is multiplied by A another p - 1
+    times instead of squaring on: the
     column of a matrix that meets the certificate, at n^2 per product
     instead of n^3 (:func:`_squared_top`).  Members still uncertified
     after 16 squarings (exact or near ties of the leading singular value)
@@ -389,13 +386,15 @@ def hosvd_rank1(
     No unfolding is formed.  The tensor is held C-ordered (one copy unless
     it already is) and conjugated once.  Mode n of extent d is the middle
     axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H, formed
-    by one of three routes that depend on the shape only:
+    by one of two routes that depend on the shape only:
 
-    * b == 1: one product over a;
-    * 1 < b <= 16 with a > 1: one transposed C-order copy of the tensor
-      read as d rows of length a * b, and one GEMM of it with its
-      conjugate, since a batch of many small slices pays more per-slice
-      overhead than the copy costs;
+    * b <= 16 with a > 1: one GEMM of the mode's d rows of length a * b
+      with the conjugate rows, since a batch of many small slices pays
+      more per-slice overhead than copying the rows costs.  For b == 1
+      the rows of the tensor and of its conjugate are views; otherwise
+      each is a transposed C-order copy, two temporaries the size of the
+      tensor (2 x 64 KiB at the reference dims, 2 x 1 MiB at the 16 x 16
+      surface);
     * otherwise a batched product summed over a (a single product for the
       first mode).
 
@@ -427,13 +426,11 @@ def hosvd_rank1(
             vectors[n] = dominant_left_singular_vector(unfold(data, n + 1), counter)[0]
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
-            trail = x3.shape[2]
-            if trail == 1:              # one product over the leading axis
-                gram = x3[:, :, 0].T @ c3[:, :, 0]
-            elif lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL:
-                # (d, a*b) rows from one transposed copy, then one GEMM
-                rows = np.ascontiguousarray(x3.transpose(1, 0, 2)).reshape(d, -1)
-                gram = np.matmul(rows, rows.conj().T)
+            if lead > 1 and x3.shape[2] <= _GRAM_COPY_MAX_TRAIL:
+                # the (d, a*b) rows (views when b == 1), then one GEMM
+                rows = x3.transpose(1, 0, 2).reshape(d, -1)
+                rows_c = c3.transpose(1, 0, 2).reshape(d, -1)
+                gram = np.matmul(rows, rows_c.T)
             else:
                 gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
             if counter is not None:

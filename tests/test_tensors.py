@@ -10,7 +10,6 @@ from hdris.flopcount import FlopCounter
 from hdris.tensors import (
     _CERTIFICATE_TOL,
     _GRAM_COPY_MAX_TRAIL,
-    _MAX_TAIL_POWER,
     ComplexTensor,
     RankOneFactors,
     _fix_phase,
@@ -600,17 +599,23 @@ def _off_mass(mu, power):
 
 def _bound_power(eps, n):
     """The tail power read off the stated bound, from scratch: the
-    smallest p <= 16 with 2 (s / (1 - s))^p <= 1e-14, or 0 when eps >= 1/2,
-    s > 1/(4n) or no such p."""
+    smallest p with 2 (s / (1 - s))^p <= 1e-14, or 0 when eps >= 1/2 or
+    s > 1/(4n)."""
     if eps >= 0.5:
         return 0
     s = (1.0 - math.sqrt(1.0 - 2.0 * eps)) / 2.0
     if s > 0.25 / n:
         return 0
-    for p in range(1, 17):
-        if 2.0 * (s / (1.0 - s)) ** p <= 1e-14:
-            return p
-    return 0
+    p = 1
+    while 2.0 * (s / (1.0 - s)) ** p > 1e-14:
+        p += 1
+    return p
+
+
+def _longest_tail(n):
+    """The longest tail the column rule lets start: the smallest p with
+    2 (1 / (4n - 1))^p <= 1e-14, since s <= 1/(4n)."""
+    return math.ceil(math.log(2e14) / math.log(4 * n - 1))
 
 
 def _trace_one_spectra(rng, n, count):
@@ -641,7 +646,7 @@ def _trace_one_spectra(rng, n, count):
 def test_tail_power_bound_holds_on_exact_spectra():
     # the power the tail reaches certifies every spectrum it starts on,
     # is the shortest the bound allows, and is refused only when the
-    # bound cannot start or needs more than the cap
+    # bound cannot start; the column rule bounds its length
     rng = np.random.default_rng(51)
     entered = tight = 0
     for n in (2, 3, 4, 8, 16):
@@ -654,7 +659,7 @@ def test_tail_power_bound_holds_on_exact_spectra():
             if power == 0:
                 continue
             entered += 1
-            assert 1 <= power <= _MAX_TAIL_POWER
+            assert 1 <= power <= _longest_tail(n)
             assert 1.0 - mu[0] <= 0.25 / n                  # the column rule held
             assert _off_mass(mu, power) <= _CERTIFICATE_TOL
             if np.count_nonzero(mu) == 2 and power > 1:     # tight: one power less fails
@@ -668,11 +673,13 @@ def test_tail_power_refuses_without_a_bound():
         for eps in (0.5, 0.5 + 1e-12, 0.6, 0.9, 1.0 - 1e-9):
             assert _tail_power(eps, n) == 0
     # the column rule: s just above 1/(4n) refuses, just below starts
-    for n in (4, 16):
+    # and the tail it starts there is the longest the rule allows
+    for n in (2, 4, 16):
         s = 0.25 / n
         eps = 2.0 * s * (1.0 - s)
         assert _tail_power(eps * (1 + 1e-9), n) == 0
-        assert _tail_power(eps * (1 - 1e-9), n) > 0
+        assert _tail_power(eps * (1 - 1e-9), n) == _longest_tail(n)
+    assert [_longest_tail(n) for n in (2, 3, 16)] == [17, 14, 8]
 
 
 def _psd_stack(rng, spectra):
@@ -731,11 +738,11 @@ class _RecordingMatmul:
         (4, [[0.8, 0.2, 0, 0], [0.9, 0.05, 0.03, 0.02]]),
         # a near tie: eps >= 1/2 for several squarings before any tail
         (4, [[0.5, 0.45, 0.05, 0], [0.7, 0.1, 0.1, 0.1]]),
-        # n = 2, t = 0.115: the column rule's 1/8 allows the tail, but it
-        # would need p = 17, beyond the cap, so one squaring comes first
+        # n = 2, t = 0.115: just inside the column rule's 1/8, the tail
+        # starts at once and runs to p = 17, 16 products
         (2, [[0.885, 0.115], [0.95, 0.05]]),
     ],
-    ids=["at-once", "one-squaring", "near-tie", "capped"],
+    ids=["at-once", "one-squaring", "near-tie", "n2-long-tail"],
 )
 def test_squared_top_tail_length(monkeypatch, n, spectra):
     # the squarings stop, and the tail takes exactly p - 1 products, where
@@ -930,14 +937,14 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
 
 @pytest.mark.parametrize(
     "shape, copied",
-    [((4, 4, 4, 4, 4, 4), {4, 5}), ((4, 4, 16, 4, 4, 16), {5}),
-     ((2, 2, 4, 2, 2, 4), {3, 4, 5}), ((3, 4, 5), {2}), ((4, 2, 2), {2})],
+    [((4, 4, 4, 4, 4, 4), {4, 5, 6}), ((4, 4, 16, 4, 4, 16), {5, 6}),
+     ((2, 2, 4, 2, 2, 4), {3, 4, 5, 6}), ((3, 4, 5), {2, 3}), ((4, 2, 2), {2, 3})],
     ids=["ref", "wide", "small", "3x4x5", "short-first-mode"],
 )
 def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
-    # a mode with 1 < b <= 16 trailing and a > 1 leading entries forms its
-    # Gram by one GEMM over a transposed copy, a mode with b == 1 by one
-    # product over a, and every other mode by the batched product
+    # a mode with b <= 16 trailing and a > 1 leading entries forms its
+    # Gram by one GEMM over its rows, every other mode by the batched
+    # product
     data = crandn(np.random.default_rng(53), *shape)
     calls = []
     matmul = np.matmul
@@ -960,8 +967,8 @@ def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
             if (call.ndim == 2 and np.array_equal(call, rows))
             or (call.ndim == 3 and call.shape == x3.shape and np.array_equal(call, x3))
         ]
-        assert took == ([] if trail == 1 else ["copy" if mode in copied else "batched"])
-        assert (mode in copied) == (lead > 1 and 1 < trail <= _GRAM_COPY_MAX_TRAIL)
+        assert took == ["copy" if mode in copied else "batched"]
+        assert (mode in copied) == (lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL)
         routes[mode] = took
         lead *= d
     assert len(calls) == sum(len(took) for took in routes.values())
