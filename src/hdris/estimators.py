@@ -7,8 +7,8 @@ noiseless value is the column-wise Kronecker product of the transposed
 first hop with the second hop.  Because both hops are rank one per axis,
 one reshape and transpose of the cascade's entries arranges them into a
 sixth-order tensor that is exactly a rank-one outer product of the six
-steering-related vectors.  ``ESTIMATORS`` maps each method name to the
-estimator that consumes the cascade:
+steering-related vectors.  ``ESTIMATORS`` maps each method name to an
+:class:`Estimator` record for the estimator that consumes the cascade:
 
 * ``hdr`` - rank-one truncated HOSVD of that sixth-order tensor (six
   small mode Grams, one stacked eigenproblem per Gram size, no
@@ -18,24 +18,25 @@ estimator that consumes the cascade:
   per-axis structure;
 * ``ls``  - the matched-filter output taken as-is.
 
-Every entry is called as ``fn(cascade_obs, dims, counter=None)``; adding
-a method means adding one entry.
+Every record pairs the fit, ``fit(cascade_obs, dims)``, with ``macs(dims)``,
+the closed form of what it multiplies; adding a method means adding one entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .flopcount import FlopCounter
-from .tensors import dominant_left_singular_vector, hosvd_rank1
+from .tensors import dominant_left_singular_vector, gram_macs, hosvd_rank1, hosvd_rank1_macs
 from .training import CONTRACT_TOL, TrainingDesign
 
 __all__ = [
     "ESTIMATORS",
+    "Estimator",
     "PermutationPlan",
     "EstimateSet",
     "simulate_observation",
@@ -120,7 +121,6 @@ def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) 
 def matched_filter(
     obs: np.ndarray,
     design: TrainingDesign,
-    counter: FlopCounter | None = None,
     check: bool = True,
 ) -> np.ndarray:
     """Invert the training operator and rearrange into the cascade matrix.
@@ -159,8 +159,6 @@ def matched_filter(
                 "training operator rows are not orthonormal (residual %.3g)"
                 % residual
             )
-    if counter is not None:
-        counter.add(filter_macs(n_ue, n_bs, n_ris, n_pilots, n_blocks))
     per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
     per_ris = _block_product(per_bs.reshape(n_ue * n_bs, n_blocks), design, adjoint=True)
     return per_ris.reshape(n_ue, n_bs, n_ris).reshape(n_ue * n_bs, n_ris, order="F")
@@ -234,11 +232,19 @@ class EstimateSet:
     amplitude: complex | None = None
 
 
+def _checked_cascade(cascade_obs: np.ndarray, dims: SystemDims) -> np.ndarray:
+    """``cascade_obs`` as complex128, checked to be (n_ue*n_bs, n_ris) for ``dims``."""
+    cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
+    shape = (dims.n_ue * dims.n_bs, dims.n_ris)
+    if cascade_obs.shape != shape:
+        raise ValueError("expected cascade of shape %s, got %s" % (shape, cascade_obs.shape))
+    return cascade_obs
+
+
 def hdr_estimate(
     cascade_obs: np.ndarray,
     dims: SystemDims,
     plan: PermutationPlan | None = None,
-    counter: FlopCounter | None = None,
 ) -> EstimateSet:
     """Structured estimator: one rank-one HOSVD on the re-indexed tensor.
 
@@ -251,16 +257,10 @@ def hdr_estimate(
     product of the amplitude-scaled row vector bs_y (x) bs_z (x) ue_y (x)
     ue_z with the column vector surface_y (x) surface_z.
     """
-    cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
+    cascade_obs = _checked_cascade(cascade_obs, dims)
     if plan is None:
         plan = build_permutations(dims)
-    rows, n_ris = dims.n_ue * dims.n_bs, dims.n_ris
-    if cascade_obs.shape != (rows, n_ris):
-        raise ValueError(
-            "expected cascade of shape (%d, %d), got %s"
-            % (rows, n_ris, cascade_obs.shape)
-        )
-    factors = hosvd_rank1(plan.to_tensor(cascade_obs), counter=counter)
+    factors = hosvd_rank1(plan.to_tensor(cascade_obs))
     ue_z, bs_z, surface_z, ue_y, bs_y, surface_y = factors.vectors
     # cascade rows run over (bs_y, bs_z, ue_y, ue_z) and columns over
     # (surface_y, surface_z), slowest digit first
@@ -280,11 +280,7 @@ def hdr_estimate(
     )
 
 
-def krf_estimate(
-    cascade_obs: np.ndarray,
-    dims: SystemDims,
-    counter: FlopCounter | None = None,
-) -> EstimateSet:
+def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     """Baseline: independent rank-one factorization of each cascade column.
 
     Column n reshapes (column-major) to the n_ue x n_bs outer product of
@@ -295,35 +291,49 @@ def krf_estimate(
     structure is shared across columns, so the per-axis link vectors are
     not identified.
     """
-    cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
-    n_ue, n_bs = dims.n_ue, dims.n_bs
-    if cascade_obs.shape != (n_ue * n_bs, dims.n_ris):
-        raise ValueError(
-            "expected cascade of shape (%d, %d), got %s"
-            % (n_ue * n_bs, dims.n_ris, cascade_obs.shape)
-        )
-    n_ris = dims.n_ris
+    cascade_obs = _checked_cascade(cascade_obs, dims)
+    n_ue, n_bs, n_ris = dims.n_ue, dims.n_bs, dims.n_ris
     stack = cascade_obs.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
-    u, _ = dominant_left_singular_vector(stack, counter)      # n_ris x n_ue
+    u, _ = dominant_left_singular_vector(stack)               # n_ris x n_ue
     right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
-    if counter is not None:     # u^H M_n and u (u^H M_n): two products per column
-        counter.add(2 * n_ris * n_ue * n_bs)
     approx = u[:, :, None] * right_h[:, None, :]              # n_ris x n_ue x n_bs
     cascade_hat = approx.transpose(1, 2, 0).reshape(n_ue * n_bs, n_ris, order="F")
     return EstimateSet(method="krf", cascade=cascade_hat)
 
 
-def ls_estimate(
-    cascade_obs: np.ndarray,
-    dims: SystemDims | None = None,
-    counter: FlopCounter | None = None,
-) -> EstimateSet:
-    """Baseline: the matched-filter output itself (no denoising, no MACs)."""
-    cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
-    return EstimateSet(method="ls", cascade=cascade_obs.copy())
+def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> EstimateSet:
+    """Baseline: a copy of the matched-filter output (no denoising, no MACs).
+    Its shape is checked against ``dims`` when they are given."""
+    if dims is not None:
+        cascade_obs = _checked_cascade(cascade_obs, dims)
+    return EstimateSet(method="ls", cascade=np.array(cascade_obs, dtype=np.complex128))
 
 
-ESTIMATORS = {"hdr": hdr_estimate, "krf": krf_estimate, "ls": ls_estimate}
+def _hdr_macs(dims: SystemDims) -> int:
+    return hosvd_rank1_macs(build_permutations(dims).tensor_dims)
+
+
+def _krf_macs(dims: SystemDims) -> int:
+    # per column: its Gram, then u^H M_n and u (u^H M_n)
+    return dims.n_ris * (gram_macs(dims.n_ue, dims.n_bs) + 2 * dims.n_ue * dims.n_bs)
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One ``ESTIMATORS`` entry: ``fit(cascade_obs, dims)`` returns the
+    method's EstimateSet, and ``macs(dims)`` is the complex MACs that fit
+    multiplies, a closed form of the shapes pinned to counted oracles in the
+    tests (its Gram and vector products; eigensolvers are not counted)."""
+
+    fit: Callable[[np.ndarray, SystemDims], EstimateSet]
+    macs: Callable[[SystemDims], int]
+
+
+ESTIMATORS = {
+    "hdr": Estimator(fit=hdr_estimate, macs=_hdr_macs),
+    "krf": Estimator(fit=krf_estimate, macs=_krf_macs),
+    "ls": Estimator(fit=ls_estimate, macs=lambda dims: 0),
+}
 
 
 # ------------------------------------------------- frequency read-out #

@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .flopcount import FlopCounter
-
 __all__ = [
     "ComplexTensor",
     "RankOneFactors",
@@ -30,7 +28,9 @@ __all__ = [
     "fold",
     "vec",
     "dominant_left_singular_vector",
+    "gram_macs",
     "hosvd_rank1",
+    "hosvd_rank1_macs",
 ]
 
 
@@ -258,10 +258,7 @@ def _squared_top(
     return x, eig, certified
 
 
-def dominant_left_singular_vector(
-    m: np.ndarray,
-    counter: FlopCounter | None = None,
-) -> tuple[np.ndarray, float | np.ndarray]:
+def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Dominant left singular vector and singular value of a complex matrix,
     or of every matrix in a stack.
 
@@ -296,13 +293,12 @@ def dominant_left_singular_vector(
     is the first one holding the largest eigenvalue, so repeated calls
     agree bit for bit.
 
+    Its cost in complex MACs is :func:`gram_macs` per matrix; the
+    eigensolver, the squarings and the tail products are not counted.
+
     Parameters
     ----------
     m : ndarray, shape (r, c) or (..., r, c)
-    counter : FlopCounter, optional
-        Charged for the Gram products (and the tall-case back-projections):
-        a stack of B matrices costs B times one matrix.  The eigensolver,
-        the squarings and the tail products are not charged.
 
     Returns
     -------
@@ -325,8 +321,6 @@ def dominant_left_singular_vector(
     wide = rows <= cols
     gram = stack @ stack_h if wide else stack_h @ stack
     del stack_h                 # freed before the squaring allocates its buffers
-    if counter is not None:
-        counter.add(batch * (rows * cols * rows if wide else cols * rows * cols + rows * cols))
     trace = np.einsum("bii->b", gram).real          # np.trace loops per member
     # the trace of a Gram is positive unless its matrix is zero (or underflows)
     if not trace.min() > 0.0:
@@ -351,6 +345,16 @@ def dominant_left_singular_vector(
     return u.reshape(m.shape[:-1]), sigma.reshape(m.shape[:-2])
 
 
+def gram_macs(rows: int, cols: int) -> int:
+    """Complex MACs :func:`dominant_left_singular_vector` multiplies for one
+    rows x cols matrix: the Gram r*c*r when the matrix is wide (r <= c),
+    else c*r*c plus the r*c back-projection.  A stack costs this per
+    member."""
+    if rows <= cols:
+        return rows * cols * rows
+    return cols * rows * cols + rows * cols
+
+
 @dataclass(frozen=True)
 class RankOneFactors:
     """Rank-one multilinear decomposition: one unit vector per mode plus a
@@ -371,10 +375,7 @@ class RankOneFactors:
         return functools.reduce(np.multiply.outer, self.vectors) * self.core
 
 
-def hosvd_rank1(
-    x: ComplexTensor | np.ndarray,
-    counter: FlopCounter | None = None,
-) -> RankOneFactors:
+def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     """Rank-one truncated higher-order SVD of ``x``, a ComplexTensor or an
     ndarray (a view such as a transposed array is read in place).
 
@@ -406,9 +407,8 @@ def hosvd_rank1(
     conjugate of the conjugated tensor contracted with the factors by
     successive matrix-vector products.
 
-    ``counter`` is charged what the per-unfolding fit multiplies: d * size
-    per Gram, the tall route's own charge, and the size left before each
-    contraction.
+    Its cost in complex MACs is :func:`hosvd_rank1_macs`, what the
+    per-unfolding fit multiplies; the eigensolvers are not counted.
 
     Raises
     ------
@@ -423,7 +423,7 @@ def hosvd_rank1(
     lead = 1                        # product of the extents before the mode
     for n, d in enumerate(data.shape):
         if d * d > size:
-            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1), counter)[0]
+            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1))[0]
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
             if lead > 1 and x3.shape[2] <= _GRAM_COPY_MAX_TRAIL:
@@ -433,8 +433,6 @@ def hosvd_rank1(
                 gram = np.matmul(rows, rows_c.T)
             else:
                 gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
-            if counter is not None:
-                counter.add(d * size)
             by_size.setdefault(d, []).append((n, gram))
         lead *= d
     for members in by_size.values():
@@ -447,7 +445,18 @@ def hosvd_rank1(
             vectors[n] = v
     cur = data_c.reshape(-1)
     for v in vectors:
-        if counter is not None:
-            counter.add(cur.size)
         cur = v @ cur.reshape(len(v), -1)
     return RankOneFactors(tuple(vectors), complex(cur[0]).conjugate())
+
+
+def hosvd_rank1_macs(shape: Sequence[int]) -> int:
+    """Complex MACs :func:`hosvd_rank1` multiplies for a tensor of the given
+    mode extents: each mode's Gram (:func:`gram_macs` of its unfolding,
+    d * size unless the mode is the tall side), plus the size left before
+    each contraction of the amplitude."""
+    size = math.prod(shape)
+    macs, left = 0, size
+    for d in shape:
+        macs += gram_macs(d, size // d) + left
+        left //= d
+    return macs

@@ -1,7 +1,8 @@
 """Reference routes the package no longer runs, kept for the tests.
 
 Each helper is the plain, general form of something the package does in a
-faster or narrower way: MAC-counted 2-D products, the n-mode product with
+faster or narrower way: MAC-counted 2-D products (the counts that the
+package's closed-form ``macs`` must equal), the n-mode product with
 its diagonal core, column-major tensor relabelling, the per-matrix
 ``eigh`` dominant pair that stacks replaced by certified repeated
 squaring, the per-trial perfect-CSI estimate that the se sweep
@@ -20,8 +21,20 @@ from hdris.estimators import hdr_estimate
 from hdris.tensors import ComplexTensor, RankOneFactors, fold, unfold
 
 
+class MacCounter:
+    """Complex multiply-accumulates charged by the counted oracles: an
+    (a x b) by (b x c) product costs a*b*c."""
+
+    def __init__(self):
+        self.macs = 0
+
+    def add(self, n):
+        self.macs += int(n)
+
+
 def counted_matmul(a, b, counter=None):
-    """Matrix product a @ b, charging a.shape[0]*a.shape[1]*b.shape[1] MACs.
+    """Matrix product a @ b, charging a.shape[0]*a.shape[1]*b.shape[1] MACs
+    to the :class:`MacCounter` ``counter``.
 
     Both operands must be 2-D.  When ``counter`` is None the product is
     computed without accounting.

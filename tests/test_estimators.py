@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
-from hdris.flopcount import FlopCounter
 from hdris.estimators import (
     ESTIMATORS,
     _swap_middle,
     build_permutations,
     extract_spatial_frequency,
+    filter_macs,
     hdr_estimate,
     krf_estimate,
     ls_estimate,
@@ -37,7 +37,9 @@ from hdris.tensors import (
 )
 from hdris.training import make_training, validate_training
 from oracles import (
+    MacCounter,
     counted_matmul,
+    dominant_pair_oracle,
     dominant_pairs_oracle,
     identity_tensor,
     ideal_estimate,
@@ -121,15 +123,27 @@ def _per_block_observation(ch, design, noise_var, rng):
 
 
 def _per_column_krf(cascade, dims, counter=None):
-    """Rank-one fit of each cascade column, one column at a time."""
+    """Rank-one fit of each cascade column, one column at a time, through
+    counted products."""
     out = np.empty_like(cascade)
     for n in range(dims.n_ris):
         mat = cascade[:, n].reshape(dims.n_ue, dims.n_bs, order="F")
-        u, _ = dominant_left_singular_vector(mat, counter)
+        u, _ = dominant_pair_oracle(mat, counter)
         right = counted_matmul(mat.conj().T, u[:, None], counter)[:, 0]
         approx = counted_matmul(u[:, None], right.conj()[None, :], counter)
         out[:, n] = approx.reshape(-1, order="F")
     return out
+
+
+def _counted_matched_filter(obs, design, counter):
+    """The filter's two mode products as counted 2-D products: the pilot
+    mode one user at a time, then the block mode against ris_phases^H."""
+    n_ue = obs.shape[0]
+    per_bs = np.stack([counted_matmul(design.bs_pilots.conj(), obs[q], counter)
+                       for q in range(n_ue)])
+    n_bs = per_bs.shape[1]
+    per_ris = counted_matmul(per_bs.reshape(n_ue * n_bs, -1), design.ris_phases.conj().T, counter)
+    return per_ris.reshape(n_ue, n_bs, -1).reshape(n_ue * n_bs, -1, order="F")
 
 
 def _dense_matched_filter(obs, design):
@@ -297,16 +311,16 @@ def test_matched_filter_rejects_shape_mismatch():
 
 
 def test_matched_filter_charges_filter_macs():
-    # the two mode products: n_ue*n_bs*n_pilots*n_blocks + n_ue*n_bs*n_blocks*n_ris
+    # filter_macs is what the filter's two mode products multiply, counted
+    # on 2-D products that give the filter's output
     for d, seed in ((SMALL_DIMS, 50), (ODD_DIMS, 51), (REF_DIMS, 52)):
         design = make_training(d)
         obs = simulate_observation(_realization(d, seed), design, 0.0)
-        counter = FlopCounter()
-        matched_filter(obs, design, counter=counter)
-        assert counter.macs == (
-            d.n_ue * d.n_bs * d.n_pilots * d.n_blocks
-            + d.n_ue * d.n_bs * d.n_blocks * d.n_ris
-        )
+        counter = MacCounter()
+        want = _counted_matched_filter(obs, design, counter)
+        got = matched_filter(obs, design)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert counter.macs == filter_macs(d.n_ue, d.n_bs, d.n_ris, d.n_pilots, d.n_blocks)
 
 
 def test_matched_filter_preserves_noise_variance():
@@ -493,16 +507,26 @@ def test_all_singleton_dims_plan():
 
 
 def test_estimator_table_shares_one_call():
-    # every entry is called as fn(cascade_obs, dims, counter=...) and tags
-    # its estimate with its table name; only ls spends no MACs
+    # every entry's fit is called as fit(cascade_obs, dims) and tags its
+    # estimate with its table name; only ls spends no MACs
     ch = _realization(REF_DIMS, seed=53)
     assert list(ESTIMATORS) == ["hdr", "krf", "ls"]
-    for name, fn in ESTIMATORS.items():
-        counter = FlopCounter()
-        est = fn(ch.cascade, REF_DIMS, counter=counter)
+    for name, entry in ESTIMATORS.items():
+        est = entry.fit(ch.cascade, REF_DIMS)
         assert est.method == name
         assert est.cascade.shape == ch.cascade.shape
-        assert (counter.macs == 0) == (name == "ls")
+        macs = entry.macs(REF_DIMS)
+        assert type(macs) is int and macs >= 0
+        assert (macs == 0) == (name == "ls")
+
+
+def test_estimator_table_rejects_misshaped_cascade():
+    # every fit checks the cascade against dims, ls included
+    for entry in ESTIMATORS.values():
+        with pytest.raises(ValueError, match=r"expected cascade of shape \(256, 16\)"):
+            entry.fit(np.ones((3, 3)), REF_DIMS)
+    # without dims, ls takes any shape
+    assert ls_estimate(np.ones((3, 3))).cascade.shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +620,19 @@ def test_krf_noiseless_is_exact():
 
 def test_krf_matches_per_column_oracle():
     # the stacked fit of all columns == one rank-one fit per column, in
-    # values and in charged MACs
-    for dims, seed in ((SMALL_DIMS, 43), (ODD_DIMS, 44), (REF_DIMS, 45), (WIDE_DIMS, 46)):
+    # values, and krf's closed-form MACs == the per-column products counted;
+    # the last dims fold each column to a tall 6 x 2 matrix
+    tall = SystemDims(1, 2, 3, 2, 2, 2, 2, 4)
+    for dims, seed in ((SMALL_DIMS, 43), (ODD_DIMS, 44), (REF_DIMS, 45), (WIDE_DIMS, 46),
+                       (tall, 47)):
         ch = _realization(dims, seed)
         rng = np.random.default_rng(seed)
         noisy = ch.cascade + 0.5 * crandn(rng, *ch.cascade.shape)
-        stacked, looped = FlopCounter(), FlopCounter()
-        got = krf_estimate(noisy, dims, counter=stacked).cascade
+        looped = MacCounter()
+        got = krf_estimate(noisy, dims).cascade
         want = _per_column_krf(noisy, dims, counter=looped)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        assert stacked.macs == looped.macs
+        assert ESTIMATORS["krf"].macs(dims) == looped.macs
 
 
 @pytest.mark.parametrize(

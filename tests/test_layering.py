@@ -1,6 +1,6 @@
 """The package's imports point one way only.
 
-flopcount/tensors -> channel/training -> estimators -> metrics -> simulate
+tensors -> channel/training -> estimators -> metrics -> simulate
 -> cli: a module may import only modules listed before it, and ``metrics``
 (the scoring leaf) only ``channel`` and ``tensors``.  Imports under
 ``if TYPE_CHECKING:`` are annotations, not dependencies, and are skipped.
@@ -17,7 +17,7 @@ import hdris
 PACKAGE = Path(hdris.__file__).parent
 
 LAYERS = (
-    "flopcount", "tensors", "channel", "training",
+    "tensors", "channel", "training",
     "estimators", "metrics", "simulate", "cli",
 )
 ALLOWED = {name: set(LAYERS[:rank]) for rank, name in enumerate(LAYERS)}
@@ -75,7 +75,7 @@ def test_import_scan_reads_every_form():
         "from .channel import SystemDims\n"
         "from . import tensors\n"
         "from hdris.training import make_training\n"
-        "import hdris.flopcount\n"
+        "import hdris.metrics\n"
         "import numpy as np\n"
         "def f():\n"
         "    from .simulate import run_nmse_sweep\n"
@@ -83,5 +83,5 @@ def test_import_scan_reads_every_form():
         "    from .estimators import EstimateSet\n"
     )
     assert _intra_imports(source) == {
-        "channel", "tensors", "training", "flopcount", "simulate",
+        "channel", "tensors", "training", "metrics", "simulate",
     }

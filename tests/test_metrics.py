@@ -1,5 +1,6 @@
 """Tests for error/rate metrics and the complexity accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -273,6 +274,36 @@ def test_measured_flops_at_reference_dims():
     assert flops_measured("krf", REF_DIMS) == 204800
     for m in ("hdr", "krf"):
         assert flops_measured(m, REF_DIMS) > flops_measured("ls", REF_DIMS)
+
+
+def test_measured_flops_build_no_channel_and_run_no_fit(monkeypatch):
+    # the counts are closed forms of the shapes: with the channel draw,
+    # every fit and both rank-one kernels made to raise, the pins hold
+    import hdris.channel
+    import hdris.estimators
+    import hdris.simulate
+    import hdris.tensors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flops_measured must not run this")
+
+    for module, names in (
+        (hdris.channel, ("build_channels", "sample_params")),
+        (hdris.simulate, ("build_channels", "sample_params")),
+        (hdris.tensors, ("hosvd_rank1", "dominant_left_singular_vector")),
+        (hdris.estimators, ("hosvd_rank1", "dominant_left_singular_vector")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    for name, entry in list(ESTIMATORS.items()):
+        monkeypatch.setitem(ESTIMATORS, name, dataclasses.replace(entry, fit=refuse))
+    assert [flops_measured(m, REF_DIMS) for m in ("ls", "hdr", "krf")] == [
+        131072, 234836, 204800,
+    ]
+    grid = [_square_dims(axis) for axis in (4, 8)]
+    extras = {m: [flops_measured(m, d) - flops_measured("ls", d) for d in grid]
+              for m in ("hdr", "krf")}
+    assert extras == {"hdr": [103764, 545960], "krf": [73728, 294912]}
 
 
 def test_measured_flops_seed_invariant():

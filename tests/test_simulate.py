@@ -452,9 +452,9 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
     fast = sweep(cfg)
     stacks = []
 
-    def oracle(m, counter=None):
+    def oracle(m):
         stacks.append(np.ndim(m) > 2)
-        return dominant_pairs_oracle(m, counter)
+        return dominant_pairs_oracle(m)
 
     for module in (hdris.estimators, hdris.metrics, hdris.tensors):
         monkeypatch.setattr(module, "dominant_left_singular_vector", oracle)
@@ -490,9 +490,10 @@ def test_krf_squarings_per_call_at_reference_dims(monkeypatch):
         calls.append({"square": 0, "tail": 0})
         with monkeypatch.context() as patch:
             patch.setattr(np, "matmul", recording)
-            return krf(*args, **kwargs)
+            return krf.fit(*args, **kwargs)
 
-    monkeypatch.setitem(hdris.estimators.ESTIMATORS, "krf", counted_krf)
+    monkeypatch.setitem(hdris.estimators.ESTIMATORS, "krf",
+                        dataclasses.replace(krf, fit=counted_krf))
     run_nmse_sweep(_small_cfg(dims=_REF_DIMS, snr_grid_db=snrs, n_trials=n_trials,
                               methods=("krf",)))
     squarings = [[c["square"] for c in calls[i:i + n_trials]]

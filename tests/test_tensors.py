@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from hdris.flopcount import FlopCounter
 from hdris.tensors import (
     _CERTIFICATE_TOL,
     _GRAM_COPY_MAX_TRAIL,
@@ -17,13 +16,16 @@ from hdris.tensors import (
     _tail_power,
     dominant_left_singular_vector,
     fold,
+    gram_macs,
     hosvd_rank1,
+    hosvd_rank1_macs,
     khatri_rao,
     kron,
     unfold,
     vec,
 )
 from oracles import (
+    MacCounter,
     counted_matmul,
     dominant_pair_oracle,
     hosvd_rank1_oracle,
@@ -426,35 +428,38 @@ def test_dominant_singular_vector_zero_matrix():
 
 
 def test_dominant_singular_vector_counts_work():
-    counter = FlopCounter()
+    # the closed form == the oracle's counted Gram (and back-projection)
+    # for wide, square and tall matrices
     rng = np.random.default_rng(21)
-    dominant_left_singular_vector(crandn(rng, 8, 4), counter=counter)
-    assert counter.macs > 0
+    for rows, cols in ((4, 8), (5, 5), (8, 4), (1, 3), (3, 1)):
+        counter = MacCounter()
+        dominant_pair_oracle(crandn(rng, rows, cols), counter)
+        assert gram_macs(rows, cols) == counter.macs > 0
+    assert (gram_macs(4, 8), gram_macs(8, 4)) == (4 * 8 * 4, 4 * 8 * 4 + 8 * 4)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 7), (2, 5, 7, 4), (1, 1, 1), (2, 1, 1, 5)])
 def test_dominant_singular_vector_stack_matches_loop(shape):
     rng = np.random.default_rng(31)
     m = crandn(rng, *shape)
-    counter = FlopCounter()
-    u, sigma = dominant_left_singular_vector(m, counter)
+    u, sigma = dominant_left_singular_vector(m)
     assert u.shape == shape[:-1]
     assert sigma.shape == shape[:-2]
-    oracle = FlopCounter()
+    oracle = MacCounter()
     for idx in np.ndindex(*shape[:-2]):
         u_ref, s_ref = dominant_pair_oracle(m[idx], oracle)
         assert np.linalg.norm(u[idx] - u_ref) <= 1e-12
         assert abs(sigma[idx] - s_ref) <= 1e-12 * s_ref
         pivot = u[idx][np.argmax(np.abs(u[idx]))]
         assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
-    # a single matrix returns (vector, float) and is charged 1/batch
-    one = FlopCounter()
+    # a single matrix returns (vector, float); a stack costs its batch
+    # times one matrix's closed form
     first = (0,) * (len(shape) - 2)
-    u_one, s_one = dominant_left_singular_vector(m[first], one)
+    u_one, s_one = dominant_left_singular_vector(m[first])
     assert type(s_one) is float and s_one == pytest.approx(sigma[first], rel=1e-12)
     assert np.linalg.norm(u_one - u[first]) <= 1e-12
     batch = int(np.prod(shape[:-2]))
-    assert counter.macs == oracle.macs == batch * one.macs
+    assert oracle.macs == batch * gram_macs(*shape[-2:])
 
 
 def test_dominant_singular_vector_stack_breaks_ties_like_loop():
@@ -890,16 +895,6 @@ def test_hosvd_rank1_takes_plain_arrays():
     assert a.core == pytest.approx(b.core, rel=1e-12)
 
 
-def _hosvd_macs(shape):
-    """The per-unfolding fit's MACs: the smaller Gram of each unfolding
-    (plus the back-projection when the mode is the tall side), then the
-    size left before each contraction."""
-    size = math.prod(shape)
-    grams = sum(d * size if d * d <= size else (size // d) * size + size for d in shape)
-    rest = [size // math.prod(shape[:n]) for n in range(len(shape))]
-    return grams + sum(rest)
-
-
 # re-indexed tensor layouts (ue_z, bs_z, ris_z, ue_y, bs_y, ris_y) of the
 # estimator tests' SMALL, ODD, REF and WIDE dims and of the all-singleton
 # plan, a generic order-3 shape and a tall order-2 shape
@@ -920,8 +915,8 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
     # unfolding; the input is a non-contiguous view, as in hdr
     rng = np.random.default_rng(sum(shape))
     data = crandn(rng, *shape[::-1]).transpose(*range(len(shape) - 1, -1, -1))
-    lean_counter, oracle_counter = FlopCounter(), FlopCounter()
-    lean = hosvd_rank1(data, counter=lean_counter)
+    oracle_counter = MacCounter()
+    lean = hosvd_rank1(data)
     oracle = hosvd_rank1_oracle(data, counter=oracle_counter)
     assert len(lean.vectors) == len(shape)
     for got, want in zip(lean.vectors, oracle.vectors):
@@ -930,7 +925,7 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
     assert abs(lean.core - oracle.core) <= 1e-12 * abs(oracle.core)
     recon = oracle.reconstruct()
     assert np.linalg.norm(lean.reconstruct() - recon) <= 1e-12 * np.linalg.norm(recon)
-    assert lean_counter.macs == oracle_counter.macs == _hosvd_macs(shape)
+    assert hosvd_rank1_macs(shape) == oracle_counter.macs
     with pytest.raises(ValueError):
         hosvd_rank1(np.zeros(shape, dtype=complex))
 
@@ -975,10 +970,12 @@ def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
 
 
 def test_hosvd_rank1_charges_flops():
-    counter = FlopCounter()
-    rng = np.random.default_rng(29)
-    hosvd_rank1(ComplexTensor(crandn(rng, 3, 4, 5)), counter=counter)
-    assert counter.macs > 0
+    # by hand: (3, 4, 5) has Grams 3*60 + 4*60 + 5*60 and contractions
+    # 60 + 20 + 5; (5, 2) has the tall mode 2*5*2 + 10, the Gram 2*10 and
+    # contractions 10 + 2
+    assert hosvd_rank1_macs((3, 4, 5)) == 720 + 85
+    assert hosvd_rank1_macs((5, 2)) == 30 + 20 + 12
+    assert hosvd_rank1_macs((4,) * 6) == 103764
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +984,7 @@ def test_hosvd_rank1_charges_flops():
 
 
 def test_counted_matmul_charges_mac_volume():
-    counter = FlopCounter()
+    counter = MacCounter()
     rng = np.random.default_rng(30)
     a, b = crandn(rng, 3, 4), crandn(rng, 4, 5)
     out = counted_matmul(a, b, counter)
@@ -996,7 +993,7 @@ def test_counted_matmul_charges_mac_volume():
 
 
 def test_counted_matmul_validation():
-    counter = FlopCounter()
+    counter = MacCounter()
     with pytest.raises(ValueError):
         counted_matmul(np.ones(3), np.ones((3, 2)), counter)
     with pytest.raises(ValueError):
