@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .tensors import dominant_left_singular_vector, kron
+from .tensors import eigh_top, kron
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -46,23 +46,55 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     return _squared_norm(truth - estimate) / denom
 
 
+def _top_direction(m: np.ndarray, what: str) -> np.ndarray:
+    """Unit leading eigenvector of m^H m (the dominant right singular
+    direction of ``m``) by :func:`tensors.eigh_top`, in eigh's phase."""
+    v, lam = eigh_top((m.conj().T @ m)[None])
+    if not lam[0] > 0:
+        raise ValueError("estimate is rank deficient; cannot %s" % what)
+    return v[0]
+
+
 def _effective_surface_vector(est: EstimateSet) -> np.ndarray:
-    """Per-element cascaded surface response implied by an estimate.
+    """Per-element cascaded surface response implied by an estimate, up to
+    a phase common to all elements.
 
     The structured estimator identifies it directly as
     kron(surface_y, surface_z).  For the unstructured baselines the whole
-    cascade matrix is (noiselessly) a rank-one outer product whose right
-    factor is the conjugated surface response, so a dominant rank-one fit
-    recovers it.
+    cascade matrix C is (noiselessly) a rank-one outer product whose right
+    factor is the surface response, so the response is read as the
+    conjugated top eigenvector of the n_ris x n_ris Gram C^H C: the
+    dominant right singular vector of C, without its singular value.
     """
     if est.surface_y is not None and est.surface_z is not None:
         return kron(est.surface_y, est.surface_z)
-    u, _ = dominant_left_singular_vector(est.cascade)
-    right = est.cascade.conj().T @ u
-    nrm = np.linalg.norm(right)
-    if not nrm > 0:
-        raise ValueError("estimate is rank deficient; cannot align surface phases")
-    return right.conj() / nrm
+    return _top_direction(est.cascade, "align surface phases").conj()
+
+
+def _beams(
+    est: EstimateSet, phases: np.ndarray, dims: SystemDims
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit receive and transmit beams (w, f) matched to the estimated
+    effective channel H, the estimated cascade contracted with
+    ``phases`` (n_ue x n_bs), each up to a phase.
+
+    A structured estimate's H is exactly a multiple of u b^T with
+    u = kron(ue_y, ue_z) and b = kron(bs_y, bs_z), both of unit norm, so
+    w = u and f = conj(b) are read off its factors and H is never formed.
+    Otherwise one beam is the top eigenvector of the smaller Gram (H H^H
+    for w when n_ue <= n_bs, else H^H H for f) and the other is that beam
+    projected through H and normalized.
+    """
+    if all(v is not None for v in (est.ue_y, est.ue_z, est.bs_y, est.bs_z)):
+        return kron(est.ue_y, est.ue_z), kron(est.bs_y, est.bs_z).conj()
+    h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+    if dims.n_ue <= dims.n_bs:
+        w = _top_direction(h.conj().T, "form beams")
+        f = h.conj().T @ w
+        return w, f / math.sqrt(np.vdot(f, f).real)
+    f = _top_direction(h, "form beams")
+    w = h @ f
+    return w / math.sqrt(np.vdot(w, w).real), f
 
 
 def spectral_efficiency(
@@ -74,13 +106,30 @@ def spectral_efficiency(
     """Beamformed rate (bits/s/Hz) achieved on the true channel.
 
     Surface phases: the conjugate of the estimated per-element surface
-    response, normalized to unit modulus.  Beamformers: dominant
-    left/right singular vectors of the estimated effective channel H (the
-    estimated cascade contracted with the chosen phases); the right one
-    is read off the left one as f = H^H w / ||H^H w||, which fixes it up
-    to a phase that the rate does not see.  The rate is then
-    log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with the effective
-    channel built from the true cascade and the chosen phases.
+    response (:func:`_effective_surface_vector`), normalized to unit
+    modulus.  Beamformers: dominant left/right singular vectors w and f of
+    the estimated effective channel H (the estimated cascade contracted
+    with the chosen phases, n_ue x n_bs), each fixed only up to a phase,
+    which the rate does not see; neither needs a singular value.
+
+    * ``hdr`` reads all three off its factors and solves no eigenproblem
+      (:func:`_beams`): the surface from surface_y/surface_z,
+      w = kron(ue_y, ue_z) and f = conj(kron(bs_y, bs_z)).
+    * ``krf``/``ls`` solve one Hermitian eigenproblem per direction
+      (:func:`tensors.eigh_top`): the surface from the n_ris x n_ris Gram
+      of the cascade, then one beam from the min(n_ue, n_bs) Gram of H,
+      the other beam being that beam projected through H and normalized.
+      At a 16x16 surface the 256 x 256 ``eigh`` dominates.
+
+    The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
+    the effective channel built from the true cascade and the chosen
+    phases.
+
+    Raises
+    ------
+    ValueError
+        If ``noise_var`` is not finite and > 0, or a ``krf``/``ls``
+        estimate is rank deficient (a zero Gram has no top eigenvector).
     """
     if not 0 < noise_var < math.inf:
         raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
@@ -90,11 +139,7 @@ def spectral_efficiency(
     phases = np.where(
         mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0
     )
-
-    h_eff_est = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
-    w, _ = dominant_left_singular_vector(h_eff_est)
-    f = h_eff_est.conj().T @ w
-    f /= np.linalg.norm(f)
+    w, f = _beams(est, phases, dims)
     h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))

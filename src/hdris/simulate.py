@@ -234,13 +234,14 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
     )
 
 
-def _run_point(cfg, design, methods, snr_idx, trial, want_se):
+def _run_point(cfg, design, pinned, methods, snr_idx, trial, want_se):
     """Every requested estimator scored on one shared observation: its
-    beamformed rate when ``want_se``, else its NMSE."""
+    beamformed rate when ``want_se``, else its NMSE.  The channel is
+    ``pinned`` when the sweep built it once, else drawn from the trial's
+    stream."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
-    params = cfg.fixed_params if cfg.fixed_params is not None else sample_params(rng)
-    ch = build_channels(cfg.dims, params)
+    ch = pinned if pinned is not None else build_channels(cfg.dims, sample_params(rng))
     obs = simulate_observation(ch, design, noise_var, rng=rng)
     cascade_obs = matched_filter(obs, design, check=False)
 
@@ -254,9 +255,9 @@ def _run_point(cfg, design, methods, snr_idx, trial, want_se):
     return out
 
 
-def _run_chunk(cfg, design, methods, want_se, pairs):
+def _run_chunk(cfg, design, pinned, methods, want_se, pairs):
     """_run_point over a run of (snr_idx, trial) pairs, in order."""
-    return [_run_point(cfg, design, methods, s, t, want_se) for s, t in pairs]
+    return [_run_point(cfg, design, pinned, methods, s, t, want_se) for s, t in pairs]
 
 
 # glibc mallopt(3) parameters from <malloc.h>, with the values the sweeps
@@ -303,12 +304,17 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     ``cfg.threads`` is capped at the usable CPUs and at the number of jobs,
     so no count starts more processes than can run at once.  The freed
     heap is kept across trials (:func:`_keep_freed_heap`, once per process,
-    before any worker is forked).
+    before any worker is forked).  A pinned geometry's channel is
+    deterministic, so it is built once here, beside the training design,
+    and shared by every trial.
     """
     _keep_freed_heap()
     design = make_training(cfg.dims)
+    pinned = (
+        build_channels(cfg.dims, cfg.fixed_params) if cfg.fixed_params is not None else None
+    )
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
-    run = functools.partial(_run_chunk, cfg, design, methods, want_se)
+    run = functools.partial(_run_chunk, cfg, design, pinned, methods, want_se)
     workers = min(cfg.threads, len(os.sched_getaffinity(0)), len(jobs))
     if workers == 1:
         results = run(jobs)

@@ -28,6 +28,7 @@ __all__ = [
     "fold",
     "vec",
     "dominant_left_singular_vector",
+    "eigh_top",
     "gram_macs",
     "hosvd_rank1",
     "hosvd_rank1_macs",
@@ -159,9 +160,11 @@ _CERTIFICATE_TOL = 1e-14
 _GRAM_COPY_MAX_TRAIL = 16
 
 
-def _eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpair of each Gram of a stack: the first eigenbasis
-    column holding the largest eigenvalue."""
+def eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenpair of each Hermitian matrix of a (B, n, n) stack by
+    ``np.linalg.eigh``: the first eigenbasis column holding the largest
+    eigenvalue, and that eigenvalue.  Returns (B, n) vectors of unit norm
+    in eigh's own phase, and (B,) eigenvalues."""
     w, basis = np.linalg.eigh(gram)
     pick = np.arange(len(gram))
     lead = np.argmax(w, axis=1)
@@ -326,12 +329,12 @@ def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np
     if not trace.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
     if batch == 1:
-        top, sigma_sq = _eigh_top(gram)
+        top, sigma_sq = eigh_top(gram)
     else:
         top, sigma_sq, certified = _squared_top(gram, trace)
         if not certified.all():
             rest = ~certified
-            top[rest], sigma_sq[rest] = _eigh_top(gram[rest])
+            top[rest], sigma_sq[rest] = eigh_top(gram[rest])
     if wide:
         u = top
         sigma = np.sqrt(sigma_sq)
@@ -367,7 +370,7 @@ class RankOneFactors:
         if len(self.vectors) < 1:
             raise ValueError("need at least one factor vector")
         for i, v in enumerate(self.vectors):
-            nrm = np.linalg.norm(v)
+            nrm = math.sqrt(np.vdot(v, v).real)
             if abs(nrm - 1.0) > 1e-6:
                 raise ValueError("factor vector %d is not unit norm (|v|=%g)" % (i + 1, nrm))
 
@@ -440,7 +443,7 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
         # a Gram's trace is the tensor's squared norm
         if not np.einsum("bii->b", grams).real.min() > 0.0:
             raise ValueError("rank-one fit of a zero tensor is undefined")
-        top = _fix_phase(_eigh_top(grams)[0])
+        top = _fix_phase(eigh_top(grams)[0])
         for (n, _), v in zip(members, top):
             vectors[n] = v
     cur = data_c.reshape(-1)

@@ -9,8 +9,10 @@ squaring, the per-trial perfect-CSI estimate that the se sweep
 replaced by its closed form, the out-of-place noise sum that the
 pilot simulation replaced by in-place additions, the per-unfolding
 rank-one HOSVD that ``hosvd_rank1`` replaced by Grams of reshaped views,
-and the tensor-to-cascade re-indexing that ``hdr_estimate`` replaced by
-writing its reconstruction straight into the cascade layout.
+the tensor-to-cascade re-indexing that ``hdr_estimate`` replaced by
+writing its reconstruction straight into the cascade layout, and the
+rate scoring by dominant pairs that ``spectral_efficiency`` replaced by
+beams read off ``hdr``'s factors and one eigenproblem per beam.
 """
 
 import dataclasses
@@ -158,3 +160,35 @@ def to_cascade(plan, tensor):
     the (n_ue*n_bs, n_ris) cascade."""
     d = plan.dims
     return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(d.n_ue * d.n_bs, d.n_ris, order="F")
+
+
+def rate_oracle(ch, est, tx_power, noise_var):
+    """Beamformed rate of ``est`` on ``ch``, every direction from its own
+    dominant pair through :func:`dominant_pair_oracle`.
+
+    The surface response is ``kron(surface_y, surface_z)`` for a structured
+    estimate; otherwise the cascade's dominant left singular vector u (its
+    n_ris Gram, eigh, back-projection) is projected back as C^H u and
+    normalized.  The unit-modulus phases conjugate it.  Then w is the
+    dominant left singular vector of the estimated effective channel H and
+    f that of H^H, each from its own eigh, and the rate is
+    log2(1 + tx_power |w^H H_true f|^2 / noise_var).
+    """
+    dims = ch.dims
+    if est.surface_y is not None and est.surface_z is not None:
+        surface = np.kron(est.surface_y, est.surface_z)
+    else:
+        # a zero cascade has no dominant pair (its back-projection is 0/0)
+        if not np.abs(est.cascade).max() > 0:
+            raise ValueError("estimate is rank deficient; cannot align surface phases")
+        u, _ = dominant_pair_oracle(est.cascade)
+        right = est.cascade.conj().T @ u
+        surface = right.conj() / np.linalg.norm(right)
+    mods = np.abs(surface)
+    phases = np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
+    h_est = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+    w, _ = dominant_pair_oracle(h_est)
+    f, _ = dominant_pair_oracle(h_est.conj().T)
+    h_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+    gain = abs(w.conj() @ h_true @ f) ** 2
+    return float(np.log2(1.0 + tx_power * gain / noise_var))

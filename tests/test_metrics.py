@@ -9,6 +9,7 @@ import pytest
 from hdris.channel import SystemDims, build_channels, sample_params
 from hdris.estimators import (
     ESTIMATORS,
+    EstimateSet,
     hdr_estimate,
     krf_estimate,
     ls_estimate,
@@ -16,7 +17,6 @@ from hdris.estimators import (
     simulate_observation,
 )
 from hdris.metrics import (
-    _effective_surface_vector,
     flops_analytic,
     ideal_spectral_efficiency,
     nmse,
@@ -24,9 +24,8 @@ from hdris.metrics import (
     summarize,
 )
 from hdris.simulate import flops_measured
-from hdris.tensors import dominant_left_singular_vector
 from hdris.training import make_training
-from oracles import ideal_estimate
+from oracles import ideal_estimate, rate_oracle
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -37,6 +36,18 @@ SMALL_DIMS = SystemDims(
 REF_DIMS = SystemDims(
     n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
     n_pilots=16, n_blocks=16,
+)
+
+# odd, unequal extents on every axis; n_ue < n_bs
+ODD_DIMS = SystemDims(
+    n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
+    n_pilots=6, n_blocks=10,
+)
+
+# ODD_DIMS with the two arrays swapped: n_ue > n_bs
+TALL_DIMS = SystemDims(
+    n_bs_y=2, n_bs_z=1, n_ue_y=3, n_ue_z=2, n_ris_y=5, n_ris_z=2,
+    n_pilots=2, n_blocks=10,
 )
 
 # 16x16 surface: 256 elements, 256 blocks
@@ -181,41 +192,41 @@ def test_rate_rejects_non_finite_or_non_positive_noise(noise_var):
         ideal_spectral_efficiency(SMALL_DIMS, noise_var=noise_var)
 
 
-def _two_eigh_rate(ch, est, tx_power, noise_var):
-    """The rate with each beamformer from its own dominant singular pair:
-    w of H and f of H^H."""
-    dims = ch.dims
-    surface = _effective_surface_vector(est)
-    mods = np.abs(surface)
-    phases = np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
-    h_eff_est = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
-    w, _ = dominant_left_singular_vector(h_eff_est)
-    f, _ = dominant_left_singular_vector(h_eff_est.conj().T)
-    h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
-    gain = abs(w.conj() @ h_eff_true @ f) ** 2
-    return float(np.log2(1.0 + tx_power * gain / noise_var))
-
-
 def test_transmit_beam_from_receive_beam_matches_two_eigh_oracle():
-    # f = H^H w / ||H^H w|| is the dominant right singular vector up to a
-    # phase, and |w^H H f|^2 does not see that phase
-    for dims in (SMALL_DIMS, REF_DIMS):
+    # hdr's beams read off its factors, and krf/ls's from one eigenproblem
+    # per direction with the other beam projected through H, score what
+    # every direction from its own dominant pair scores (the oracle takes
+    # f from an eigh of H^H; the rate sees no phase of w or f).  -20 dB
+    # is where the surface Gram's leading gap is smallest.
+    worst = 0.0
+    for dims in (SMALL_DIMS, ODD_DIMS, TALL_DIMS, REF_DIMS):
         design = make_training(dims)
-        for trial in range(10):
-            rng = np.random.default_rng(trial + 200)
-            ch = build_channels(dims, sample_params(rng))
-            sigma2 = 10.0 ** (-(trial - 3) / 2.0)
-            obs = simulate_observation(ch, design, sigma2, rng=rng)
-            raw = matched_filter(obs, design, check=False)
-            for est in (
-                hdr_estimate(raw, dims),
-                krf_estimate(raw, dims),
-                ls_estimate(raw, dims),
-                ideal_estimate(ch),
-            ):
-                got = spectral_efficiency(ch, est, 1.0, sigma2)
-                want = _two_eigh_rate(ch, est, 1.0, sigma2)
-                assert abs(got - want) <= 1e-12 * want
+        for snr_db in (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0):
+            sigma2 = 10.0 ** (-snr_db / 10.0)
+            for trial in range(3):
+                rng = np.random.default_rng(int(snr_db) * 10 + trial + 1000)
+                ch = build_channels(dims, sample_params(rng))
+                obs = simulate_observation(ch, design, sigma2, rng=rng)
+                raw = matched_filter(obs, design, check=False)
+                for est in (
+                    *(entry.fit(raw, dims) for entry in ESTIMATORS.values()),
+                    ideal_estimate(ch),
+                ):
+                    got = spectral_efficiency(ch, est, 1.0, sigma2)
+                    want = rate_oracle(ch, est, 1.0, sigma2)
+                    worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["krf", "ls"])
+def test_rate_of_zero_estimate_raises(method):
+    # a zero cascade (krf's own fit refuses one, so it is built directly)
+    # has no surface direction to align
+    ch = build_channels(REF_DIMS, sample_params(np.random.default_rng(7)))
+    est = EstimateSet(method=method, cascade=np.zeros_like(ch.cascade))
+    for score in (spectral_efficiency, rate_oracle):
+        with pytest.raises(ValueError, match="cannot align surface phases"):
+            score(ch, est, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

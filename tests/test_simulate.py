@@ -427,6 +427,57 @@ def test_sweep_pinned_geometry():
     assert vals["mean"] == pytest.approx(vals["median"], rel=1e-9)
 
 
+def test_pinned_channel_built_once_per_sweep(monkeypatch):
+    # a pinned geometry's channel is built once, beside the training
+    # design, and reaches every trial through the worker pool; its rows
+    # are those of a sweep that rebuilds the same channel in every trial
+    import concurrent.futures
+
+    import hdris.simulate as simulate
+
+    pinned = ChannelParams(**{k: math.radians(v) for k, v in _ANGLES.items()})
+    build, built = simulate.build_channels, []
+
+    def counting(dims, params):
+        built.append(params)
+        return build(dims, params)
+
+    monkeypatch.setattr(simulate, "build_channels", counting)
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    cfg = _small_cfg(threads=2, fixed_params=pinned)
+    once = run_se_sweep(cfg)
+    assert built == [pinned]
+    assert _RecordingPool.built == [[2, "fork", [6, 6]]]
+
+    # unpinned, with the draw replaced by the pinned geometry (it then
+    # consumes no stream, as a pinned trial does not): one build per trial
+    built.clear()
+    monkeypatch.setattr(simulate, "sample_params", lambda rng: pinned)
+    rebuilt = run_se_sweep(dataclasses.replace(cfg, fixed_params=None))
+    assert built == [pinned] * (len(cfg.snr_grid_db) * cfg.n_trials)
+    assert [{**r, "config_hash": None} for r in once] == [
+        {**r, "config_hash": None} for r in rebuilt
+    ]
+
+
+def test_pinned_se_workload_matches_perfbench_reference():
+    # the benchmark's own reference rows, recorded from CLI runs at seed 0,
+    # reproduced by one in-process sweep (the files are only read)
+    cfg = dataclasses.replace(
+        load_config(str(PERFBENCH_WORKLOADS / "pinned-se-mt.json")), seed=0, threads=1
+    )
+    reference = json.loads(
+        (PERFBENCH_WORKLOADS.parent / "reference.json").read_text(encoding="utf-8")
+    )["pinned-se-mt"]["0"]
+    rows = run_se_sweep(cfg)
+    got = {"%s,%r,%s" % (r["method"], r["snr_db"], r["stat"]): r["value"] for r in rows}
+    assert got.keys() == reference.keys()
+    for key, want in reference.items():
+        assert abs(got[key] - want) <= 1e-12 * abs(want), key
+
+
 _REF_DIMS = SystemDims(
     n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
     n_pilots=16, n_blocks=16,
@@ -443,9 +494,10 @@ _WIDE_DIMS = dataclasses.replace(_REF_DIMS, n_ris_y=16, n_ris_z=16, n_blocks=256
     ],
 )
 def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
-    # the stacked fast path against one eigh per matrix, end to end
+    # the stacked fast path against one eigh per matrix, end to end (rate
+    # scoring takes no dominant pair; tests/test_metrics.py pins it to
+    # oracles.rate_oracle)
     import hdris.estimators
-    import hdris.metrics
     import hdris.tensors
 
     cfg = _small_cfg(dims=dims, snr_grid_db=(-10.0, 0.0, 20.0), n_trials=2)
@@ -456,7 +508,7 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
         stacks.append(np.ndim(m) > 2)
         return dominant_pairs_oracle(m)
 
-    for module in (hdris.estimators, hdris.metrics, hdris.tensors):
+    for module in (hdris.estimators, hdris.tensors):
         monkeypatch.setattr(module, "dominant_left_singular_vector", oracle)
     slow = sweep(cfg)
     assert any(stacks)
