@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .tensors import eigh_top, kron
+from .tensors import kron, psd_top
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -48,11 +48,12 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
 
 def _top_direction(m: np.ndarray, what: str) -> np.ndarray:
     """Unit leading eigenvector of m^H m (the dominant right singular
-    direction of ``m``) by :func:`tensors.eigh_top`, in eigh's phase."""
-    v, lam = eigh_top((m.conj().T @ m)[None])
-    if not lam[0] > 0:
+    direction of ``m``) by :func:`tensors.psd_top`, up to a phase."""
+    gram = m.conj().T @ m
+    trace = gram.trace().real
+    if not trace > 0:
         raise ValueError("estimate is rank deficient; cannot %s" % what)
-    return v[0]
+    return psd_top(gram, trace)[0]
 
 
 def _effective_surface_vector(est: EstimateSet) -> np.ndarray:
@@ -115,11 +116,13 @@ def spectral_efficiency(
     * ``hdr`` reads all three off its factors and solves no eigenproblem
       (:func:`_beams`): the surface from surface_y/surface_z,
       w = kron(ue_y, ue_z) and f = conj(kron(bs_y, bs_z)).
-    * ``krf``/``ls`` solve one Hermitian eigenproblem per direction
-      (:func:`tensors.eigh_top`): the surface from the n_ris x n_ris Gram
-      of the cascade, then one beam from the min(n_ue, n_bs) Gram of H,
-      the other beam being that beam projected through H and normalized.
-      At a 16x16 surface the 256 x 256 ``eigh`` dominates.
+    * ``krf``/``ls`` take the leading eigenvector of one Hermitian Gram
+      per direction by certified squaring (:func:`tensors.psd_top`, which
+      falls back to ``eigh`` only on a tie it cannot certify): the surface
+      from the n_ris x n_ris Gram of the cascade, then one beam from the
+      min(n_ue, n_bs) Gram of H, the other beam being that beam projected
+      through H and normalized.  At a 16x16 surface the squarings of the
+      256 x 256 Gram dominate.
 
     The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
     the effective channel built from the true cascade and the chosen

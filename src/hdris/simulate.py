@@ -14,12 +14,15 @@ numbers for SNRs, powers and angles, objects for ``dims``/``angles_deg``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -296,15 +299,102 @@ def _keep_freed_heap() -> bool:
     return all([mallopt(param, value) == 1 for param, value in _MALLOPT_SETTINGS])
 
 
+def _child_exit(run, chunk, fd: int):
+    """Body of a forked sweep worker: pickle ``run(chunk)``, or the
+    exception it raised, into pipe ``fd`` and leave by ``os._exit`` (no
+    atexit handler runs and no inherited stdio buffer is flushed).  Exits
+    non-zero only if the outcome cannot be pickled or written."""
+    code = 1
+    try:
+        try:
+            outcome = (True, run(chunk))
+        except BaseException as exc:
+            outcome = (False, exc)
+        view = memoryview(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold SIGINT off this thread for the block, so a KeyboardInterrupt
+    lands after it, and yield the signal mask to restore."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
+    try:
+        yield held
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def _fork_map(run, chunks) -> list:
+    """``[run(chunk) for chunk in chunks]``, each call in its own forked
+    child, while this process waits.
+
+    The parent reads every child's pipe to EOF before reaping it, since a
+    result may exceed the pipe buffer.  A child's exception is re-raised
+    here; a child that exits non-zero or is killed by a signal raises
+    RuntimeError.  On any exception here (KeyboardInterrupt too) every
+    child not yet reaped is killed and reaped first, so none outlives the
+    call: forking a child and recording it, and reaping it and forgetting
+    it, each run with SIGINT held.
+    """
+    children = {}                   # pid -> read end of its pipe, until reaped
+    try:
+        for chunk in chunks:
+            with _sigint_held() as held:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                    os.close(r)
+                    _child_exit(run, chunk, w)
+                children[pid] = r
+                os.close(w)
+        results = []
+        for pid, r in list(children.items()):
+            with open(r, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            with _sigint_held():
+                status = os.waitpid(pid, 0)[1]
+                os.close(children.pop(pid))
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise RuntimeError(
+                    "sweep worker %d %s" % (pid, "exited with code %d" % code if code > 0
+                                            else "was killed by signal %d" % -code)
+                )
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
 def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     """Run the trial grid and return {method: {snr_idx: [value per trial]}}.
 
-    With more than one worker the grid is cut into one contiguous chunk per
-    worker, run in forked worker processes and reassembled in job order.
-    ``cfg.threads`` is capped at the usable CPUs and at the number of jobs,
-    so no count starts more processes than can run at once.  The freed
-    heap is kept across trials (:func:`_keep_freed_heap`, once per process,
-    before any worker is forked).  A pinned geometry's channel is
+    With more than one worker, worker w takes every workers-th job of the
+    (snr point, trial) grid from job w on, so each gets a share of every
+    SNR point (low SNR costs `krf` more squarings).  The workers are
+    forked directly (:func:`_fork_map`), this process waits for them, and
+    the results are put back in job order.  ``cfg.threads`` is capped at
+    the usable CPUs and at the number of jobs, so no count starts more
+    processes than can run at once; one worker runs in this process.  The
+    freed heap is kept across trials (:func:`_keep_freed_heap`, once per
+    process, before any worker is forked).  A pinned geometry's channel is
     deterministic, so it is built once here, beside the training design,
     and shared by every trial.
     """
@@ -319,19 +409,10 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
     if workers == 1:
         results = run(jobs)
     else:
-        # Imported here: the process pool pulls in multiprocessing, which
-        # the single-worker path (and `hdris validate`) never needs.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [len(jobs) * w // workers for w in range(workers + 1)]
-        chunks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-        # fork, not spawn: a spawned worker would import numpy and hdris
-        # again (about 0.25 s of CPU each) before its first trial.
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            results = [res for chunk in pool.map(run, chunks) for res in chunk]
+        results = [None] * len(jobs)
+        chunks = [jobs[w::workers] for w in range(workers)]
+        for w, chunk_results in enumerate(_fork_map(run, chunks)):
+            results[w::workers] = chunk_results
 
     collected = {m: {s: [] for s in range(len(cfg.snr_grid_db))} for m in methods}
     for (s, _t), res in zip(jobs, results):
@@ -426,6 +507,8 @@ def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
 def run_complexity_sweep(cfg: ExperimentConfig):
     """Analytic and executed-kernel MAC counts per method over the
     surface-size grid."""
+    if not cfg.ris_grid:
+        raise ConfigError("complexity sweep needs at least one ris_grid entry")
     digest = config_hash(cfg)
     rows = []
     for n_ris in cfg.ris_grid:

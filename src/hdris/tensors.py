@@ -29,6 +29,7 @@ __all__ = [
     "vec",
     "dominant_left_singular_vector",
     "eigh_top",
+    "psd_top",
     "gram_macs",
     "hosvd_rank1",
     "hosvd_rank1_macs",
@@ -259,6 +260,38 @@ def _squared_top(
     x /= np.linalg.norm(x, axis=1)[:, None]
     eig = np.einsum("bi,bi->b", x.conj(), (gram @ x[:, :, None])[:, :, 0]).real
     return x, eig, certified
+
+
+def psd_top(gram: np.ndarray, trace: float) -> tuple[np.ndarray, float]:
+    """Leading eigenpair of one Hermitian PSD n x n Gram of trace ``trace``
+    > 0: the single-matrix twin of :func:`_squared_top`.
+
+    The same certificate, tail rule and squaring cap, on 2-D products: a
+    stack of one pays more per squaring in batch overhead than a 16 x 16
+    product costs.  A Gram still uncertified after _MAX_SQUARINGS
+    squarings (an exact or near tie of its leading eigenvalue) falls back
+    to :func:`eigh_top` and gets its bits.  Returns a unit vector, in an
+    arbitrary phase, and its Rayleigh quotient on the Gram.
+    """
+    a = gram * (1.0 / trace)
+    power = 0                   # tail power once fixed, else 0: no products
+    for step in range(_MAX_SQUARINGS + 1):
+        mass = np.vdot(a, a).real                       # ||A||_F^2 = tr(A^2)
+        if 1.0 - mass <= _CERTIFICATE_TOL:
+            break
+        if step == _MAX_SQUARINGS:
+            v, lam = eigh_top(gram[None])
+            return v[0], float(lam[0])
+        power = _tail_power(1.0 - mass, len(a))
+        if power:
+            break
+        a = a @ a
+        a *= 1.0 / mass
+    x = a[:, np.argmax(a.diagonal().real)]
+    for _ in range(power - 1):
+        x = a @ x
+    x = x / math.sqrt(np.vdot(x, x).real)
+    return x, float(np.vdot(x, gram @ x).real)
 
 
 def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:

@@ -229,6 +229,43 @@ def test_rate_of_zero_estimate_raises(method):
             score(ch, est, 1.0, 1.0)
 
 
+def _noisy_estimates(dims, snr_db, seed):
+    """The true channel and every estimator's fit of one noisy trial."""
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    ch = build_channels(dims, sample_params(rng))
+    design = make_training(dims)
+    obs = simulate_observation(ch, design, sigma2, rng=rng)
+    raw = matched_filter(obs, design, check=False)
+    return ch, sigma2, {name: entry.fit(raw, dims) for name, entry in ESTIMATORS.items()}
+
+
+def test_krf_ls_scoring_at_ref_runs_no_eigh(monkeypatch):
+    # every REF Gram of krf/ls scoring certifies by squaring: scoring
+    # still succeeds with eigh unavailable, and lands on the oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    for snr_db in (0.0, 10.0, 20.0):
+        ch, sigma2, fits = _noisy_estimates(REF_DIMS, snr_db, 2000 + int(snr_db))
+        want = {m: rate_oracle(ch, fits[m], 1.0, sigma2) for m in ("krf", "ls")}
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            got = {m: spectral_efficiency(ch, fits[m], 1.0, sigma2) for m in want}
+        for m in want:
+            assert abs(got[m] - want[m]) <= 1e-12 * want[m], m
+
+
+def test_rate_at_16x16_surface_matches_oracle():
+    # the 256 x 256 surface Gram of krf/ls scoring, squared rather than
+    # decomposed, scores what the per-direction eigh oracle scores
+    ch, sigma2, fits = _noisy_estimates(WIDE_DIMS, 0.0, 2100)
+    for est in (*fits.values(), ideal_estimate(ch)):
+        got = spectral_efficiency(ch, est, 1.0, sigma2)
+        want = rate_oracle(ch, est, 1.0, sigma2)
+        assert abs(got - want) <= 1e-12 * want, est.method
+
+
 # ---------------------------------------------------------------------------
 # complexity accounting
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from hdris.simulate import (
     ConfigError,
     ExperimentConfig,
     _complexity_dims,
+    _fork_map,
     _keep_freed_heap,
     config_hash,
     default_config,
@@ -362,26 +365,24 @@ def test_sweep_deterministic_across_thread_counts(sweep, pinned, thread_counts):
     assert len(set(texts.values())) == 1, texts
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its arguments and the chunk
-    sizes, and runs the chunks in this process, so the test starts no
-    process."""
+class _RecordingForkMap:
+    """Stands in for simulate._fork_map: records the chunks it gets and
+    runs them in this process, so the test starts no process."""
 
-    built = []
+    def __init__(self):
+        self.calls = []
 
-    def __init__(self, max_workers, mp_context):
-        self.built.append([max_workers, mp_context.get_start_method()])
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
+    def __call__(self, run, chunks):
         chunks = list(chunks)
-        self.built[-1].append([len(c) for c in chunks])
-        return map(fn, chunks)
+        self.calls.append(chunks)
+        return [run(c) for c in chunks]
+
+
+def _interleaved(n_snr, n_trials, workers):
+    """Worker w's share of the (snr point, trial) grid: every workers-th
+    job in job order, from job w on."""
+    jobs = [(s, t) for s in range(n_snr) for t in range(n_trials)]
+    return [[jobs[i] for i in range(w, len(jobs), workers)] for w in range(workers)]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 64, 10**6])
@@ -390,23 +391,20 @@ class _RecordingPool:
 def test_sweep_workers_capped_by_cpus_and_jobs(
     monkeypatch, threads, cpus, n_snr, n_trials
 ):
-    import concurrent.futures
+    import hdris.simulate as simulate
 
-    monkeypatch.setattr(_RecordingPool, "built", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    fork_map = _RecordingForkMap()
+    monkeypatch.setattr(simulate, "_fork_map", fork_map)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = _small_cfg(threads=threads, snr_grid_db=(-5.0, 5.0)[:n_snr],
                      n_trials=n_trials)
     rows = run_nmse_sweep(cfg)
-    jobs = n_snr * n_trials
-    workers = min(threads, cpus, jobs)
+    workers = min(threads, cpus, n_snr * n_trials)
     if workers == 1:
-        assert _RecordingPool.built == []
+        assert fork_map.calls == []
     else:
-        # one contiguous chunk per worker, sizes differing by at most one
-        sizes = [jobs * (w + 1) // workers - jobs * w // workers
-                 for w in range(workers)]
-        assert _RecordingPool.built == [[workers, "fork", sizes]]
+        # one interleaved share of the grid per worker
+        assert fork_map.calls == [_interleaved(n_snr, n_trials, workers)]
     assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
 
 
@@ -429,10 +427,8 @@ def test_sweep_pinned_geometry():
 
 def test_pinned_channel_built_once_per_sweep(monkeypatch):
     # a pinned geometry's channel is built once, beside the training
-    # design, and reaches every trial through the worker pool; its rows
+    # design, and reaches every trial through the forked workers; its rows
     # are those of a sweep that rebuilds the same channel in every trial
-    import concurrent.futures
-
     import hdris.simulate as simulate
 
     pinned = ChannelParams(**{k: math.radians(v) for k, v in _ANGLES.items()})
@@ -443,13 +439,13 @@ def test_pinned_channel_built_once_per_sweep(monkeypatch):
         return build(dims, params)
 
     monkeypatch.setattr(simulate, "build_channels", counting)
-    monkeypatch.setattr(_RecordingPool, "built", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    fork_map = _RecordingForkMap()
+    monkeypatch.setattr(simulate, "_fork_map", fork_map)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     cfg = _small_cfg(threads=2, fixed_params=pinned)
     once = run_se_sweep(cfg)
     assert built == [pinned]
-    assert _RecordingPool.built == [[2, "fork", [6, 6]]]
+    assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, 2)]
 
     # unpinned, with the draw replaced by the pinned geometry (it then
     # consumes no stream, as a pinned trial does not): one build per trial
@@ -460,6 +456,115 @@ def test_pinned_channel_built_once_per_sweep(monkeypatch):
     assert [{**r, "config_hash": None} for r in once] == [
         {**r, "config_hash": None} for r in rebuilt
     ]
+
+
+# ---------------------------------------------------------------------------
+# forked workers
+# ---------------------------------------------------------------------------
+
+
+def _assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child at all,
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse(bad, then=None):
+    """A chunk runner returning its chunk doubled, except for chunk ``bad``,
+    on which it calls ``then`` (default: raise ValueError)."""
+    def run(chunk):
+        if chunk == bad:
+            if then is None:
+                raise ValueError("chunk %r refused" % (chunk,))
+            then()
+        return [2 * x for x in chunk]
+    return run
+
+
+def test_fork_map_returns_results_in_chunk_order():
+    assert _fork_map(_refuse(None), [[1, 2], [3], [4, 5]]) == [[2, 4], [6], [8, 10]]
+    _assert_no_child_left()
+
+
+def test_fork_map_reraises_a_child_exception():
+    with pytest.raises(ValueError, match=r"^chunk \[2\] refused$"):
+        _fork_map(_refuse([2]), [[1], [2], [3]])
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "then, message",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal %d" % signal.SIGKILL),
+        (lambda: os._exit(3), "exited with code 3"),
+    ],
+    ids=["sigkill", "exit-3"],
+)
+def test_fork_map_raises_when_a_child_dies(then, message):
+    with pytest.raises(RuntimeError, match=message):
+        _fork_map(_refuse([2], then), [[1], [2], [3]])
+    _assert_no_child_left()
+
+
+def test_fork_map_returns_a_payload_larger_than_the_pipe_buffer():
+    # 512 KiB per child, read to EOF before the child is reaped
+    big = bytes(range(256)) * 2048
+    assert _fork_map(lambda chunk: big, [[0], [1]]) == [big, big]
+    _assert_no_child_left()
+
+
+def test_fork_map_kills_the_other_children_when_one_fails():
+    # the second child would sleep for 30 s; the first one's exception
+    # reaches the caller at once, and the sleeper is killed and reaped
+    def run(chunk):
+        if chunk == [1]:
+            time.sleep(30)
+        raise ValueError("chunk %r refused" % (chunk,))
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^chunk \[0\] refused$"):
+        _fork_map(run, [[0], [1]])
+    assert time.perf_counter() - start < 5.0
+    _assert_no_child_left()
+
+
+def test_fork_map_kills_every_child_on_keyboard_interrupt():
+    # the first child interrupts the parent, which is waiting on its pipe,
+    # and then sleeps; both children are killed before the interrupt leaves
+    def run(chunk):
+        if chunk == [0]:
+            os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(30)
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _fork_map(run, [[0], [1]])
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert time.perf_counter() - start < 5.0
+    _assert_no_child_left()
+
+
+def test_forked_sweep_imports_no_process_pool():
+    # a 2-worker sweep forks directly: neither concurrent.futures nor
+    # multiprocessing is ever imported
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from hdris.simulate import ExperimentConfig, run_se_sweep\n"
+        "from hdris.channel import SystemDims\n"
+        "dims = SystemDims(2, 2, 2, 2, 4, 4, 16, 16)\n"
+        "run_se_sweep(ExperimentConfig(dims=dims, snr_grid_db=(0.0,), n_trials=2,"
+        " threads=2))\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=_cli_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_pinned_se_workload_matches_perfbench_reference():
@@ -881,6 +986,16 @@ def test_cli_unknown_key_exit_code(tmp_path):
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
     rc = main(["nmse", "--config", _write_small_config(tmp_path, **extra), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", [[], [12]], ids=["empty", "non-square"])
+def test_cli_complexity_bad_grid_exits_2_with_one_line(tmp_path, capsys, grid):
+    # an empty grid validates as a config but leaves the complexity sweep
+    # nothing to tabulate
+    rc = main(["complexity", "--config", _write_small_config(tmp_path, ris_grid=grid)])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -15,12 +15,14 @@ from hdris.tensors import (
     _squared_top,
     _tail_power,
     dominant_left_singular_vector,
+    eigh_top,
     fold,
     gram_macs,
     hosvd_rank1,
     hosvd_rank1_macs,
     khatri_rao,
     kron,
+    psd_top,
     unfold,
     vec,
 )
@@ -766,6 +768,65 @@ def test_squared_top_tail_length(monkeypatch, n, spectra):
     for i, (mu, lead) in enumerate(zip(spectra, leads)):
         assert np.linalg.norm(_fix_phase(x[i:i + 1])[0] - _fix_phase(lead[None])[0]) <= 1e-13
         assert eig[i] == pytest.approx(mu[0] * trace[i], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# single-matrix squaring
+# ---------------------------------------------------------------------------
+
+
+def _signed_permutation(rng, n):
+    """A unitary that is exact in floating point: a permutation matrix with
+    entries from {1, 1j, -1, -1j}."""
+    q = np.zeros((n, n), dtype=complex)
+    q[rng.permutation(n), np.arange(n)] = 1j ** rng.integers(0, 4, n)
+    return q
+
+
+def _psd_cases(rng, n):
+    """(name, Hermitian PSD Gram) pairs of size n, from exact rank one
+    through shrinking leading gaps to exact ties (Grams exact in floating
+    point, so the tie survives every squaring)."""
+    v = crandn(rng, n)
+    cases = [("rank-one", np.outer(v, v.conj()))]
+    for gap in (0.5, 1e-2, 1e-6):
+        mu = np.concatenate([[1.0, 1.0 - gap], rng.uniform(0.0, 1.0 - gap, n - 2)])
+        q = _unitary_columns(rng, n, n)
+        gram = rng.uniform(1, 8) * (q * mu) @ q.conj().T
+        cases.append(("gap-%g" % gap, 0.5 * (gram + gram.conj().T)))
+    for lead in sorted({2, n}):
+        mu = np.concatenate([np.ones(lead), rng.uniform(0.0, 0.9, n - lead)])
+        q = _signed_permutation(rng, n)
+        cases.append(("tie-%d" % lead, 4.0 * (q * mu) @ q.conj().T))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_psd_top_is_the_single_matrix_squared_top(monkeypatch, n):
+    # the twin certifies where the stacked kernel does and then returns
+    # its vector up to a phase; elsewhere it falls back to eigh's bits
+    rng = np.random.default_rng(60 + n)
+    decisions = set()
+    for name, gram in _psd_cases(rng, n):
+        trace = gram.trace().real
+        x, eig, certified = _squared_top(gram[None], np.array([trace]))
+        eigh = _RecordingEigh()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh)
+            v, lam = psd_top(gram, trace)
+        assert len(eigh.calls) == (0 if certified[0] else 1), name
+        decisions.add(bool(certified[0]))
+        if certified[0]:
+            overlap = np.vdot(v, x[0])
+            assert np.linalg.norm(v * (overlap / abs(overlap)) - x[0]) <= 1e-14, name
+            assert abs(lam - eig[0]) <= 1e-14 * eig[0], name
+        else:
+            v_ref, lam_ref = eigh_top(gram[None])
+            np.testing.assert_array_equal(v, v_ref[0])
+            assert lam == lam_ref[0]
+        if name.startswith("tie"):
+            assert not certified[0], name
+    assert decisions == {True, False}
 
 
 # ---------------------------------------------------------------------------
