@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensors import khatri_rao, kron
+from .tensors import kron
 
 __all__ = [
     "AZIMUTH_RANGE_DEG",
@@ -136,7 +136,8 @@ class ChannelRealization:
     cascade (n_bs*n_ue x n_ris): column-wise Kronecker product of the
         transposed first hop with the second hop; the quantity the pilot
         stage ultimately estimates.  Column n collects what user antennas
-        see of base-station antennas via surface element n alone.
+        see of base-station antennas via surface element n alone; it is
+        stored column-major, the layout of every estimate of it.
     surface_y/surface_z: element-wise products of the surface arrival and
         departure responses; kron(surface_y, surface_z) collects the
         per-element cascaded phases that a phase-profile vector multiplies.
@@ -161,9 +162,11 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
     Per axis, the first hop is the outer product of the surface arrival
     response with the base-station response, and the second hop the outer
     product of the user response with the surface departure response; the
-    full matrices are Kronecker products of their two axis factors, and
-    the cascade is the column-wise Kronecker product of the transposed
-    first hop with the second hop.
+    full matrices are Kronecker products of their two axis factors.  The
+    cascade, the column-wise Kronecker product of the transposed first hop
+    with the second hop, is rank one: the outer product of
+    kron(kron(bs_y, bs_z), kron(ue_y, ue_z)) with kron(surface_y,
+    surface_z), and it is built as that product.
     """
     bs_fy, bs_fz = params.bs_freqs
     arr_fy, arr_fz = params.ris_arr_freqs
@@ -183,9 +186,11 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
     bs_ris_z = np.outer(ris_arr_z, bs_z)
     ris_ue_y = np.outer(ue_y, ris_dep_y)
     ris_ue_z = np.outer(ue_z, ris_dep_z)
-    bs_ris = kron(bs_ris_y, bs_ris_z)
-    ris_ue = kron(ris_ue_y, ris_ue_z)
-    cascade = khatri_rao(bs_ris.T, ris_ue)
+    surface_y = ris_arr_y * ris_dep_y
+    surface_z = ris_arr_z * ris_dep_z
+    cascade = np.multiply.outer(
+        kron(surface_y, surface_z), kron(kron(bs_y, bs_z), kron(ue_y, ue_z))
+    ).T
 
     return ChannelRealization(
         dims=dims,
@@ -194,10 +199,10 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
         bs_z=bs_z,
         ue_y=ue_y,
         ue_z=ue_z,
-        surface_y=ris_arr_y * ris_dep_y,
-        surface_z=ris_arr_z * ris_dep_z,
-        bs_ris=bs_ris,
-        ris_ue=ris_ue,
+        surface_y=surface_y,
+        surface_z=surface_z,
+        bs_ris=kron(bs_ris_y, bs_ris_z),
+        ris_ue=kron(ris_ue_y, ris_ue_z),
         cascade=cascade,
     )
 

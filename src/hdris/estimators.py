@@ -1,14 +1,18 @@
 """Pilot simulation, matched filtering and the three channel estimators.
 
-The pilot stage yields an (n_ue x n_pilots x n_blocks) observation block.
-Matched filtering against the two row-orthonormal training factors
-compresses it into the (n_bs*n_ue x n_ris) cascade matrix, whose
-noiseless value is the column-wise Kronecker product of the transposed
-first hop with the second hop.  Because both hops are rank one per axis,
-one reshape and transpose of the cascade's entries arranges them into a
-sixth-order tensor that is exactly a rank-one outer product of the six
-steering-related vectors.  ``ESTIMATORS`` maps each method name to an
-:class:`Estimator` record for the estimator that consumes the cascade:
+The pilot stage yields an (n_ue x n_pilots x n_blocks) observation block
+(:func:`simulate_observation`, the pilot model).  Matched filtering
+against the two row-orthonormal training factors compresses it into the
+(n_bs*n_ue x n_ris) cascade matrix, whose noiseless value is the
+column-wise Kronecker product of the transposed first hop with the second
+hop.  The filter returns a noiseless block's cascade exactly, so the
+sweeps skip the block: :func:`filtered_observation` draws the same noise
+and filters only it, onto the true cascade.  Because both hops are rank
+one per axis, one reshape and transpose of the cascade's entries
+arranges them into a sixth-order tensor that is exactly a rank-one outer
+product of the six steering-related vectors.  ``ESTIMATORS`` maps each
+method name to an :class:`Estimator` record for the estimator that
+consumes the cascade:
 
 * ``hdr`` - rank-one truncated HOSVD of that sixth-order tensor (six
   small mode Grams, one stacked eigenproblem per Gram size, no
@@ -40,6 +44,7 @@ __all__ = [
     "PermutationPlan",
     "EstimateSet",
     "simulate_observation",
+    "filtered_observation",
     "filter_macs",
     "matched_filter",
     "build_permutations",
@@ -54,14 +59,37 @@ def _block_product(a: np.ndarray, design: TrainingDesign, adjoint: bool) -> np.n
     """``a @ ris_phases`` (or ``a @ ris_phases^H`` when ``adjoint``) for a
     2-D ``a``.  When ``design.block_fft`` holds the profiles are the leading
     rows of the unitary n_blocks-point DFT, so the product is a zero-padded
-    FFT along the rows (the adjoint a truncated inverse FFT); every other
-    design takes the dense product."""
+    FFT along the rows (the adjoint a truncated inverse FFT, a view of
+    the row-major spectrum); every other design takes the dense product,
+    whose adjoint is formed transposed and so comes out column-major."""
     if design.block_fft:
         n_ris, n_blocks = design.ris_phases.shape
         if adjoint:
             return np.fft.ifft(a, axis=1, norm="ortho")[:, :n_ris]
         return np.fft.fft(a, n=n_blocks, axis=1, norm="ortho")
-    return a @ (design.ris_phases.conj().T if adjoint else design.ris_phases)
+    if adjoint:
+        return (design.ris_phases.conj() @ a.T).T
+    return a @ design.ris_phases
+
+
+def _check_pilot_inputs(ch: ChannelRealization, design: TrainingDesign, noise_var: float) -> None:
+    """Reject a noise variance outside [0, inf) and a design for another surface."""
+    if not 0 <= noise_var < math.inf:
+        raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
+    dims = ch.dims
+    # the FFT route would zero-pad a surface mismatch instead of failing
+    if design.ris_phases.shape != (dims.n_ris, dims.n_blocks):
+        raise ValueError(
+            "surface profiles are %d x %d but the channel has n_ris=%d, n_blocks=%d"
+            % (design.ris_phases.shape + (dims.n_ris, dims.n_blocks))
+        )
+
+
+def _standard_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """The pilot noise draw: a (2, *shape) array of standard normals from
+    one call, the real block then the imaginary block, so the stream is
+    read exactly as by two successive draws of ``shape``."""
+    return rng.standard_normal((2,) + shape)
 
 
 def simulate_observation(
@@ -72,7 +100,8 @@ def simulate_observation(
     seed: int | None = None,
 ) -> np.ndarray:
     """Simulate the (n_ue, n_pilots, n_blocks) received pilot block for
-    one channel realization.
+    one channel realization: the pilot model of the package and the
+    reference the sweeps' :func:`filtered_observation` is tested against.
 
     Block k receives ris_ue @ diag(ris_phases[:, k]) @ bs_ris @ bs_pilots
     plus circular complex Gaussian noise of variance ``noise_var`` per
@@ -81,17 +110,11 @@ def simulate_observation(
     read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases.  That
     product is a zero-padded FFT over the rows when ``design.block_fft``
     holds and a dense product otherwise.  The noise is added in place,
-    real parts first, from two full-size normal draws.
+    real parts first, from one draw of a real and an imaginary block
+    (:func:`_standard_noise`).
     """
-    if not 0 <= noise_var < math.inf:
-        raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
+    _check_pilot_inputs(ch, design, noise_var)
     dims = ch.dims
-    # the FFT route would zero-pad a surface mismatch instead of failing
-    if design.ris_phases.shape != (dims.n_ris, dims.n_blocks):
-        raise ValueError(
-            "surface profiles are %d x %d but the channel has n_ris=%d, n_blocks=%d"
-            % (design.ris_phases.shape + (dims.n_ris, dims.n_blocks))
-        )
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -105,9 +128,51 @@ def simulate_observation(
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
-        x.real += scale * rng.standard_normal(x.shape)
-        x.imag += scale * rng.standard_normal(x.shape)
+        re, im = _standard_noise(rng, x.shape)
+        x.real += scale * re
+        x.imag += scale * im
     return x
+
+
+def filtered_observation(
+    ch: ChannelRealization,
+    design: TrainingDesign,
+    noise_var: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The matched filter's output for one pilot block, without forming
+    the block: ``ch.cascade`` plus the matched-filtered noise.
+
+    With both training factors row-orthonormal (the design contract,
+    which ``matched_filter(..., check=False)`` assumes too) the filter
+    returns a noiseless block's cascade exactly, so by linearity this
+    equals ``matched_filter(simulate_observation(ch, design, noise_var,
+    rng=rng), design, check=False)`` up to rounding.  The noise is drawn
+    from ``rng`` as there (:func:`_standard_noise`), leaving the stream
+    at the same position, and no draw is made when ``noise_var`` is 0.
+    It is written pilot-major, so the filter's pilot mode is one product,
+    which also applies the noise scale, and the true cascade is added to
+    the result in the column-major layout :func:`matched_filter` returns.
+    """
+    _check_pilot_inputs(ch, design, noise_var)
+    if noise_var == 0:
+        return np.array(ch.cascade)
+    dims = ch.dims
+    re, im = _standard_noise(rng, (dims.n_ue, dims.n_pilots, dims.n_blocks))
+    noise = np.empty((dims.n_pilots, dims.n_ue, dims.n_blocks), dtype=np.complex128)
+    noise.real = re.transpose(1, 0, 2)
+    noise.imag = im.transpose(1, 0, 2)
+    # each full-size block is dropped once the next is formed
+    del re, im
+    per_bs = _pilot_product(np.sqrt(noise_var / 2.0) * design.bs_pilots.conj(), noise)
+    del noise
+    filtered = _block_product(per_bs, design, adjoint=True)
+    del per_bs
+    # a column-major copy, then an in-place add: faster than one add
+    # that writes column-major from the row-major spectrum
+    out = np.asfortranarray(filtered)
+    out += ch.cascade
+    return out
 
 
 def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) -> int:
@@ -116,6 +181,16 @@ def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) 
     FFT (``TrainingDesign.block_fft``) spends fewer, so for it this is an
     upper bound."""
     return n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris
+
+
+def _pilot_product(pilots_h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The filter's pilot mode on a pilot-major (n_pilots, n_ue, n_blocks)
+    block: one product of the (n_bs x n_pilots) ``pilots_h`` (bs_pilots^H,
+    or a multiple of it) with the block read as n_pilots x n_ue*n_blocks,
+    returned as the (n_bs*n_ue, n_blocks) matrix whose rows are already
+    the cascade's (m*n_ue + q)."""
+    n_pilots, _, n_blocks = x.shape
+    return (pilots_h @ x.reshape(n_pilots, -1)).reshape(-1, n_blocks)
 
 
 def matched_filter(
@@ -128,10 +203,12 @@ def matched_filter(
     The joint operator kron(ris_phases, bs_pilots) is applied as two mode
     products of the (n_ue, n_pilots, n_blocks) observation: the pilot
     mode against bs_pilots^H and the block mode against ris_phases^H
-    (:func:`filter_macs`).  The (n_ue, n_bs, n_ris)
-    result is read column-major as the cascade matrix, so row
-    (m*n_ue + q) of column n holds the product of first-hop entry (n, m)
-    with second-hop entry (q, n) in the noiseless case.
+    (:func:`filter_macs`).  The observation is read pilot-major, so the
+    first product is one 2-D product whose rows are already the cascade's
+    and the second yields the cascade matrix: row (m*n_ue + q) of column
+    n holds the product of first-hop entry (n, m) with second-hop entry
+    (q, n) in the noiseless case.  It is returned column-major, so each
+    column (one surface element's n_ue x n_bs matrix) is contiguous.
 
     Parameters
     ----------
@@ -140,13 +217,13 @@ def matched_filter(
         ``training.CONTRACT_TOL`` first (the design contract the filter
         relies on).  The check reads ``design.report``, so it validates
         each design once however often it is filtered against.  The
-        sweeps pass check=False: their DFT designs hold it by
-        construction.
+        sweeps rely on it unchecked: their DFT designs hold it by
+        construction (see :func:`filtered_observation`).
     """
     x = np.asarray(obs)
-    n_ue, n_pilots, n_blocks = x.shape
+    _, n_pilots, n_blocks = x.shape
     bs_pilots, ris_phases = design.bs_pilots, design.ris_phases
-    (n_bs, t_cols), (n_ris, k_cols) = bs_pilots.shape, ris_phases.shape
+    t_cols, k_cols = bs_pilots.shape[1], ris_phases.shape[1]
     if (t_cols, k_cols) != (n_pilots, n_blocks):
         raise ValueError(
             "training operator has %d columns but observation has %d"
@@ -159,9 +236,10 @@ def matched_filter(
                 "training operator rows are not orthonormal (residual %.3g)"
                 % residual
             )
-    per_bs = np.matmul(bs_pilots.conj(), x)             # n_ue x n_bs x n_blocks
-    per_ris = _block_product(per_bs.reshape(n_ue * n_bs, n_blocks), design, adjoint=True)
-    return per_ris.reshape(n_ue, n_bs, n_ris).reshape(n_ue * n_bs, n_ris, order="F")
+    per_bs = _pilot_product(bs_pilots.conj(), x.transpose(1, 0, 2))
+    filtered = _block_product(per_bs, design, adjoint=True)
+    del per_bs
+    return np.asfortranarray(filtered)
 
 
 # ------------------------------------------------------------ permutations #
@@ -266,7 +344,7 @@ def hdr_estimate(
     # (surface_y, surface_z), slowest digit first
     outer = np.multiply.outer
     row = outer(outer(bs_y, bs_z), outer(ue_y, ue_z)).reshape(-1)
-    cascade_hat = outer(factors.core * row, outer(surface_y, surface_z).reshape(-1))
+    cascade_hat = outer(outer(surface_y, surface_z).reshape(-1), factors.core * row).T
     return EstimateSet(
         method="hdr",
         cascade=cascade_hat,
@@ -296,9 +374,9 @@ def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     stack = cascade_obs.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
     u, _ = dominant_left_singular_vector(stack)               # n_ris x n_ue
     right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
-    approx = u[:, :, None] * right_h[:, None, :]              # n_ris x n_ue x n_bs
-    cascade_hat = approx.transpose(1, 2, 0).reshape(n_ue * n_bs, n_ris, order="F")
-    return EstimateSet(method="krf", cascade=cascade_hat)
+    # entry (n, m, q) is u[n, q] * right_h[n, m]: the column-major cascade
+    cascade_hat = (right_h[:, :, None] * u[:, None, :]).reshape(n_ris, n_bs * n_ue)
+    return EstimateSet(method="krf", cascade=cascade_hat.T)
 
 
 def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> EstimateSet:

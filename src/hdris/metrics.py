@@ -31,7 +31,8 @@ __all__ = [
 
 def _squared_norm(a: np.ndarray) -> float:
     """||a||_F^2 as one BLAS inner product."""
-    return float(np.vdot(a, a).real)
+    flat = a.ravel(order="K")       # a view of a row- or column-major array
+    return float(np.vdot(flat, flat).real)
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:

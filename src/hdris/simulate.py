@@ -27,7 +27,7 @@ import signal
 import numpy as np
 
 from .channel import ChannelParams, SystemDims, build_channels, sample_params
-from .estimators import ESTIMATORS, filter_macs, matched_filter, simulate_observation
+from .estimators import ESTIMATORS, filter_macs, filtered_observation
 from .metrics import (
     flops_analytic,
     ideal_spectral_efficiency,
@@ -238,15 +238,15 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
 
 
 def _run_point(cfg, design, pinned, methods, snr_idx, trial, want_se):
-    """Every requested estimator scored on one shared observation: its
-    beamformed rate when ``want_se``, else its NMSE.  The channel is
-    ``pinned`` when the sweep built it once, else drawn from the trial's
-    stream."""
+    """Every requested estimator scored on one shared matched-filter
+    output (:func:`filtered_observation`, the filtered pilot block
+    without the block): its beamformed rate when ``want_se``, else its
+    NMSE.  The channel is ``pinned`` when the sweep built it once, else
+    drawn from the trial's stream."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     ch = pinned if pinned is not None else build_channels(cfg.dims, sample_params(rng))
-    obs = simulate_observation(ch, design, noise_var, rng=rng)
-    cascade_obs = matched_filter(obs, design, check=False)
+    cascade_obs = filtered_observation(ch, design, noise_var, rng)
 
     out = {}
     for method in methods:

@@ -154,11 +154,19 @@ _MAX_SQUARINGS = 16
 # sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of A's
 # eigenvalue mass lies off the leading eigenvector.
 _CERTIFICATE_TOL = 1e-14
+# _squared_top keeps each member's scale within 2^-40..2^40 of trace one:
+# a square's entries then stay below n 2^80, and 16 tail products within
+# 2^+-700 of the column they start from.
+_SCALE_EXP = 40
 # hosvd_rank1 forms the Gram of a mode with more than one entry before it
 # and at most this many after it by one GEMM over its rows: with so short
 # a trailing axis, a batched product pays more per slice than the
 # transposed copies cost.
 _GRAM_COPY_MAX_TRAIL = 16
+# Entries of one slab of those copied rows (256 KiB of each copy): the
+# copies stay a quarter of a 16 x 16 surface's tensor, and a slab of the
+# reference dims' tensor is all of it.
+_GRAM_SLAB = 1 << 14
 
 
 def eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +220,21 @@ def _squared_top(
     """Leading eigenpair of each Gram of a stack by repeated squaring with
     a matrix-vector tail.
 
-    A = G / tr(G) is squared in two alternating buffers, A <- A^2 /
-    tr(A^2), until every member meets the certificate 1 - ||A||_F^2 <=
-    _CERTIFICATE_TOL, or until the worst member's eps = 1 - ||A||_F^2
-    fixes a tail power p (:func:`_tail_power`), or _MAX_SQUARINGS is
-    reached.  The vector is A's largest-diagonal column c, multiplied by A
-    another p - 1 times (p = 1 for a certified A): the column c of A^p,
-    whose normalised form meets the certificate for every member.  That
-    costs n^2 per product instead of n^3 per squaring.
+    A = G / tr(G) is squared, A <- A^2 / tr(A^2), until every member
+    meets the certificate 1 - ||A||_F^2 <= _CERTIFICATE_TOL, or until the
+    worst member's eps = 1 - ||A||_F^2 fixes a tail power p
+    (:func:`_tail_power`), or _MAX_SQUARINGS is reached.  The vector is
+    A's largest-diagonal column c, multiplied by A another p - 1 times
+    (p = 1 for a certified A): the column c of A^p, whose normalised form
+    meets the certificate for every member.  That costs n^2 per product
+    instead of n^3 per squaring.
+
+    A is held as scale * a, with one scale per member: the first squaring
+    reads G itself (scale 1 / tr G), tr(A^2) = ||A||_F^2 gives the next
+    scale, and ||A||_F^2 is read as scale^2 ||a||_F^2.  So no pass over
+    the stack normalises it, unless a scale has left [2^-40, 2^40] when
+    the mass is read; that bounds every entry of a square and every tail
+    product.  The caller's Gram is never written.
 
     Column rule: the tail starts only once s <= 1/(4n).  Then 1 - mu_1 <=
     s, A's largest diagonal is at least mu_1 / n, and the leading
@@ -233,12 +248,16 @@ def _squared_top(
     members are meaningless.  The vector's Rayleigh quotient on the Gram is
     the eigenvalue.
     """
-    a = gram * (1.0 / trace)[:, None, None]
-    spare = np.empty_like(a)
+    a, scale = gram, 1.0 / trace
+    spare = None                # a free buffer for the next square, once one exists
     power = 0                   # tail power once fixed, else 0: no products
     for step in range(_MAX_SQUARINGS + 1):
+        if scale.min() < 2.0 ** -_SCALE_EXP or scale.max() > 2.0 ** _SCALE_EXP:
+            factor = scale[:, None, None]
+            a = a * factor if a is gram else np.multiply(a, factor, out=a)
+            scale = np.ones_like(scale)
         flat = a.reshape(len(a), -1).view(np.float64)
-        mass = np.einsum("bi,bi->b", flat, flat)        # ||A||_F^2 = tr(A^2)
+        mass = np.einsum("bi,bi->b", flat, flat) * (scale * scale)   # ||A||_F^2 = tr(A^2)
         certified = 1.0 - mass <= _CERTIFICATE_TOL
         if step == _MAX_SQUARINGS or certified.all():
             break
@@ -246,9 +265,9 @@ def _squared_top(
         if power:
             certified[:] = True
             break
-        np.matmul(a, a, out=spare)
-        spare *= (1.0 / mass)[:, None, None]
-        a, spare = spare, a
+        squared = np.matmul(a, a, out=spare)
+        spare = None if a is gram else a
+        a, scale = squared, scale * scale / mass
     pick = np.arange(len(a))
     col = np.argmax(np.diagonal(a, axis1=1, axis2=2).real, axis=1)
     x = a[pick, :, col][:, :, None]
@@ -425,13 +444,14 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H, formed
     by one of two routes that depend on the shape only:
 
-    * b <= 16 with a > 1: one GEMM of the mode's d rows of length a * b
+    * b <= 16 with a > 1: GEMMs of the mode's d rows of length a * b
       with the conjugate rows, since a batch of many small slices pays
       more per-slice overhead than copying the rows costs.  For b == 1
-      the rows of the tensor and of its conjugate are views; otherwise
-      each is a transposed C-order copy, two temporaries the size of the
-      tensor (2 x 64 KiB at the reference dims, 2 x 1 MiB at the 16 x 16
-      surface);
+      the rows of the tensor and of its conjugate are views, and one
+      GEMM takes them whole; otherwise both are copied one slab of the
+      a axis at a time, at most _GRAM_SLAB entries each or a single
+      index of that axis (the whole tensor at the reference dims, a
+      quarter of it at the 16 x 16 surface), with one GEMM per slab;
     * otherwise a batched product summed over a (a single product for the
       first mode).
 
@@ -462,11 +482,16 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
             vectors[n] = dominant_left_singular_vector(unfold(data, n + 1))[0]
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
-            if lead > 1 and x3.shape[2] <= _GRAM_COPY_MAX_TRAIL:
-                # the (d, a*b) rows (views when b == 1), then one GEMM
-                rows = x3.transpose(1, 0, 2).reshape(d, -1)
-                rows_c = c3.transpose(1, 0, 2).reshape(d, -1)
-                gram = np.matmul(rows, rows_c.T)
+            trail = x3.shape[2]
+            if lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL:
+                # the (d, a*b) rows, views when b == 1 and otherwise copied
+                # a slab of the leading axis at a time, one GEMM per slab
+                step = lead if trail == 1 else max(1, _GRAM_SLAB // (d * trail))
+                gram = sum(
+                    np.matmul(x3[i:i + step].transpose(1, 0, 2).reshape(d, -1),
+                              c3[i:i + step].transpose(1, 0, 2).reshape(d, -1).T)
+                    for i in range(0, lead, step)
+                )
             else:
                 gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
             by_size.setdefault(d, []).append((n, gram))

@@ -79,10 +79,14 @@ class TrainingDesign:
         )
 
 
+@functools.cache
 def _dft_rows(rows: int, points: int) -> np.ndarray:
-    """First ``rows`` rows of the unitary ``points``-point DFT matrix."""
+    """First ``rows`` rows of the unitary ``points``-point DFT matrix, built
+    once per process and shared read-only (a design stores its own copy)."""
     grid = np.outer(np.arange(rows), np.arange(points))
-    return np.exp(-2j * np.pi * grid / points) / np.sqrt(points)
+    block = np.exp(-2j * np.pi * grid / points) / np.sqrt(points)
+    block.setflags(write=False)
+    return block
 
 
 def check_feasible(dims: SystemDims) -> None:

@@ -288,7 +288,7 @@ def test_se_sweep_ideal_only_runs_no_trial(monkeypatch):
     def no_trial(*args, **kwargs):
         raise AssertionError("an ideal-only se sweep ran a trial")
 
-    for name in ("_run_point", "make_training", "simulate_observation"):
+    for name in ("_run_point", "make_training", "filtered_observation"):
         monkeypatch.setattr(simulate, name, no_trial)
     cfg = _small_cfg(methods=("ideal",), n_trials=5)
     rows = run_se_sweep(cfg)

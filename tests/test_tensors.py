@@ -9,6 +9,7 @@ import pytest
 from hdris.tensors import (
     _CERTIFICATE_TOL,
     _GRAM_COPY_MAX_TRAIL,
+    _GRAM_SLAB,
     ComplexTensor,
     RankOneFactors,
     _fix_phase,
@@ -999,8 +1000,9 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
 )
 def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
     # a mode with b <= 16 trailing and a > 1 leading entries forms its
-    # Gram by one GEMM over its rows, every other mode by the batched
-    # product
+    # Gram by GEMMs over its rows: one on views when b == 1, else one per
+    # slab of the leading axis, each slab's copy at most _GRAM_SLAB entries
+    # (or one leading index); every other mode by the batched product
     data = crandn(np.random.default_rng(53), *shape)
     calls = []
     matmul = np.matmul
@@ -1012,22 +1014,28 @@ def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
     monkeypatch.setattr(np, "matmul", recording)
     hosvd_rank1(data)
     monkeypatch.undo()
-    routes, lead = {}, 1
+    pos, lead = 0, 1
     for mode, d in enumerate(shape, start=1):
         x3 = data.reshape(lead, d, -1)
         trail = x3.shape[2]
-        rows = x3.transpose(1, 0, 2).reshape(d, -1)
-        took = [
-            "copy" if call.ndim == 2 else "batched"
-            for call in calls
-            if (call.ndim == 2 and np.array_equal(call, rows))
-            or (call.ndim == 3 and call.shape == x3.shape and np.array_equal(call, x3))
-        ]
-        assert took == ["copy" if mode in copied else "batched"]
         assert (mode in copied) == (lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL)
-        routes[mode] = took
+        if mode in copied:
+            rows = x3.transpose(1, 0, 2).reshape(d, -1)
+            slabs = []
+            while sum(slab.shape[1] for slab in slabs) < rows.shape[1]:
+                assert calls[pos].ndim == 2
+                slabs.append(calls[pos])
+                pos += 1
+            np.testing.assert_array_equal(np.hstack(slabs), rows)
+            if trail == 1:
+                assert len(slabs) == 1
+            else:
+                assert all(slab.size <= max(_GRAM_SLAB, d * trail) for slab in slabs)
+        else:
+            assert calls[pos].ndim == 3 and np.array_equal(calls[pos], x3)
+            pos += 1
         lead *= d
-    assert len(calls) == sum(len(took) for took in routes.values())
+    assert pos == len(calls)
 
 
 def test_hosvd_rank1_charges_flops():

@@ -180,6 +180,21 @@ def test_block_fft_is_computed_once_per_design(monkeypatch):
     assert not small.block_fft and len(built) == 2
 
 
+def test_dft_block_is_built_once_per_process():
+    # repeated calls share one read-only block, and a design keeps its own
+    # writable-at-birth copy, so the shared block cannot be changed through it
+    block = training._dft_rows(16, 64)
+    assert training._dft_rows(16, 64) is block
+    assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0.0
+    grid = np.outer(np.arange(16), np.arange(64))
+    np.testing.assert_array_equal(block, np.exp(-2j * np.pi * grid / 64) / np.sqrt(64))
+    design = make_training(_dims(n_blocks=64))
+    assert design.ris_phases is not block and not np.shares_memory(design.ris_phases, block)
+    np.testing.assert_array_equal(design.ris_phases, block)
+
+
 def test_training_is_deterministic():
     d1 = make_training(SMALL_DIMS)
     d2 = make_training(SMALL_DIMS)
