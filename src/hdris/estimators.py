@@ -365,14 +365,15 @@ def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     second-hop column n with first-hop row n in the noiseless case; its
     best rank-one approximation u u^H M_n is extracted and re-vectorized.
     The n_ris columns are fitted as one (n_ris, n_ue, n_bs) stack: one
-    stacked Gram and eigendecomposition, then broadcast products.  No
+    stacked Gram, its leading eigenvectors by :func:`tensors.psd_top`,
+    then broadcast products.  No
     structure is shared across columns, so the per-axis link vectors are
     not identified.
     """
     cascade_obs = _checked_cascade(cascade_obs, dims)
     n_ue, n_bs, n_ris = dims.n_ue, dims.n_bs, dims.n_ris
     stack = cascade_obs.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
-    u, _ = dominant_left_singular_vector(stack)               # n_ris x n_ue
+    u = dominant_left_singular_vector(stack)                  # n_ris x n_ue
     right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
     # entry (n, m, q) is u[n, q] * right_h[n, m]: the column-major cascade
     cascade_hat = (right_h[:, :, None] * u[:, None, :]).reshape(n_ris, n_bs * n_ue)

@@ -54,7 +54,7 @@ def _top_direction(m: np.ndarray, what: str) -> np.ndarray:
     trace = gram.trace().real
     if not trace > 0:
         raise ValueError("estimate is rank deficient; cannot %s" % what)
-    return psd_top(gram, trace)[0]
+    return psd_top(gram, trace)
 
 
 def _effective_surface_vector(est: EstimateSet) -> np.ndarray:
@@ -118,9 +118,8 @@ def spectral_efficiency(
       (:func:`_beams`): the surface from surface_y/surface_z,
       w = kron(ue_y, ue_z) and f = conj(kron(bs_y, bs_z)).
     * ``krf``/``ls`` take the leading eigenvector of one Hermitian Gram
-      per direction by certified squaring (:func:`tensors.psd_top`, which
-      falls back to ``eigh`` only on a tie it cannot certify): the surface
-      from the n_ris x n_ris Gram of the cascade, then one beam from the
+      per direction from :func:`tensors.psd_top`: the surface from the
+      n_ris x n_ris Gram of the cascade, then one beam from the
       min(n_ue, n_bs) Gram of H, the other beam being that beam projected
       through H and normalized.  At a 16x16 surface the squarings of the
       256 x 256 Gram dominate.

@@ -147,16 +147,10 @@ def vec(a) -> np.ndarray:
 
 # ------------------------------------------------------- rank-one routines #
 
-# A stack's trace-one Grams are squared at most this many times; a member
-# whose leading eigenvalue gap exceeds ~5e-4 (relative) certifies within it.
+# The squaring cap, certificate and scale bound of :func:`psd_top`, whose
+# docstring states what each one buys.
 _MAX_SQUARINGS = 16
-# Certificate on 1 - ||A||_F^2 for a trace-one Hermitian PSD A: it equals
-# sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of A's
-# eigenvalue mass lies off the leading eigenvector.
 _CERTIFICATE_TOL = 1e-14
-# _squared_top keeps each member's scale within 2^-40..2^40 of trace one:
-# a square's entries then stay below n 2^80, and 16 tail products within
-# 2^+-700 of the column they start from.
 _SCALE_EXP = 40
 # hosvd_rank1 forms the Gram of a mode with more than one entry before it
 # and at most this many after it by one GEMM over its rows: with so short
@@ -169,15 +163,12 @@ _GRAM_COPY_MAX_TRAIL = 16
 _GRAM_SLAB = 1 << 14
 
 
-def eigh_top(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenpair of each Hermitian matrix of a (B, n, n) stack by
+def eigh_top(gram: np.ndarray) -> np.ndarray:
+    """Leading eigenvector of each Hermitian matrix of a (B, n, n) stack by
     ``np.linalg.eigh``: the first eigenbasis column holding the largest
-    eigenvalue, and that eigenvalue.  Returns (B, n) vectors of unit norm
-    in eigh's own phase, and (B,) eigenvalues."""
+    eigenvalue.  Returns (B, n) vectors of unit norm in eigh's own phase."""
     w, basis = np.linalg.eigh(gram)
-    pick = np.arange(len(gram))
-    lead = np.argmax(w, axis=1)
-    return basis[pick, :, lead], w[pick, lead]
+    return basis[np.arange(len(gram)), :, np.argmax(w, axis=1)]
 
 
 def _fix_phase(u: np.ndarray) -> np.ndarray:
@@ -190,18 +181,10 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
 
 
 def _tail_power(eps: float, n: int) -> int:
-    """Power p of a trace-one n x n PSD A with 1 - ||A||_F^2 = eps whose
-    normalised A^p meets the certificate, or 0 when the tail may not start.
-
-    With s = (1 - sqrt(1 - 2 eps)) / 2, written without cancellation:
-    eps >= 2 mu_1 (1 - mu_1), and mu_1 >= ||A||_F^2 = 1 - eps > 1/2 when
-    eps < 1/2 picks the root 1 - mu_1 <= s.  The other eigenvalues then
-    sum to at most s, so 1 - ||A^p / tr A^p||_F^2 <= 2 (s / (1 - s))^p and p
-    is the smallest power that brings this to _CERTIFICATE_TOL.  No tail
-    when eps >= 1/2 (no bound) or when s > 1/(4n) (the column rule, see
-    :func:`_squared_top`).  The column rule also bounds p: s / (1 - s) <=
-    1 / (4n - 1), so p <= 17 at n = 2, 14 at n = 3 and 8 at n = 16.
-    """
+    """The tail power p of :func:`psd_top` for a trace-one n x n PSD A with
+    1 - ||A||_F^2 = eps: the smallest p with 2 (s / (1 - s))^p <=
+    _CERTIFICATE_TOL, or 0 when eps >= 1/2 or the column rule (s <= 1/(4n))
+    does not hold."""
     if not eps < 0.5:
         return 0
     s = eps / (1.0 + math.sqrt(1.0 - 2.0 * eps))
@@ -214,43 +197,75 @@ def _tail_power(eps: float, n: int) -> int:
     return power
 
 
-def _squared_top(
-    gram: np.ndarray, trace: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Leading eigenpair of each Gram of a stack by repeated squaring with
-    a matrix-vector tail.
+def psd_top(gram: np.ndarray, trace: float | np.ndarray) -> np.ndarray:
+    """Unit leading eigenvector, in an arbitrary phase, of a Hermitian PSD
+    n x n Gram of trace ``trace`` > 0, or of each Gram of a (B, n, n)
+    stack with (B,) traces.  The caller's Gram is never written.
 
-    A = G / tr(G) is squared, A <- A^2 / tr(A^2), until every member
-    meets the certificate 1 - ||A||_F^2 <= _CERTIFICATE_TOL, or until the
-    worst member's eps = 1 - ||A||_F^2 fixes a tail power p
-    (:func:`_tail_power`), or _MAX_SQUARINGS is reached.  The vector is
-    A's largest-diagonal column c, multiplied by A another p - 1 times
-    (p = 1 for a certified A): the column c of A^p, whose normalised form
-    meets the certificate for every member.  That costs n^2 per product
-    instead of n^3 per squaring.
+    Power method by repeated squaring (Golub & Van Loan, *Matrix
+    Computations*, 8.2).  A = G / tr(G) is squared, A <- A^2 / tr(A^2),
+    until it meets the certificate 1 - ||A||_F^2 <= 1e-14.  For a
+    trace-one PSD A with eigenvalues mu_i that quantity is
+    sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so at most ~5e-15 of
+    A's eigenvalue mass lies off the leading eigenvector.  The vector is
+    A's largest-diagonal column, normalised.
 
-    A is held as scale * a, with one scale per member: the first squaring
-    reads G itself (scale 1 / tr G), tr(A^2) = ||A||_F^2 gives the next
-    scale, and ||A||_F^2 is read as scale^2 ||a||_F^2.  So no pass over
-    the stack normalises it, unless a scale has left [2^-40, 2^40] when
-    the mass is read; that bounds every entry of a square and every tail
-    product.  The caller's Gram is never written.
+    Tail.  The last squarings give way to matrix-vector products.  For
+    eps = 1 - ||A||_F^2 < 1/2, s = (1 - sqrt(1 - 2 eps)) / 2 bounds
+    1 - mu_1 (mu_1 >= ||A||_F^2 > 1/2 picks that root of eps >= 2 mu_1
+    (1 - mu_1)), the other eigenvalues sum to at most s, and the
+    normalised A^p has 1 - ||.||_F^2 <= 2 (s / (1 - s))^p.  Once the
+    column rule holds, the column is multiplied by A another p - 1 times,
+    for the smallest p that brings this bound to 1e-14
+    (:func:`_tail_power`): the column of a matrix that meets the
+    certificate, at n^2 per product instead of n^3 per squaring.
 
-    Column rule: the tail starts only once s <= 1/(4n).  Then 1 - mu_1 <=
-    s, A's largest diagonal is at least mu_1 / n, and the leading
-    eigenvector's entry at c has squared modulus at least (3n - 1) /
-    (2n (2n - 1)), about 3/(4n), against the ~1/n a column of the
-    certified matrix is picked with; the vector's error bound (~5e-15
-    over that modulus) grows by at most sqrt(4/3) over a read-off after
-    full squaring.
+    Column rule: the tail starts only once s <= 1/(4n).  Then A's largest
+    diagonal is at least mu_1 / n, and the leading eigenvector's entry at
+    that column has squared modulus at least (3n - 1) / (2n (2n - 1)),
+    about 3/(4n), against the ~1/n a column of the certified matrix is
+    picked with; the vector's error bound (~5e-15 over that modulus)
+    grows by at most sqrt(4/3) over a read-off after full squaring.  The
+    rule also bounds p: s / (1 - s) <= 1 / (4n - 1), so p <= 17 at n = 2,
+    14 at n = 3 and 8 at n = 16.
 
-    Returns (vectors, eigenvalues, certified mask); entries of uncertified
-    members are meaningless.  The vector's Rayleigh quotient on the Gram is
-    the eigenvalue.
+    A Gram still uncertified after _MAX_SQUARINGS = 16 squarings (an
+    exact or near tie of its leading eigenvalue) falls back to
+    :func:`eigh_top` and gets its bits.  The route follows ``gram.ndim``:
+
+    * One Gram is normalised and squared by 2-D products: a stack of one
+      pays more per squaring in batch overhead than a 16 x 16 product
+      costs.
+    * A stack is squared as a whole until every member certifies or its
+      worst member's eps fixes the tail power.  It holds A as scale * a,
+      one scale per member: the first squaring reads G itself (scale
+      1 / tr G), tr(A^2) = ||A||_F^2 gives the next scale, and ||A||_F^2
+      is read as scale^2 ||a||_F^2.  No pass normalises the stack unless a
+      scale has left [2^-40, 2^40] when the mass is read; that keeps a
+      square's entries below n 2^80 and 16 tail products within 2^+-700
+      of the column they start from.  Its uncertified members fall back
+      in one stacked ``eigh``.
     """
+    power = 0                   # tail power once fixed, else 0: no products
+    if gram.ndim == 2:
+        a = gram * (1.0 / trace)
+        for step in range(_MAX_SQUARINGS + 1):
+            mass = np.vdot(a, a).real                   # ||A||_F^2 = tr(A^2)
+            if 1.0 - mass <= _CERTIFICATE_TOL:
+                break
+            if step == _MAX_SQUARINGS:
+                return eigh_top(gram[None])[0]
+            power = _tail_power(1.0 - mass, len(a))
+            if power:
+                break
+            a = a @ a
+            a *= 1.0 / mass
+        x = a[:, np.argmax(a.diagonal().real)]
+        for _ in range(power - 1):
+            x = a @ x
+        return x / math.sqrt(np.vdot(x, x).real)
     a, scale = gram, 1.0 / trace
     spare = None                # a free buffer for the next square, once one exists
-    power = 0                   # tail power once fixed, else 0: no products
     for step in range(_MAX_SQUARINGS + 1):
         if scale.min() < 2.0 ** -_SCALE_EXP or scale.max() > 2.0 ** _SCALE_EXP:
             factor = scale[:, None, None]
@@ -277,70 +292,20 @@ def _squared_top(
         x, y = y, x
     x = x[:, :, 0]
     x /= np.linalg.norm(x, axis=1)[:, None]
-    eig = np.einsum("bi,bi->b", x.conj(), (gram @ x[:, :, None])[:, :, 0]).real
-    return x, eig, certified
+    if not certified.all():
+        x[~certified] = eigh_top(gram[~certified])
+    return x
 
 
-def psd_top(gram: np.ndarray, trace: float) -> tuple[np.ndarray, float]:
-    """Leading eigenpair of one Hermitian PSD n x n Gram of trace ``trace``
-    > 0: the single-matrix twin of :func:`_squared_top`.
+def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
+    """Dominant left singular vector of a complex matrix, or of every
+    matrix in a stack.
 
-    The same certificate, tail rule and squaring cap, on 2-D products: a
-    stack of one pays more per squaring in batch overhead than a 16 x 16
-    product costs.  A Gram still uncertified after _MAX_SQUARINGS
-    squarings (an exact or near tie of its leading eigenvalue) falls back
-    to :func:`eigh_top` and gets its bits.  Returns a unit vector, in an
-    arbitrary phase, and its Rayleigh quotient on the Gram.
-    """
-    a = gram * (1.0 / trace)
-    power = 0                   # tail power once fixed, else 0: no products
-    for step in range(_MAX_SQUARINGS + 1):
-        mass = np.vdot(a, a).real                       # ||A||_F^2 = tr(A^2)
-        if 1.0 - mass <= _CERTIFICATE_TOL:
-            break
-        if step == _MAX_SQUARINGS:
-            v, lam = eigh_top(gram[None])
-            return v[0], float(lam[0])
-        power = _tail_power(1.0 - mass, len(a))
-        if power:
-            break
-        a = a @ a
-        a *= 1.0 / mass
-    x = a[:, np.argmax(a.diagonal().real)]
-    for _ in range(power - 1):
-        x = a @ x
-    x = x / math.sqrt(np.vdot(x, x).real)
-    return x, float(np.vdot(x, gram @ x).real)
-
-
-def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Dominant left singular vector and singular value of a complex matrix,
-    or of every matrix in a stack.
-
-    Works on the smaller of the two Gram matrices instead of a full SVD.
-    A single matrix (or a stack of one) decomposes its Gram with
-    ``np.linalg.eigh``.  A stack of B > 1 forms all its Grams in one
-    product and finds their leading eigenvectors by repeated squaring
-    (power method, Golub & Van Loan, *Matrix Computations*, 8.2): each
-    trace-one Gram A is squared, A <- A^2 / tr(A^2), until it certifies by
-    1 - ||A||_F^2 <= 1e-14.  For a trace-one PSD A with eigenvalues mu_i
-    that quantity is sum_{i != j} mu_i mu_j >= 2 mu_1 (1 - mu_1), so a
-    certified A holds at most ~5e-15 of its eigenvalue mass off the
-    leading eigenvector.  The vector is read off A's largest-diagonal
-    column and the eigenvalue is its Rayleigh quotient on the Gram.
-
-    The last squarings give way to a matrix-vector tail.  For the worst
-    member's eps = 1 - ||A||_F^2 < 1/2, s = (1 - sqrt(1 - 2 eps)) / 2
-    bounds 1 - mu_1, and the normalised A^p has 1 - ||.||_F^2 <= 2 (s /
-    (1 - s))^p.  Once s <= 1/(4n) (the column rule, which keeps the read
-    column's overlap with the leading eigenvector near a certified
-    read's), the smallest p for which that bound reaches 1e-14 is at most
-    17 (8 for n = 16), and the column is multiplied by A another p - 1
-    times instead of squaring on: the
-    column of a matrix that meets the certificate, at n^2 per product
-    instead of n^3 (:func:`_squared_top`).  Members still uncertified
-    after 16 squarings (exact or near ties of the leading singular value)
-    fall back to ``np.linalg.eigh`` and get its bits.
+    Works on the smaller of the two Gram matrices instead of a full SVD:
+    all Grams are formed in one product and their leading eigenvectors
+    found by one :func:`psd_top` call, which states its certificate and
+    its ``eigh`` fallback for ties.  A tall matrix's vector is that
+    eigenvector projected through the matrix and normalised.
 
     Each returned vector has unit norm and its largest-modulus entry is
     made real and positive, which fixes the phase gauge deterministically.
@@ -349,7 +314,7 @@ def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np
     agree bit for bit.
 
     Its cost in complex MACs is :func:`gram_macs` per matrix; the
-    eigensolver, the squarings and the tail products are not counted.
+    squarings, the tail products and any fallback are not counted.
 
     Parameters
     ----------
@@ -358,7 +323,6 @@ def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np
     Returns
     -------
     u : ndarray, shape (r,) or (..., r)
-    sigma : float, or ndarray of shape (...) for a stack
 
     Raises
     ------
@@ -371,7 +335,6 @@ def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np
         raise ValueError("expected a matrix or a stack of matrices, got shape %s" % (m.shape,))
     rows, cols = m.shape[-2:]
     stack = m.reshape(-1, rows, cols)
-    batch = len(stack)
     stack_h = stack.conj().transpose(0, 2, 1)
     wide = rows <= cols
     gram = stack @ stack_h if wide else stack_h @ stack
@@ -380,24 +343,13 @@ def dominant_left_singular_vector(m: np.ndarray) -> tuple[np.ndarray, float | np
     # the trace of a Gram is positive unless its matrix is zero (or underflows)
     if not trace.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
-    if batch == 1:
-        top, sigma_sq = eigh_top(gram)
-    else:
-        top, sigma_sq, certified = _squared_top(gram, trace)
-        if not certified.all():
-            rest = ~certified
-            top[rest], sigma_sq[rest] = eigh_top(gram[rest])
-    if wide:
-        u = top
-        sigma = np.sqrt(sigma_sq)
-    else:
-        mv = (stack @ top[:, :, None])[:, :, 0]
-        sigma = np.linalg.norm(mv, axis=1)
-        u = mv / sigma[:, None]
-    u = _fix_phase(u)
-    if m.ndim == 2:
-        return u[0], float(sigma[0])
-    return u.reshape(m.shape[:-1]), sigma.reshape(m.shape[:-2])
+    if m.ndim == 2:             # one Gram takes psd_top's 2-D route
+        gram, trace = gram[0], trace[0]
+    u = psd_top(gram, trace).reshape(len(stack), -1)
+    if not wide:
+        u = (stack @ u[:, :, None])[:, :, 0]
+        u /= np.linalg.norm(u, axis=1)[:, None]
+    return _fix_phase(u).reshape(m.shape[:-1])
 
 
 def gram_macs(rows: int, cols: int) -> int:
@@ -479,7 +431,7 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     lead = 1                        # product of the extents before the mode
     for n, d in enumerate(data.shape):
         if d * d > size:
-            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1))[0]
+            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1))
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
             trail = x3.shape[2]
@@ -501,7 +453,7 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
         # a Gram's trace is the tensor's squared norm
         if not np.einsum("bii->b", grams).real.min() > 0.0:
             raise ValueError("rank-one fit of a zero tensor is undefined")
-        top = _fix_phase(eigh_top(grams)[0])
+        top = _fix_phase(eigh_top(grams))
         for (n, _), v in zip(members, top):
             vectors[n] = v
     cur = data_c.reshape(-1)

@@ -684,10 +684,9 @@ def test_krf_stack_members_match_eigh_oracle_across_snr(dims):
         obs = simulate_observation(ch, design, 10 ** (-snr_db / 10), rng=rng)
         raw = matched_filter(obs, design, check=False)
         stack = raw.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
-        u, sigma = dominant_left_singular_vector(stack)
-        u_ref, sigma_ref = dominant_pairs_oracle(stack)
+        u = dominant_left_singular_vector(stack)
+        u_ref, _ = dominant_pairs_oracle(stack)
         assert np.max(np.linalg.norm(u - u_ref, axis=1)) <= 1e-12
-        assert np.max(np.abs(sigma - sigma_ref) / sigma_ref) <= 1e-12
 
 
 def test_krf_rank_two_column_keeps_top_component():

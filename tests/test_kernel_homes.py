@@ -1,0 +1,74 @@
+"""Each leading-eigenvector kernel has one home in the package.
+
+``np.linalg.eigh`` is reached only from ``tensors.eigh_top``, and the
+tail power of the certified squaring only from ``tensors.psd_top``: a
+second squaring loop or a direct ``eigh`` elsewhere fails here, so the
+package keeps one certified kernel and one fallback.  The scan reads the
+source, by name, whatever module or alias the name is reached through.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hdris
+
+PACKAGE = Path(hdris.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+# name -> (module, function) of the one place that may use it
+HOMES = {"eigh": ("tensors", "eigh_top"), "_tail_power": ("tensors", "psd_top")}
+
+
+def _references(source: str, names) -> list:
+    """(enclosing function, name) of every use of one of ``names`` in
+    ``source``, as a bare name or an attribute; the function is dotted
+    when nested, and None at module or class level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if scope is None else scope + "." + child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in names:
+                found.append((scope, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((scope, child.attr))
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_eigen_kernels_stay_home(module):
+    source = (PACKAGE / (module + ".py")).read_text(encoding="utf-8")
+    for scope, name in _references(source, HOMES):
+        assert (module, scope) == HOMES[name], "%s used in %s.%s" % (name, module, scope)
+
+
+def test_eigen_kernels_are_used_at_home():
+    source = (PACKAGE / "tensors.py").read_text(encoding="utf-8")
+    assert set(_references(source, HOMES)) == {("eigh_top", "eigh"), ("psd_top", "_tail_power")}
+
+
+def test_reference_scan_reads_every_form():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy.linalg import eigh\n"
+        "top = np.linalg.eigh\n"
+        "def f(g):\n"
+        "    return la.eigh(g)\n"
+        "class K:\n"
+        "    def g(self, a):\n"
+        "        def inner():\n"
+        "            return _tail_power(a, 2)\n"
+        "        return eigh(a), (lambda b: tensors._tail_power(b, 3))\n"
+    )
+    assert _references(source, HOMES) == [
+        (None, "eigh"), ("f", "eigh"), ("g.inner", "_tail_power"),
+        ("g", "eigh"), ("g", "_tail_power"),
+    ]

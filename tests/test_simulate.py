@@ -611,7 +611,7 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
 
     def oracle(m):
         stacks.append(np.ndim(m) > 2)
-        return dominant_pairs_oracle(m)
+        return dominant_pairs_oracle(m)[0]
 
     for module in (hdris.estimators, hdris.tensors):
         monkeypatch.setattr(module, "dominant_left_singular_vector", oracle)

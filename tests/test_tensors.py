@@ -13,7 +13,6 @@ from hdris.tensors import (
     ComplexTensor,
     RankOneFactors,
     _fix_phase,
-    _squared_top,
     _tail_power,
     dominant_left_singular_vector,
     eigh_top,
@@ -31,6 +30,7 @@ from oracles import (
     MacCounter,
     counted_matmul,
     dominant_pair_oracle,
+    dominant_pairs_oracle,
     hosvd_rank1_oracle,
     identity_tensor,
     n_mode_product,
@@ -389,16 +389,14 @@ def test_reshape_preserves_vec():
 
 
 def test_dominant_singular_vector_diagonal():
-    u, sigma = dominant_left_singular_vector(np.diag([3.0, 1.0]).astype(complex))
-    assert np.isclose(sigma, 3.0)
+    u = dominant_left_singular_vector(np.diag([3.0, 1.0]).astype(complex))
     np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
 
 
 def test_dominant_singular_vector_rank_one():
     rng = np.random.default_rng(18)
     a, b = crandn(rng, 6), crandn(rng, 4)
-    u, sigma = dominant_left_singular_vector(np.outer(a, b.conj()))
-    assert np.isclose(sigma, np.linalg.norm(a) * np.linalg.norm(b), rtol=1e-10)
+    u = dominant_left_singular_vector(np.outer(a, b.conj()))
     assert np.isclose(abs(np.vdot(a / np.linalg.norm(a), u)), 1.0, atol=1e-10)
 
 
@@ -406,9 +404,8 @@ def test_dominant_singular_vector_rank_one():
 def test_dominant_singular_vector_matches_svd(shape):
     rng = np.random.default_rng(19)
     m = crandn(rng, *shape)
-    u, sigma = dominant_left_singular_vector(m)
-    u_ref, s_ref, _ = np.linalg.svd(m)
-    assert np.isclose(sigma, s_ref[0], rtol=1e-10)
+    u = dominant_left_singular_vector(m)
+    u_ref = np.linalg.svd(m)[0]
     assert np.isclose(abs(np.vdot(u_ref[:, 0], u)), 1.0, atol=1e-10)
     assert np.isclose(np.linalg.norm(u), 1.0, atol=1e-12)
 
@@ -416,12 +413,12 @@ def test_dominant_singular_vector_matches_svd(shape):
 def test_dominant_singular_vector_phase_convention():
     rng = np.random.default_rng(20)
     m = crandn(rng, 5, 3)
-    u, _ = dominant_left_singular_vector(m)
+    u = dominant_left_singular_vector(m)
     pivot = u[np.argmax(np.abs(u))]
     assert pivot.imag == pytest.approx(0.0, abs=1e-12)
     assert pivot.real > 0
     # a global phase on the input must not change the gauged output
-    u2, _ = dominant_left_singular_vector(np.exp(0.7j) * m)
+    u2 = dominant_left_singular_vector(np.exp(0.7j) * m)
     np.testing.assert_allclose(u, u2, atol=1e-10)
 
 
@@ -445,21 +442,19 @@ def test_dominant_singular_vector_counts_work():
 def test_dominant_singular_vector_stack_matches_loop(shape):
     rng = np.random.default_rng(31)
     m = crandn(rng, *shape)
-    u, sigma = dominant_left_singular_vector(m)
+    u = dominant_left_singular_vector(m)
     assert u.shape == shape[:-1]
-    assert sigma.shape == shape[:-2]
     oracle = MacCounter()
     for idx in np.ndindex(*shape[:-2]):
-        u_ref, s_ref = dominant_pair_oracle(m[idx], oracle)
+        u_ref, _ = dominant_pair_oracle(m[idx], oracle)
         assert np.linalg.norm(u[idx] - u_ref) <= 1e-12
-        assert abs(sigma[idx] - s_ref) <= 1e-12 * s_ref
         pivot = u[idx][np.argmax(np.abs(u[idx]))]
         assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
-    # a single matrix returns (vector, float); a stack costs its batch
-    # times one matrix's closed form
+    # a single matrix returns one vector; a stack costs its batch times
+    # one matrix's closed form
     first = (0,) * (len(shape) - 2)
-    u_one, s_one = dominant_left_singular_vector(m[first])
-    assert type(s_one) is float and s_one == pytest.approx(sigma[first], rel=1e-12)
+    u_one = dominant_left_singular_vector(m[first])
+    assert u_one.shape == shape[-2:-1]
     assert np.linalg.norm(u_one - u[first]) <= 1e-12
     batch = int(np.prod(shape[:-2]))
     assert oracle.macs == batch * gram_macs(*shape[-2:])
@@ -471,7 +466,7 @@ def test_dominant_singular_vector_stack_breaks_ties_like_loop():
     m = np.stack([np.eye(3), np.diag([2.0, 2.0, 1.0]), np.diag([1.0, 3.0, 3.0])])
     m = m.astype(complex)
     for stack in (m, m[:, :, :2]):            # wide (square) and tall
-        u, _ = dominant_left_singular_vector(stack)
+        u = dominant_left_singular_vector(stack)
         for i in range(len(stack)):
             np.testing.assert_array_equal(u[i], dominant_pair_oracle(stack[i])[0])
 
@@ -536,29 +531,33 @@ class _RecordingEigh:
 @pytest.mark.parametrize("orient", ["wide", "tall"])
 def test_dominant_singular_vector_certifies_or_falls_back(monkeypatch, scale, orient):
     # certified members match the per-matrix eigh oracle; only the exactly
-    # degenerate members reach eigh, and they get its bits
+    # degenerate members reach eigh, and they get its bits, whether they
+    # come in the stack or one matrix at a time
     stack, degenerate = _mixed_stack(np.random.default_rng(41))
     if orient == "tall":
         stack = stack.transpose(0, 2, 1)
     stack = stack * scale
+    refs = [dominant_pair_oracle(m)[0] for m in stack]
     eigh = _RecordingEigh()
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", eigh)
-        u, sigma = dominant_left_singular_vector(stack)
-    assert len(eigh.calls) == 1
+        u = dominant_left_singular_vector(stack)
+        singles = [dominant_left_singular_vector(m) for m in stack]
     fallback = stack[degenerate]
     fallback_h = fallback.conj().transpose(0, 2, 1)
     gram = fallback @ fallback_h if orient == "wide" else fallback_h @ fallback
+    assert len(eigh.calls) == 1 + len(degenerate)
     np.testing.assert_array_equal(eigh.calls[0], gram)
-    for i in range(len(stack)):
-        u_ref, s_ref = dominant_pair_oracle(stack[i])
-        if i in degenerate:
-            np.testing.assert_array_equal(u[i], u_ref)
-            assert sigma[i] == s_ref
-        else:
-            assert np.linalg.norm(u[i] - u_ref) <= 1e-12
-            assert abs(sigma[i] - s_ref) <= 1e-12 * s_ref
+    for call, one in zip(eigh.calls[1:], gram):
+        np.testing.assert_array_equal(call, one[None])
+    for i, u_ref in enumerate(refs):
+        for got in (u[i], singles[i]):
+            if i in degenerate:
+                np.testing.assert_array_equal(got, u_ref)
+            else:
+                assert np.linalg.norm(got - u_ref) <= 1e-12
     # a zero member anywhere still raises, before any eigendecomposition
+    calls = len(eigh.calls)
     for idx in (0, 3, len(stack) - 1):
         zeroed = stack.copy()
         zeroed[idx] = 0.0
@@ -566,34 +565,27 @@ def test_dominant_singular_vector_certifies_or_falls_back(monkeypatch, scale, or
             patch.setattr(np.linalg, "eigh", eigh)
             with pytest.raises(ValueError, match="zero matrix"):
                 dominant_left_singular_vector(zeroed)
-    assert len(eigh.calls) == 1
+    assert len(eigh.calls) == calls
 
 
 def test_dominant_singular_vector_eigh_sees_only_uncertified(monkeypatch):
-    # a well-separated stack never reaches eigh; a single matrix always
-    # does, and keeps its bits
+    # a well-separated stack never reaches eigh, and neither does a single
+    # well-separated matrix, whether 2-D, transposed or a stack of one
     rng = np.random.default_rng(42)
     stack = crandn(rng, 9, 5, 8)
+    cases = [stack, stack[0], stack[0].T, stack[:1]]
+    refs = [dominant_pairs_oracle(m)[0] for m in cases]
     eigh = _RecordingEigh()
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    u, sigma = dominant_left_singular_vector(stack)
+    for m, u_ref in zip(cases, refs):
+        u = dominant_left_singular_vector(m)
+        assert u.shape == u_ref.shape
+        assert np.max(np.linalg.norm(u - u_ref, axis=-1)) <= 1e-12
     assert eigh.calls == []
-    for i in range(len(stack)):
-        u_ref, s_ref = dominant_pair_oracle(stack[i])
-        assert np.linalg.norm(u[i] - u_ref) <= 1e-12
-        assert abs(sigma[i] - s_ref) <= 1e-12 * s_ref
-    calls = len(eigh.calls)
-    for m in (stack[0], stack[0].T, stack[:1]):
-        u_one, s_one = dominant_left_singular_vector(m)
-        u_ref, s_ref = dominant_pair_oracle(m.reshape(m.shape[-2:]))
-        np.testing.assert_array_equal(u_one.reshape(u_ref.shape), u_ref)
-        assert float(np.squeeze(s_one)) == s_ref
-        calls += 2              # the call under test, then the oracle's
-        assert len(eigh.calls) == calls
 
 
 # ---------------------------------------------------------------------------
-# matrix-vector tail of the stacked squaring
+# psd_top: the matrix-vector tail of the stacked squaring
 # ---------------------------------------------------------------------------
 
 
@@ -753,22 +745,23 @@ class _RecordingMatmul:
     ids=["at-once", "one-squaring", "near-tie", "n2-long-tail"],
 )
 def test_squared_top_tail_length(monkeypatch, n, spectra):
-    # the squarings stop, and the tail takes exactly p - 1 products, where
-    # the bound on the exact spectra says; no product precedes a squaring
+    # psd_top's stack route: the squarings stop, and the tail takes
+    # exactly p - 1 products, where the bound on the exact spectra says;
+    # no product precedes a squaring and no member falls back
     rng = np.random.default_rng(52)
     spectra = [np.asarray(mu, dtype=float) for mu in spectra]
     grams, leads = _psd_stack(rng, spectra)
     trace = np.trace(grams, axis1=1, axis2=2).real
-    matmul = _RecordingMatmul()
+    matmul, eigh = _RecordingMatmul(), _RecordingEigh()
     monkeypatch.setattr(np, "matmul", matmul)
-    x, eig, certified = _squared_top(grams, trace)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    x = psd_top(grams, trace)
     monkeypatch.undo()
     squarings, products = _expected_counts(spectra)
     assert matmul.kinds == ["square"] * squarings + ["tail"] * products
-    assert certified.all()
-    for i, (mu, lead) in enumerate(zip(spectra, leads)):
+    assert eigh.calls == []
+    for i, lead in enumerate(leads):
         assert np.linalg.norm(_fix_phase(x[i:i + 1])[0] - _fix_phase(lead[None])[0]) <= 1e-13
-        assert eig[i] == pytest.approx(mu[0] * trace[i], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -802,31 +795,47 @@ def _psd_cases(rng, n):
     return cases
 
 
+def _phase_distance(v, w):
+    """||v e^{i theta} - w|| for the phase theta that aligns v with w."""
+    overlap = np.vdot(v, w)
+    return np.linalg.norm(v * (overlap / abs(overlap)) - w)
+
+
 @pytest.mark.parametrize("n", [2, 4, 16, 64])
 def test_psd_top_is_the_single_matrix_squared_top(monkeypatch, n):
-    # the twin certifies where the stacked kernel does and then returns
-    # its vector up to a phase; elsewhere it falls back to eigh's bits
-    rng = np.random.default_rng(60 + n)
+    # each Gram goes through both routes, as a 2-D Gram, as a stack of one
+    # and inside the stack of all cases, at unit and extreme scales: each
+    # route makes the same fallback decision, a certified vector agrees
+    # across them up to a phase, and a fallback (every exact tie) gets
+    # eigh_top's bits
+    cases = _psd_cases(np.random.default_rng(60 + n), n)
     decisions = set()
-    for name, gram in _psd_cases(rng, n):
-        trace = gram.trace().real
-        x, eig, certified = _squared_top(gram[None], np.array([trace]))
+    for scale in (1.0, 1e-150, 1e150):
+        grams = scale * np.stack([gram for _, gram in cases])
+        traces = np.einsum("bii->b", grams).real
         eigh = _RecordingEigh()
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
-            v, lam = psd_top(gram, trace)
-        assert len(eigh.calls) == (0 if certified[0] else 1), name
-        decisions.add(bool(certified[0]))
-        if certified[0]:
-            overlap = np.vdot(v, x[0])
-            assert np.linalg.norm(v * (overlap / abs(overlap)) - x[0]) <= 1e-14, name
-            assert abs(lam - eig[0]) <= 1e-14 * eig[0], name
-        else:
-            v_ref, lam_ref = eigh_top(gram[None])
-            np.testing.assert_array_equal(v, v_ref[0])
-            assert lam == lam_ref[0]
-        if name.startswith("tie"):
-            assert not certified[0], name
+            plain, one, fell_back = [], [], []
+            for gram, trace in zip(grams, traces):
+                calls = len(eigh.calls)
+                plain.append(psd_top(gram, trace))
+                fell_back.append(len(eigh.calls) > calls)
+                one.append(psd_top(gram[None], trace[None])[0])
+                assert len(eigh.calls) == calls + 2 * fell_back[-1]
+            mixed = psd_top(grams, traces)
+        np.testing.assert_array_equal(eigh.calls[-1], grams[fell_back])
+        decisions.update(fell_back)
+        for i, (name, _) in enumerate(cases):
+            if name.startswith("tie"):
+                assert fell_back[i], name
+            if fell_back[i]:
+                v_ref = eigh_top(grams[i:i + 1])[0]
+                for v in (plain[i], one[i], mixed[i]):
+                    np.testing.assert_array_equal(v, v_ref)
+            else:
+                for v in (one[i], mixed[i]):
+                    assert _phase_distance(v, plain[i]) <= 1e-14, name
     assert decisions == {True, False}
 
 
