@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .tensors import kron, psd_top
+from .tensors import dominant_left_singular_vector, kron
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -47,30 +47,22 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     return _squared_norm(truth - estimate) / denom
 
 
-def _top_direction(m: np.ndarray, what: str) -> np.ndarray:
-    """Unit leading eigenvector of m^H m (the dominant right singular
-    direction of ``m``) by :func:`tensors.psd_top`, up to a phase."""
-    gram = m.conj().T @ m
-    trace = gram.trace().real
-    if not trace > 0:
-        raise ValueError("estimate is rank deficient; cannot %s" % what)
-    return psd_top(gram, trace)
-
-
 def _effective_surface_vector(est: EstimateSet) -> np.ndarray:
     """Per-element cascaded surface response implied by an estimate, up to
     a phase common to all elements.
 
     The structured estimator identifies it directly as
-    kron(surface_y, surface_z).  For the unstructured baselines the whole
-    cascade matrix C is (noiselessly) a rank-one outer product whose right
-    factor is the surface response, so the response is read as the
-    conjugated top eigenvector of the n_ris x n_ris Gram C^H C: the
-    dominant right singular vector of C, without its singular value.
+    kron(surface_y, surface_z).  For the unstructured baselines the
+    cascade C (n_ue*n_bs x n_ris) is (noiselessly) a rank-one outer product
+    whose right factor is the surface response, read as the dominant left
+    singular vector of C^T (:func:`tensors.dominant_left_singular_vector`).
     """
     if est.surface_y is not None and est.surface_z is not None:
         return kron(est.surface_y, est.surface_z)
-    return _top_direction(est.cascade, "align surface phases").conj()
+    try:
+        return dominant_left_singular_vector(est.cascade.T)
+    except ValueError as exc:
+        raise ValueError("estimate is rank deficient; cannot align surface phases") from exc
 
 
 def _beams(
@@ -83,20 +75,15 @@ def _beams(
     A structured estimate's H is exactly a multiple of u b^T with
     u = kron(ue_y, ue_z) and b = kron(bs_y, bs_z), both of unit norm, so
     w = u and f = conj(b) are read off its factors and H is never formed.
-    Otherwise one beam is the top eigenvector of the smaller Gram (H H^H
-    for w when n_ue <= n_bs, else H^H H for f) and the other is that beam
-    projected through H and normalized.
+    Otherwise w is the dominant left singular vector of H
+    (:func:`tensors.dominant_left_singular_vector`) and f is H^H w normalized.
     """
     if all(v is not None for v in (est.ue_y, est.ue_z, est.bs_y, est.bs_z)):
         return kron(est.ue_y, est.ue_z), kron(est.bs_y, est.bs_z).conj()
     h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
-    if dims.n_ue <= dims.n_bs:
-        w = _top_direction(h.conj().T, "form beams")
-        f = h.conj().T @ w
-        return w, f / math.sqrt(np.vdot(f, f).real)
-    f = _top_direction(h, "form beams")
-    w = h @ f
-    return w / math.sqrt(np.vdot(w, w).real), f
+    w = dominant_left_singular_vector(h)
+    f = h.conj().T @ w
+    return w, f / math.sqrt(np.vdot(f, f).real)
 
 
 def spectral_efficiency(
@@ -117,12 +104,11 @@ def spectral_efficiency(
     * ``hdr`` reads all three off its factors and solves no eigenproblem
       (:func:`_beams`): the surface from surface_y/surface_z,
       w = kron(ue_y, ue_z) and f = conj(kron(bs_y, bs_z)).
-    * ``krf``/``ls`` take the leading eigenvector of one Hermitian Gram
-      per direction from :func:`tensors.psd_top`: the surface from the
-      n_ris x n_ris Gram of the cascade, then one beam from the
-      min(n_ue, n_bs) Gram of H, the other beam being that beam projected
-      through H and normalized.  At a 16x16 surface the squarings of the
-      256 x 256 Gram dominate.
+    * ``krf``/``ls`` take the surface and w as the dominant left singular
+      vectors of C^T and H, each from its smaller Gram, of side
+      min(n_ris, n_ue*n_bs) and min(n_ue, n_bs)
+      (:func:`tensors.dominant_left_singular_vector`), and f as H^H w
+      normalized.
 
     The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
     the effective channel built from the true cascade and the chosen
@@ -132,7 +118,7 @@ def spectral_efficiency(
     ------
     ValueError
         If ``noise_var`` is not finite and > 0, or a ``krf``/``ls``
-        estimate is rank deficient (a zero Gram has no top eigenvector).
+        estimate or its H is zero (and so has no dominant direction).
     """
     if not 0 < noise_var < math.inf:
         raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))

@@ -95,12 +95,16 @@ class ExperimentConfig:
             values = list(getattr(self, key))
             if len(set(values)) != len(values):
                 raise ConfigError("%s must not repeat an entry, got %s" % (key, values))
+        # the noise energy noise_var*n_ue*n_bs*n_ris, the filtered observation's
+        # expected squared norm, stays 2^20 (60 dB) below the float64 maximum:
+        # room for a draw above it and for the scored channel's squared norm
+        entries = self.dims.n_ue * self.dims.n_bs * self.dims.n_ris
         for snr_db in self.snr_grid_db:
             noise_var = _noise_var(self.tx_power_watts, snr_db)
-            if not 0.0 < noise_var < math.inf:
+            if not 0.0 < noise_var * entries <= np.finfo(np.float64).max * 2.0 ** -20:
                 raise ConfigError(
-                    "snr %r dB at tx_power_watts %r gives noise variance %r "
-                    "(must be finite and > 0)"
+                    "snr %r dB at tx_power_watts %r gives noise variance %r (must be > 0, "
+                    "with noise_var*n_ue*n_bs*n_ris at most 2^-20 of the float64 maximum)"
                     % (snr_db, self.tx_power_watts, noise_var)
                 )
         allowed = [*ESTIMATORS, "ideal"]
@@ -440,6 +444,14 @@ def _metric_rows(cfg, collected, metric_name):
     return rows
 
 
+def _estimator_methods(cfg: ExperimentConfig, sweep: str) -> tuple:
+    """The configured methods but ``ideal``, in config order."""
+    methods = tuple(m for m in cfg.methods if m != "ideal")
+    if not methods:
+        raise ConfigError("%s sweep needs at least one estimator method" % sweep)
+    return methods
+
+
 def run_nmse_sweep(cfg: ExperimentConfig):
     """Estimation error vs SNR for the configured methods.
 
@@ -448,9 +460,7 @@ def run_nmse_sweep(cfg: ExperimentConfig):
     (``mallopt`` mmap/trim thresholds, set on the first sweep and never
     undone); elsewhere nothing changes.
     """
-    methods = tuple(m for m in cfg.methods if m != "ideal")
-    if not methods:
-        raise ConfigError("nmse sweep needs at least one estimator method")
+    methods = _estimator_methods(cfg, "nmse")
     return _metric_rows(cfg, _sweep(cfg, methods, want_se=False), "nmse")
 
 
@@ -505,25 +515,26 @@ def flops_measured(method: str, dims: SystemDims, seed: int = 0) -> int:
 
 
 def run_complexity_sweep(cfg: ExperimentConfig):
-    """Analytic and executed-kernel MAC counts per method over the
-    surface-size grid."""
+    """Analytic and executed-kernel MAC counts per configured estimator
+    (``ideal`` has none) over the surface-size grid."""
+    methods = _estimator_methods(cfg, "complexity")
     if not cfg.ris_grid:
         raise ConfigError("complexity sweep needs at least one ris_grid entry")
     digest = config_hash(cfg)
     rows = []
     for n_ris in cfg.ris_grid:
         dims_n = _complexity_dims(cfg, n_ris)
-        for metric, counts in (
-            ("flops_analytic", {m: flops_analytic(m, dims_n) for m in ESTIMATORS}),
-            ("flops_measured", {m: flops_measured(m, dims_n) for m in ESTIMATORS}),
+        for metric, count in (
+            ("flops_analytic", flops_analytic),
+            ("flops_measured", flops_measured),
         ):
-            for method in ESTIMATORS:
+            for method in methods:
                 rows.append({
                     "method": method,
                     "n_ris": n_ris,
                     "metric": metric,
                     "stat": "exact",
-                    "value": counts[method],
+                    "value": count(method, dims_n),
                     "n_trials": 1,
                     "config_hash": digest,
                 })

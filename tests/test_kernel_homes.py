@@ -1,10 +1,12 @@
 """Each leading-eigenvector kernel has one home in the package.
 
-``np.linalg.eigh`` is reached only from ``tensors.eigh_top``, and the
-tail power of the certified squaring only from ``tensors.psd_top``: a
-second squaring loop or a direct ``eigh`` elsewhere fails here, so the
-package keeps one certified kernel and one fallback.  The scan reads the
-source, by name, whatever module or alias the name is reached through.
+``np.linalg.eigh`` is reached only from ``tensors.eigh_top``, the tail
+power of the certified squaring only from ``tensors.psd_top``, and
+``psd_top`` only from ``tensors.dominant_left_singular_vector``: a second
+squaring loop, a direct ``eigh`` or a Gram formed and squared elsewhere
+fails here, so the package keeps one certified kernel, one fallback and
+one home for the smaller-Gram rule.  The scan reads the source, by name,
+whatever module or alias the name is reached through.
 """
 
 import ast
@@ -18,7 +20,11 @@ PACKAGE = Path(hdris.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 # name -> (module, function) of the one place that may use it
-HOMES = {"eigh": ("tensors", "eigh_top"), "_tail_power": ("tensors", "psd_top")}
+HOMES = {
+    "eigh": ("tensors", "eigh_top"),
+    "_tail_power": ("tensors", "psd_top"),
+    "psd_top": ("tensors", "dominant_left_singular_vector"),
+}
 
 
 def _references(source: str, names) -> list:
@@ -51,7 +57,11 @@ def test_eigen_kernels_stay_home(module):
 
 def test_eigen_kernels_are_used_at_home():
     source = (PACKAGE / "tensors.py").read_text(encoding="utf-8")
-    assert set(_references(source, HOMES)) == {("eigh_top", "eigh"), ("psd_top", "_tail_power")}
+    assert set(_references(source, HOMES)) == {
+        ("eigh_top", "eigh"),
+        ("psd_top", "_tail_power"),
+        ("dominant_left_singular_vector", "psd_top"),
+    }
 
 
 def test_reference_scan_reads_every_form():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hdris import tensors
 from hdris.channel import SystemDims, build_channels, sample_params
 from hdris.estimators import (
     ESTIMATORS,
@@ -24,6 +25,7 @@ from hdris.metrics import (
     summarize,
 )
 from hdris.simulate import flops_measured
+from hdris.tensors import psd_top
 from hdris.training import make_training
 from oracles import ideal_estimate, rate_oracle
 
@@ -52,6 +54,9 @@ TALL_DIMS = SystemDims(
 
 # 16x16 surface: 256 elements, 256 blocks
 WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+
+# 2x2 arrays, 8x8 surface: more surface elements (64) than n_ue*n_bs (16)
+LONG_DIMS = SystemDims(2, 2, 2, 2, 8, 8, 4, 64)
 
 
 def crandn(rng, *shape):
@@ -199,7 +204,7 @@ def test_transmit_beam_from_receive_beam_matches_two_eigh_oracle():
     # f from an eigh of H^H; the rate sees no phase of w or f).  -20 dB
     # is where the surface Gram's leading gap is smallest.
     worst = 0.0
-    for dims in (SMALL_DIMS, ODD_DIMS, TALL_DIMS, REF_DIMS):
+    for dims in (SMALL_DIMS, ODD_DIMS, TALL_DIMS, REF_DIMS, LONG_DIMS):
         design = make_training(dims)
         for snr_db in (-20.0, -10.0, 0.0, 10.0, 20.0, 30.0):
             sigma2 = 10.0 ** (-snr_db / 10.0)
@@ -254,6 +259,26 @@ def test_krf_ls_scoring_at_ref_runs_no_eigh(monkeypatch):
             got = {m: spectral_efficiency(ch, fits[m], 1.0, sigma2) for m in want}
         for m in want:
             assert abs(got[m] - want[m]) <= 1e-12 * want[m], m
+
+
+def test_krf_ls_scoring_squares_only_the_smaller_grams(monkeypatch):
+    # with more surface elements than n_ue*n_bs, the surface direction
+    # comes from the n_ue*n_bs Gram of the cascade, not its n_ris Gram:
+    # every Gram psd_top sees is min(n_ris, n_ue*n_bs) = 16 (surface)
+    # or min(n_ue, n_bs) = 4 (receive beam) wide
+    sides = []
+
+    def spy(gram, trace):
+        sides.append(gram.shape[-1])
+        return psd_top(gram, trace)
+
+    monkeypatch.setattr(tensors, "psd_top", spy)
+    for snr_db in (-10.0, 10.0):
+        ch, sigma2, fits = _noisy_estimates(LONG_DIMS, snr_db, 2200 + int(snr_db))
+        for m in ("krf", "ls"):
+            sides.clear()
+            spectral_efficiency(ch, fits[m], 1.0, sigma2)
+            assert sides == [16, 4], m
 
 
 def test_rate_at_16x16_surface_matches_oracle():

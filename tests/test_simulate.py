@@ -261,6 +261,17 @@ def test_nmse_sweep_excludes_ideal():
         run_nmse_sweep(_small_cfg(methods=("ideal",)))
 
 
+def test_tx_power_scales_the_noise_the_estimators_see():
+    # noise_var = P 10^(-snr/10) against unit-power pilots, so at P = 10 and
+    # 10 dB ls's error is the 0 dB one: per trial, noise_var times a mean of
+    # 2 n_ue n_bs n_ris = 512 squared normals (the true cascade's squared
+    # norm is n_ue n_bs n_ris), of relative standard deviation 1/16
+    cfg = _small_cfg(snr_grid_db=(10.0,), n_trials=40, methods=("ls",), tx_power_watts=10.0)
+    mean = next(r["value"] for r in run_nmse_sweep(cfg) if r["stat"] == "mean")
+    want = 10.0 * 10.0 ** (-10.0 / 10.0)
+    assert abs(mean - want) <= 4.0 * want / (16.0 * math.sqrt(cfg.n_trials))
+
+
 def test_nmse_sweep_method_separation():
     # the structured fit beats per-column fits beats raw filtering at 5 dB
     cfg = _small_cfg(snr_grid_db=(5.0,), n_trials=30)
@@ -834,6 +845,14 @@ def test_complexity_sweep_rows():
     assert all("snr_db" not in r for r in rows)
 
 
+def test_complexity_sweep_keeps_configured_methods():
+    # the configured estimators in config order; ideal has no MAC count
+    cfg = _small_cfg(methods=("ls", "ideal", "hdr"), ris_grid=(16, 100))
+    rows = run_complexity_sweep(cfg)
+    assert [r["method"] for r in rows] == ["ls", "hdr"] * 4
+    assert [r["metric"] for r in rows[:4]] == ["flops_analytic"] * 2 + ["flops_measured"] * 2
+
+
 def test_cli_complexity_default_csv_is_pinned(tmp_path):
     # the default grid's MAC counts depend on shapes only; the kernels of
     # the fits may change how they multiply, not what they are charged
@@ -982,6 +1001,8 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"snr_grid_db": [0, 0]}, []),
         ({"methods": ["ls", "LS"]}, []),
         ({"ris_grid": [16, 16]}, []),
+        # a noise energy noise_var*n_ue*n_bs*n_ris past the float64 range
+        ({"snr_grid_db": [-3070.0]}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
@@ -991,14 +1012,32 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("grid", [[], [12]], ids=["empty", "non-square"])
-def test_cli_complexity_bad_grid_exits_2_with_one_line(tmp_path, capsys, grid):
-    # an empty grid validates as a config but leaves the complexity sweep
-    # nothing to tabulate
-    rc = main(["complexity", "--config", _write_small_config(tmp_path, ris_grid=grid)])
+@pytest.mark.parametrize(
+    "extra",
+    [{"ris_grid": []}, {"ris_grid": [12]}, {"methods": ["ideal"]}],
+    ids=["empty", "non-square", "ideal-only"],
+)
+def test_cli_complexity_bad_grid_exits_2_with_one_line(tmp_path, capsys, extra):
+    # an empty grid or no estimator validates as a config but leaves the
+    # complexity sweep nothing to tabulate
+    rc = main(["complexity", "--config", _write_small_config(tmp_path, **extra)])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_readme_library_use_block_runs():
+    # the README's Library use example, run as written: hdr's NMSE is
+    # printed below krf's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    errors = {row[0]: float(row[1]) for row in rows if row and row[0] in hdris.ESTIMATORS}
+    assert errors["hdr"] < errors["krf"]
 
 
 def test_cli_io_error_exit_code(tmp_path):
