@@ -298,58 +298,49 @@ def psd_top(gram: np.ndarray, trace: float | np.ndarray) -> np.ndarray:
 
 
 def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
-    """Dominant left singular vector of a complex matrix, or of every
-    matrix in a stack.
+    """Unit dominant left singular vector, in an arbitrary phase, of a
+    complex matrix or of each matrix of a (B, r, c) stack.
 
     Works on the smaller of the two Gram matrices instead of a full SVD:
-    all Grams are formed in one product and their leading eigenvectors
-    found by one :func:`psd_top` call, which states its certificate and
-    its ``eigh`` fallback for ties.  A tall matrix's vector is that
-    eigenvector projected through the matrix and normalised.
-
-    Each returned vector has unit norm and its largest-modulus entry is
-    made real and positive, which fixes the phase gauge deterministically.
-    With a degenerate leading singular value the eigenbasis column chosen
-    is the first one holding the largest eigenvalue, so repeated calls
-    agree bit for bit.
+    the Gram (or every Gram of the stack) is formed in one product and its
+    leading eigenvector found by one :func:`psd_top` call, which states
+    its certificate and its ``eigh`` fallback for ties.  A tall matrix's
+    vector is that eigenvector projected through the matrix and
+    normalised.  With a degenerate leading singular value the eigenbasis
+    column chosen is the first one holding the largest eigenvalue, so
+    repeated calls agree bit for bit.
 
     Its cost in complex MACs is :func:`gram_macs` per matrix; the
     squarings, the tail products and any fallback are not counted.
 
     Parameters
     ----------
-    m : ndarray, shape (r, c) or (..., r, c)
+    m : ndarray, shape (r, c) or (B, r, c)
 
     Returns
     -------
-    u : ndarray, shape (r,) or (..., r)
+    u : ndarray, shape (r,) or (B, r)
 
     Raises
     ------
     ValueError
-        If any matrix of the stack is zero, or so small that its Gram
-        underflows to zero.
+        If ``m`` is not 2-D or 3-D, or if any matrix is zero, or so small
+        that its Gram underflows to zero.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2:
+    if not 2 <= m.ndim <= 3:
         raise ValueError("expected a matrix or a stack of matrices, got shape %s" % (m.shape,))
-    rows, cols = m.shape[-2:]
-    stack = m.reshape(-1, rows, cols)
-    stack_h = stack.conj().transpose(0, 2, 1)
-    wide = rows <= cols
-    gram = stack @ stack_h if wide else stack_h @ stack
-    del stack_h                 # freed before the squaring allocates its buffers
-    trace = np.einsum("bii->b", gram).real          # np.trace loops per member
+    wide = m.shape[-2] <= m.shape[-1]
+    gram = m @ m.conj().swapaxes(-1, -2) if wide else m.conj().swapaxes(-1, -2) @ m
+    trace = np.einsum("...ii->...", gram).real      # np.trace loops per member
     # the trace of a Gram is positive unless its matrix is zero (or underflows)
     if not trace.min() > 0.0:
         raise ValueError("dominant singular vector of a zero matrix is undefined")
-    if m.ndim == 2:             # one Gram takes psd_top's 2-D route
-        gram, trace = gram[0], trace[0]
-    u = psd_top(gram, trace).reshape(len(stack), -1)
+    u = psd_top(gram, trace)
     if not wide:
-        u = (stack @ u[:, :, None])[:, :, 0]
-        u /= np.linalg.norm(u, axis=1)[:, None]
-    return _fix_phase(u).reshape(m.shape[:-1])
+        u = (m @ u[..., None])[..., 0]
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u
 
 
 def gram_macs(rows: int, cols: int) -> int:
@@ -407,11 +398,12 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     * otherwise a batched product summed over a (a single product for the
       first mode).
 
-    All Grams of one size go through one stacked ``eigh``, and each factor
-    gets the lead choice and phase gauge of
-    :func:`dominant_left_singular_vector`.  A mode longer than the rest of
-    the tensor together (d^2 > size) is handed to that function on its
-    unfolding, which works on the smaller Gram.  The amplitude is the
+    All Grams of one size go through one stacked ``eigh``.  A mode longer
+    than the rest of the tensor together (d^2 > size) is handed to
+    :func:`dominant_left_singular_vector` on its unfolding, which works on
+    the smaller Gram.  Each factor is then gauged by :func:`_fix_phase`,
+    its largest-modulus entry made real and positive, so a global phase on
+    ``x`` moves only the amplitude.  The amplitude is the
     conjugate of the conjugated tensor contracted with the factors by
     successive matrix-vector products.
 
@@ -431,7 +423,11 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     lead = 1                        # product of the extents before the mode
     for n, d in enumerate(data.shape):
         if d * d > size:
-            vectors[n] = dominant_left_singular_vector(unfold(data, n + 1))
+            try:
+                u = dominant_left_singular_vector(unfold(data, n + 1))
+            except ValueError as exc:
+                raise ValueError("rank-one fit of a zero tensor is undefined") from exc
+            vectors[n] = _fix_phase(u[None])[0]
         else:
             x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
             trail = x3.shape[2]

@@ -12,7 +12,10 @@ rank-one HOSVD that ``hosvd_rank1`` replaced by Grams of reshaped views,
 the tensor-to-cascade re-indexing that ``hdr_estimate`` replaced by
 writing its reconstruction straight into the cascade layout, and the
 rate scoring by dominant pairs that ``spectral_efficiency`` replaced by
-beams read off ``hdr``'s factors and one eigenproblem per beam.
+beams read off ``hdr``'s factors and one eigenproblem per beam.  The
+dominant pairs keep the phase gauge that only ``hosvd_rank1`` still
+fixes; :func:`phase_distance` compares the package's other directions
+with them.
 """
 
 import dataclasses
@@ -116,6 +119,13 @@ def dominant_pair_oracle(m, counter=None):
         u = mv / sigma
     k = int(np.argmax(np.abs(u)))
     return u * (u[k].conjugate() / abs(u[k])), sigma
+
+
+def phase_distance(v, w):
+    """||v e^{i theta} - w|| for the phase theta that aligns v with w; for
+    two stacks of vectors, the largest such distance over their rows."""
+    overlap = np.sum(v.conj() * w, axis=-1, keepdims=True)
+    return np.max(np.linalg.norm(v * (overlap / abs(overlap)) - w, axis=-1))
 
 
 def dominant_pairs_oracle(m, counter=None):

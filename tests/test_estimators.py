@@ -47,6 +47,7 @@ from oracles import (
     n_mode_product,
     hosvd_rank1_oracle,
     noisy_observation,
+    phase_distance,
     tensorize,
     to_cascade,
 )
@@ -675,7 +676,7 @@ def test_krf_matches_per_column_oracle():
 )
 def test_krf_stack_members_match_eigh_oracle_across_snr(dims):
     # every member of krf's stack, fitted by squaring and the matrix-vector
-    # tail, against one eigh per matrix, from -20 to 40 dB
+    # tail, against one eigh per matrix up to phase, from -20 to 40 dB
     design = make_training(dims)
     n_ue, n_bs, n_ris = dims.n_ue, dims.n_bs, dims.n_ris
     for snr_db in range(-20, 41, 10):
@@ -686,7 +687,7 @@ def test_krf_stack_members_match_eigh_oracle_across_snr(dims):
         stack = raw.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
         u = dominant_left_singular_vector(stack)
         u_ref, _ = dominant_pairs_oracle(stack)
-        assert np.max(np.linalg.norm(u - u_ref, axis=1)) <= 1e-12
+        assert phase_distance(u, u_ref) <= 1e-12
 
 
 def test_krf_rank_two_column_keeps_top_component():

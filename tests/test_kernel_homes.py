@@ -1,12 +1,14 @@
 """Each leading-eigenvector kernel has one home in the package.
 
 ``np.linalg.eigh`` is reached only from ``tensors.eigh_top``, the tail
-power of the certified squaring only from ``tensors.psd_top``, and
-``psd_top`` only from ``tensors.dominant_left_singular_vector``: a second
-squaring loop, a direct ``eigh`` or a Gram formed and squared elsewhere
-fails here, so the package keeps one certified kernel, one fallback and
-one home for the smaller-Gram rule.  The scan reads the source, by name,
-whatever module or alias the name is reached through.
+power of the certified squaring only from ``tensors.psd_top``,
+``psd_top`` only from ``tensors.dominant_left_singular_vector``, and the
+phase gauge ``_fix_phase`` only from ``tensors.hosvd_rank1``: a second
+squaring loop, a direct ``eigh``, a Gram formed and squared elsewhere or
+a gauge on a direction whose phase nothing reads fails here, so the
+package keeps one certified kernel, one fallback, one home for the
+smaller-Gram rule and one for the factor gauge.  The scan reads the
+source, by name, whatever module or alias the name is reached through.
 """
 
 import ast
@@ -24,6 +26,7 @@ HOMES = {
     "eigh": ("tensors", "eigh_top"),
     "_tail_power": ("tensors", "psd_top"),
     "psd_top": ("tensors", "dominant_left_singular_vector"),
+    "_fix_phase": ("tensors", "hosvd_rank1"),
 }
 
 
@@ -61,6 +64,7 @@ def test_eigen_kernels_are_used_at_home():
         ("eigh_top", "eigh"),
         ("psd_top", "_tail_power"),
         ("dominant_left_singular_vector", "psd_top"),
+        ("hosvd_rank1", "_fix_phase"),
     }
 
 
