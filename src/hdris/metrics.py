@@ -47,43 +47,10 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     return _squared_norm(truth - estimate) / denom
 
 
-def _effective_surface_vector(est: EstimateSet) -> np.ndarray:
-    """Per-element cascaded surface response implied by an estimate, up to
-    a phase common to all elements.
-
-    The structured estimator identifies it directly as
-    kron(surface_y, surface_z).  For the unstructured baselines the
-    cascade C (n_ue*n_bs x n_ris) is (noiselessly) a rank-one outer product
-    whose right factor is the surface response, read as the dominant left
-    singular vector of C^T (:func:`tensors.dominant_left_singular_vector`).
-    """
-    if est.surface_y is not None and est.surface_z is not None:
-        return kron(est.surface_y, est.surface_z)
-    try:
-        return dominant_left_singular_vector(est.cascade.T)
-    except ValueError as exc:
-        raise ValueError("estimate is rank deficient; cannot align surface phases") from exc
-
-
-def _beams(
-    est: EstimateSet, phases: np.ndarray, dims: SystemDims
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit receive and transmit beams (w, f) matched to the estimated
-    effective channel H, the estimated cascade contracted with
-    ``phases`` (n_ue x n_bs), each up to a phase.
-
-    A structured estimate's H is exactly a multiple of u b^T with
-    u = kron(ue_y, ue_z) and b = kron(bs_y, bs_z), both of unit norm, so
-    w = u and f = conj(b) are read off its factors and H is never formed.
-    Otherwise w is the dominant left singular vector of H
-    (:func:`tensors.dominant_left_singular_vector`) and f is H^H w normalized.
-    """
-    if all(v is not None for v in (est.ue_y, est.ue_z, est.bs_y, est.bs_z)):
-        return kron(est.ue_y, est.ue_z), kron(est.bs_y, est.bs_z).conj()
-    h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
-    w = dominant_left_singular_vector(h)
-    f = h.conj().T @ w
-    return w, f / math.sqrt(np.vdot(f, f).real)
+def _unit_phases(surface: np.ndarray) -> np.ndarray:
+    """Conjugate of ``surface`` normalized to unit modulus (1 where it is 0)."""
+    mods = np.abs(surface)
+    return np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
 
 
 def spectral_efficiency(
@@ -95,20 +62,22 @@ def spectral_efficiency(
     """Beamformed rate (bits/s/Hz) achieved on the true channel.
 
     Surface phases: the conjugate of the estimated per-element surface
-    response (:func:`_effective_surface_vector`), normalized to unit
-    modulus.  Beamformers: dominant left/right singular vectors w and f of
-    the estimated effective channel H (the estimated cascade contracted
-    with the chosen phases, n_ue x n_bs), each fixed only up to a phase,
-    which the rate does not see; neither needs a singular value.
+    response, normalized to unit modulus.  Beamformers: dominant
+    left/right singular vectors w and f of the estimated effective
+    channel H (the estimated cascade contracted with the chosen phases,
+    n_ue x n_bs), each fixed only up to a phase, which the rate does not
+    see; neither needs a singular value.
 
-    * ``hdr`` reads all three off its factors and solves no eigenproblem
-      (:func:`_beams`): the surface from surface_y/surface_z,
-      w = kron(ue_y, ue_z) and f = conj(kron(bs_y, bs_z)).
-    * ``krf``/``ls`` take the surface and w as the dominant left singular
-      vectors of C^T and H, each from its smaller Gram, of side
-      min(n_ris, n_ue*n_bs) and min(n_ue, n_bs)
-      (:func:`tensors.dominant_left_singular_vector`), and f as H^H w
-      normalized.
+    An estimate is structured when it carries its factors (an
+    :class:`EstimateSet` carries all six or none; only ``hdr`` does).
+    A structured estimate is an exact rank-one outer product, so all
+    three are read off its factors and no eigenproblem is solved: the
+    surface is kron(surface_y, surface_z), w = kron(ue_y, ue_z) and
+    f = conj(kron(bs_y, bs_z)).  Any other estimate (``krf``/``ls``)
+    takes the surface and w as the dominant left singular vectors of
+    C^T and H, each from its smaller Gram, of side min(n_ris, n_ue*n_bs)
+    and min(n_ue, n_bs) (:func:`tensors.dominant_left_singular_vector`),
+    and f as H^H w normalized.
 
     The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
     the effective channel built from the true cascade and the chosen
@@ -117,18 +86,25 @@ def spectral_efficiency(
     Raises
     ------
     ValueError
-        If ``noise_var`` is not finite and > 0, or a ``krf``/``ls``
+        If ``noise_var`` is not finite and > 0, or an unstructured
         estimate or its H is zero (and so has no dominant direction).
     """
     if not 0 < noise_var < math.inf:
         raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
     dims = ch.dims
-    surface = _effective_surface_vector(est)
-    mods = np.abs(surface)
-    phases = np.where(
-        mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0
-    )
-    w, f = _beams(est, phases, dims)
+    if est.surface_y is not None:
+        phases = _unit_phases(kron(est.surface_y, est.surface_z))
+        w, f = kron(est.ue_y, est.ue_z), kron(est.bs_y, est.bs_z).conj()
+    else:
+        try:
+            surface = dominant_left_singular_vector(est.cascade.T)
+        except ValueError as exc:
+            raise ValueError("estimate is rank deficient; cannot align surface phases") from exc
+        phases = _unit_phases(surface)
+        h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+        w = dominant_left_singular_vector(h)
+        f = h.conj().T @ w
+        f = f / math.sqrt(np.vdot(f, f).real)
     h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))

@@ -241,30 +241,23 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
     )
 
 
-def _run_point(cfg, design, pinned, methods, snr_idx, trial, want_se):
-    """Every requested estimator scored on one shared matched-filter
+def _run_point(cfg, design, pinned, methods, score, snr_idx, trial):
+    """Every requested estimator fitted to one shared matched-filter
     output (:func:`filtered_observation`, the filtered pilot block
-    without the block): its beamformed rate when ``want_se``, else its
-    NMSE.  The channel is ``pinned`` when the sweep built it once, else
-    drawn from the trial's stream."""
+    without the block) and scored by ``score(ch, est, noise_var)``, one
+    value per method.  Each estimate is released before the next fit.
+    The channel is ``pinned`` when the sweep built it once, else drawn
+    from the trial's stream."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
     rng = _trial_rng(cfg.seed, snr_idx, trial)
     ch = pinned if pinned is not None else build_channels(cfg.dims, sample_params(rng))
     cascade_obs = filtered_observation(ch, design, noise_var, rng)
-
-    out = {}
-    for method in methods:
-        est = ESTIMATORS[method].fit(cascade_obs, cfg.dims)
-        out[method] = (
-            spectral_efficiency(ch, est, cfg.tx_power_watts, noise_var)
-            if want_se else nmse(ch.cascade, est.cascade)
-        )
-    return out
+    return tuple(score(ch, ESTIMATORS[m].fit(cascade_obs, cfg.dims), noise_var) for m in methods)
 
 
-def _run_chunk(cfg, design, pinned, methods, want_se, pairs):
+def _run_chunk(cfg, design, pinned, methods, score, pairs):
     """_run_point over a run of (snr_idx, trial) pairs, in order."""
-    return [_run_point(cfg, design, pinned, methods, s, t, want_se) for s, t in pairs]
+    return [_run_point(cfg, design, pinned, methods, score, s, t) for s, t in pairs]
 
 
 # glibc mallopt(3) parameters from <malloc.h>, with the values the sweeps
@@ -387,20 +380,23 @@ def _fork_map(run, chunks) -> list:
             os.close(r)
 
 
-def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
-    """Run the trial grid and return {method: {snr_idx: [value per trial]}}.
+def _sweep(cfg: ExperimentConfig, methods, score):
+    """Score every method in every trial of the grid (:func:`_run_point`)
+    and return {method: [[score per trial] per SNR point]}.
 
     With more than one worker, worker w takes every workers-th job of the
     (snr point, trial) grid from job w on, so each gets a share of every
     SNR point (low SNR costs `krf` more squarings).  The workers are
     forked directly (:func:`_fork_map`), this process waits for them, and
     the results are put back in job order.  ``cfg.threads`` is capped at
-    the usable CPUs and at the number of jobs, so no count starts more
-    processes than can run at once; one worker runs in this process.  The
-    freed heap is kept across trials (:func:`_keep_freed_heap`, once per
-    process, before any worker is forked).  A pinned geometry's channel is
-    deterministic, so it is built once here, beside the training design,
-    and shared by every trial.
+    the usable CPUs (``os.cpu_count()`` where the platform has no
+    ``os.sched_getaffinity``) and at the number of jobs, so no count
+    starts more processes than can run at once; one worker runs in this
+    process.  The freed heap is kept across trials
+    (:func:`_keep_freed_heap`, once per process, before any worker is
+    forked).  A pinned geometry's channel is deterministic, so it is
+    built once here, beside the training design, and shared by every
+    trial.
     """
     _keep_freed_heap()
     design = make_training(cfg.dims)
@@ -408,8 +404,10 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
         build_channels(cfg.dims, cfg.fixed_params) if cfg.fixed_params is not None else None
     )
     jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
-    run = functools.partial(_run_chunk, cfg, design, pinned, methods, want_se)
-    workers = min(cfg.threads, len(os.sched_getaffinity(0)), len(jobs))
+    run = functools.partial(_run_chunk, cfg, design, pinned, methods, score)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.threads, cpus, len(jobs))
     if workers == 1:
         results = run(jobs)
     else:
@@ -418,19 +416,18 @@ def _sweep(cfg: ExperimentConfig, methods, want_se: bool):
         for w, chunk_results in enumerate(_fork_map(run, chunks)):
             results[w::workers] = chunk_results
 
-    collected = {m: {s: [] for s in range(len(cfg.snr_grid_db))} for m in methods}
-    for (s, _t), res in zip(jobs, results):
-        for m in methods:
-            collected[m][s].append(res[m])
-    return collected
+    # jobs run SNR-major, so SNR point s holds results[s * n : (s + 1) * n]
+    n = cfg.n_trials
+    points = [results[s * n:(s + 1) * n] for s in range(len(cfg.snr_grid_db))]
+    return {m: [[res[i] for res in point] for point in points] for i, m in enumerate(methods)}
 
 
 def _metric_rows(cfg, collected, metric_name):
     digest = config_hash(cfg)
     rows = []
-    for method in collected:
-        for s, snr_db in enumerate(cfg.snr_grid_db):
-            mean, median = summarize(collected[method][s])
+    for method, points in collected.items():
+        for snr_db, values in zip(cfg.snr_grid_db, points):
+            mean, median = summarize(values)
             for stat, value in (("mean", mean), ("median", median)):
                 rows.append({
                     "method": method,
@@ -461,7 +458,11 @@ def run_nmse_sweep(cfg: ExperimentConfig):
     undone); elsewhere nothing changes.
     """
     methods = _estimator_methods(cfg, "nmse")
-    return _metric_rows(cfg, _sweep(cfg, methods, want_se=False), "nmse")
+
+    def score(ch, est, noise_var):
+        return nmse(ch.cascade, est.cascade)
+
+    return _metric_rows(cfg, _sweep(cfg, methods, score), "nmse")
 
 
 def run_se_sweep(cfg: ExperimentConfig):
@@ -477,12 +478,16 @@ def run_se_sweep(cfg: ExperimentConfig):
     """
     methods = tuple(cfg.methods) + (("ideal",) if "ideal" not in cfg.methods else ())
     estimators = tuple(m for m in methods if m != "ideal")
-    collected = _sweep(cfg, estimators, want_se=True) if estimators else {}
-    collected["ideal"] = {}
-    for s, snr_db in enumerate(cfg.snr_grid_db):
-        noise_var = _noise_var(cfg.tx_power_watts, float(snr_db))
-        rate = ideal_spectral_efficiency(cfg.dims, cfg.tx_power_watts, noise_var)
-        collected["ideal"][s] = [rate] * cfg.n_trials
+    power = cfg.tx_power_watts
+
+    def score(ch, est, noise_var):
+        return spectral_efficiency(ch, est, power, noise_var)
+
+    collected = _sweep(cfg, estimators, score) if estimators else {}
+    collected["ideal"] = [
+        [ideal_spectral_efficiency(cfg.dims, power, _noise_var(power, float(snr)))] * cfg.n_trials
+        for snr in cfg.snr_grid_db
+    ]
     return _metric_rows(cfg, {m: collected[m] for m in methods}, "se_bits_per_hz")
 
 

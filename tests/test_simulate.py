@@ -419,6 +419,118 @@ def test_sweep_workers_capped_by_cpus_and_jobs(
     assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_sweep_workers_without_sched_getaffinity(monkeypatch, cpus, workers):
+    # a platform without os.sched_getaffinity (macOS) caps the count at
+    # os.cpu_count(), or at one worker when that is unknown
+    import hdris.simulate as simulate
+
+    fork_map = _RecordingForkMap()
+    monkeypatch.setattr(simulate, "_fork_map", fork_map)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = _small_cfg(threads=8)
+    rows = run_nmse_sweep(cfg)
+    if workers == 1:
+        assert fork_map.calls == []
+    else:
+        assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, workers)]
+    assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
+
+
+def _wrap_fits(monkeypatch, wrap):
+    """Replace every ESTIMATORS entry's fit by ``wrap(method, fit)``."""
+    import hdris.simulate as simulate
+
+    for method, entry in list(simulate.ESTIMATORS.items()):
+        monkeypatch.setitem(simulate.ESTIMATORS, method,
+                            dataclasses.replace(entry, fit=wrap(method, entry.fit)))
+
+
+def test_each_estimate_released_before_next_fit(monkeypatch):
+    # a trial holds one estimate at a time: at a 16x16 surface each one
+    # keeps a 1 MiB cascade alive
+    import gc
+    import weakref
+
+    refs = []
+
+    def tracked(method, fit):
+        def fit_when_released(cascade_obs, dims):
+            gc.collect()
+            assert all(ref() is None for ref in refs), "an earlier estimate is still alive"
+            est = fit(cascade_obs, dims)
+            refs.append(weakref.ref(est))
+            return est
+        return fit_when_released
+
+    _wrap_fits(monkeypatch, tracked)
+    cfg = _small_cfg(snr_grid_db=(0.0,), n_trials=2, threads=1)
+    run_nmse_sweep(cfg)
+    run_se_sweep(cfg)
+    assert len(refs) == 2 * cfg.n_trials * len(cfg.methods)
+
+
+def test_sweeps_share_channels_and_observations(monkeypatch):
+    # common random numbers: at every (SNR, trial) the nmse and the se
+    # sweep of one random-geometry config score the same channel, and
+    # every method of a trial is fitted to that trial's one observation
+    import hdris.simulate as simulate
+
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    events = []
+    observe = simulate.filtered_observation
+
+    def recording_observation(ch, design, noise_var, rng):
+        obs = observe(ch, design, noise_var, rng)
+        events.append(("obs", digest(ch.cascade), digest(obs)))
+        return obs
+
+    nmse, rate = simulate.nmse, simulate.spectral_efficiency
+
+    def recording_nmse(truth, estimate):
+        events.append(("score", digest(truth)))
+        return nmse(truth, estimate)
+
+    def recording_rate(ch, est, *args):
+        events.append(("score", digest(ch.cascade)))
+        return rate(ch, est, *args)
+
+    monkeypatch.setattr(simulate, "filtered_observation", recording_observation)
+    monkeypatch.setattr(simulate, "nmse", recording_nmse)
+    monkeypatch.setattr(simulate, "spectral_efficiency", recording_rate)
+
+    def recorded(method, fit):
+        def recording_fit(cascade_obs, dims):
+            events.append(("fit", method, digest(cascade_obs)))
+            return fit(cascade_obs, dims)
+        return recording_fit
+
+    _wrap_fits(monkeypatch, recorded)
+    cfg = _small_cfg(n_trials=3, threads=1)
+    assert cfg.fixed_params is None
+
+    per_sweep = []
+    for sweep in (run_nmse_sweep, run_se_sweep):
+        events.clear()
+        sweep(cfg)
+        trials = []
+        for i in range(0, len(events), 1 + 2 * len(cfg.methods)):
+            kind, channel, obs = events[i]
+            assert kind == "obs"
+            fits_and_scores = events[i + 1:i + 1 + 2 * len(cfg.methods)]
+            assert fits_and_scores == [
+                event for m in cfg.methods for event in (("fit", m, obs), ("score", channel))
+            ]
+            trials.append((channel, obs))
+        assert len(trials) == len(cfg.snr_grid_db) * cfg.n_trials
+        assert len(set(trials)) == len(trials)
+        per_sweep.append(trials)
+    assert per_sweep[0] == per_sweep[1]
+
+
 def test_sweep_repeatable_same_seed():
     cfg = _small_cfg()
     assert run_nmse_sweep(cfg) == run_nmse_sweep(_small_cfg())
