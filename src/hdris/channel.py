@@ -11,6 +11,7 @@ through an explicitly passed generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -126,13 +127,17 @@ def steering_1d(length: int, freq: float) -> np.ndarray:
     return np.exp(-1j * np.arange(length) * freq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """All deterministic channel quantities implied by one geometry draw.
 
+    Two realizations compare equal only when they are the same object.
+
     bs_ris  (n_ris x n_bs): base station -> surface hop, Kronecker product
         of a horizontal and a vertical rank-one factor (z index fastest).
-    ris_ue  (n_ue x n_ris): surface -> user hop, likewise.
+    ris_ue  (n_ue x n_ris): surface -> user hop, likewise.  Both hops are
+        formed from ``params`` on first read: only the pilot model reads
+        them, the sweeps read only the cascade.
     cascade (n_bs*n_ue x n_ris): column-wise Kronecker product of the
         transposed first hop with the second hop; the quantity the pilot
         stage ultimately estimates.  Column n collects what user antennas
@@ -151,22 +156,35 @@ class ChannelRealization:
     ue_z: np.ndarray
     surface_y: np.ndarray
     surface_z: np.ndarray
-    bs_ris: np.ndarray
-    ris_ue: np.ndarray
     cascade: np.ndarray
+
+    @functools.cached_property
+    def bs_ris(self) -> np.ndarray:
+        """Base station -> surface hop (n_ris x n_bs), computed on first read."""
+        arr_fy, arr_fz = self.params.ris_arr_freqs
+        return kron(np.outer(steering_1d(self.dims.n_ris_y, arr_fy), self.bs_y),
+                    np.outer(steering_1d(self.dims.n_ris_z, arr_fz), self.bs_z))
+
+    @functools.cached_property
+    def ris_ue(self) -> np.ndarray:
+        """Surface -> user hop (n_ue x n_ris), computed on first read."""
+        dep_fy, dep_fz = self.params.ris_dep_freqs
+        return kron(np.outer(self.ue_y, steering_1d(self.dims.n_ris_y, dep_fy)),
+                    np.outer(self.ue_z, steering_1d(self.dims.n_ris_z, dep_fz)))
 
 
 def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealization:
-    """Construct both hops and their derived products for one geometry.
+    """Construct the cascade and its factors for one geometry.
 
     Per axis, the first hop is the outer product of the surface arrival
     response with the base-station response, and the second hop the outer
     product of the user response with the surface departure response; the
-    full matrices are Kronecker products of their two axis factors.  The
-    cascade, the column-wise Kronecker product of the transposed first hop
-    with the second hop, is rank one: the outer product of
-    kron(kron(bs_y, bs_z), kron(ue_y, ue_z)) with kron(surface_y,
-    surface_z), and it is built as that product.
+    full matrices are Kronecker products of their two axis factors, formed
+    only when read (:class:`ChannelRealization`).  The cascade, the
+    column-wise Kronecker product of the transposed first hop with the
+    second hop, is rank one: the outer product of kron(kron(bs_y, bs_z),
+    kron(ue_y, ue_z)) with kron(surface_y, surface_z), and it is built as
+    that product.
     """
     bs_fy, bs_fz = params.bs_freqs
     arr_fy, arr_fz = params.ris_arr_freqs
@@ -182,10 +200,6 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
     ue_y = steering_1d(dims.n_ue_y, ue_fy)         # user terminal
     ue_z = steering_1d(dims.n_ue_z, ue_fz)
 
-    bs_ris_y = np.outer(ris_arr_y, bs_y)
-    bs_ris_z = np.outer(ris_arr_z, bs_z)
-    ris_ue_y = np.outer(ue_y, ris_dep_y)
-    ris_ue_z = np.outer(ue_z, ris_dep_z)
     surface_y = ris_arr_y * ris_dep_y
     surface_z = ris_arr_z * ris_dep_z
     cascade = np.multiply.outer(
@@ -201,8 +215,6 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
         ue_z=ue_z,
         surface_y=surface_y,
         surface_z=surface_z,
-        bs_ris=kron(bs_ris_y, bs_ris_z),
-        ris_ue=kron(ris_ue_y, ris_ue_z),
         cascade=cascade,
     )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 
 from .simulate import (
@@ -95,6 +96,12 @@ def _validate_command(cfg) -> int:
 
 
 def main(argv=None) -> int:
+    # The command line owns its process: move everything the imports built
+    # into the permanent generation, so neither a full collection during a
+    # sweep nor the interpreter's last one at exit walks numpy's import heap
+    # (most of the exit time).  Only the command line does this; a library
+    # import must not freeze its caller's heap.
+    gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)

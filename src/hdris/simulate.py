@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -91,6 +90,11 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if any(n < 1 for n in self.ris_grid):
             raise ConfigError("ris_grid entries must be >= 1")
+        for n in self.ris_grid:
+            if math.isqrt(n) ** 2 != n:
+                raise ConfigError(
+                    "ris_grid entries must be perfect squares (square surface), got %d" % n
+                )
         for key in ("snr_grid_db", "methods", "ris_grid"):
             values = list(getattr(self, key))
             if len(set(values)) != len(values):
@@ -227,6 +231,8 @@ def _exact_object(key: str, value, keys) -> dict:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """12 hex chars identifying the scientific content of a config."""
+    import hashlib
+
     blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
@@ -492,12 +498,9 @@ def run_se_sweep(cfg: ExperimentConfig):
 
 
 def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
+    """The square surface of ``n_ris`` elements (a perfect square, as the
+    config guarantees), with one block per element."""
     root = math.isqrt(n_ris)
-    if root * root != n_ris:
-        raise ConfigError(
-            "complexity grid entries must be perfect squares (square surface), "
-            "got %d" % n_ris
-        )
     # cfg passed check_feasible, so n_ris blocks cover the n_bs * n_ris unknowns
     return dataclasses.replace(cfg.dims, n_ris_y=root, n_ris_z=root, n_blocks=n_ris)
 

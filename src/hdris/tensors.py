@@ -353,10 +353,11 @@ def gram_macs(rows: int, cols: int) -> int:
     return cols * rows * cols + rows * cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneFactors:
     """Rank-one multilinear decomposition: one unit vector per mode plus a
-    complex amplitude.  ``reconstruct`` rebuilds core * v1 o v2 o ... o vN."""
+    complex amplitude.  ``reconstruct`` rebuilds core * v1 o v2 o ... o vN.
+    Two decompositions compare equal only when they are the same object."""
 
     vectors: tuple
     core: complex

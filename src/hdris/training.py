@@ -42,7 +42,7 @@ class TrainingInfeasibleError(ValueError):
     """The requested pilot budget cannot produce a row-orthonormal design."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingDesign:
     """Pilot block (n_bs x n_pilots) and surface profiles (n_ris x
     n_blocks), the two Kronecker factors of the joint training operator.
@@ -50,7 +50,8 @@ class TrainingDesign:
     Both factors are stored as read-only complex copies, so a design
     cannot change after construction, and ``report`` (the
     :func:`validate_training` result) and ``block_fft`` (the route of the
-    surface-block product) are computed once per instance."""
+    surface-block product) are computed once per instance.  Two designs
+    compare equal only when they are the same object."""
 
     bs_pilots: np.ndarray
     ris_phases: np.ndarray

@@ -166,6 +166,18 @@ def test_hop_matrices_factor_by_axis():
     np.testing.assert_allclose(ch.ris_ue, kron(ris_ue_y, ris_ue_z), atol=1e-12)
 
 
+def test_hops_are_formed_on_first_read():
+    # the sweeps read only the cascade: a fresh realization holds no hop
+    # until one is read, and then keeps it
+    ch = build_channels(SMALL_DIMS, sample_params(np.random.default_rng(3)))
+    assert "bs_ris" not in vars(ch) and "ris_ue" not in vars(ch)
+    first = ch.bs_ris
+    assert "bs_ris" in vars(ch) and "ris_ue" not in vars(ch)
+    assert ch.bs_ris is first
+    assert ch.ris_ue.shape == (SMALL_DIMS.n_ue, SMALL_DIMS.n_ris)
+    assert "ris_ue" in vars(ch)
+
+
 def test_surface_vector_combines_arrival_and_departure():
     rng = np.random.default_rng(4)
     params = sample_params(rng)

@@ -32,6 +32,7 @@ from hdris.metrics import nmse
 from hdris.tensors import (
     dominant_left_singular_vector,
     fold,
+    hosvd_rank1,
     kron,
     unfold,
     vec,
@@ -90,6 +91,23 @@ PLAN_DIMS = (
     SystemDims(1, 3, 1, 2, 4, 1, 3, 4),
     SystemDims(1, 1, 1, 1, 1, 1, 1, 1),
 )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_channels(SMALL_DIMS, sample_params(np.random.default_rng(0))),
+        lambda: make_training(SMALL_DIMS),
+        lambda: hosvd_rank1(np.ones((2, 3, 4), dtype=complex)),
+    ],
+    ids=["ChannelRealization", "TrainingDesign", "RankOneFactors"],
+)
+def test_array_records_compare_by_identity(build):
+    # records holding ndarrays compare and hash by identity: field-wise
+    # equality would ask an array for its truth value
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def crandn(rng, *shape):

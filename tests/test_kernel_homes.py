@@ -7,8 +7,15 @@ phase gauge ``_fix_phase`` only from ``tensors.hosvd_rank1``: a second
 squaring loop, a direct ``eigh``, a Gram formed and squared elsewhere or
 a gauge on a direction whose phase nothing reads fails here, so the
 package keeps one certified kernel, one fallback, one home for the
-smaller-Gram rule and one for the factor gauge.  The scan reads the
-source, by name, whatever module or alias the name is reached through.
+smaller-Gram rule and one for the factor gauge.
+
+``gc.freeze`` is reached only from ``cli.main``.  The command line owns
+its process, so it may put the import-time heap out of the collector's
+reach; a library import or sweep runs in its caller's process and must
+not freeze that heap.
+
+The scan reads the source, by name, whatever module or alias the name
+is reached through.
 """
 
 import ast
@@ -27,6 +34,7 @@ HOMES = {
     "_tail_power": ("tensors", "psd_top"),
     "psd_top": ("tensors", "dominant_left_singular_vector"),
     "_fix_phase": ("tensors", "hosvd_rank1"),
+    "freeze": ("cli", "main"),
 }
 
 

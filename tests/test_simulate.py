@@ -88,6 +88,7 @@ def test_default_config_dims():
         dict(threads=0),
         dict(tx_power_watts=0.0),
         dict(methods=("hdr", "mmse")),
+        dict(ris_grid=(16, 10)),
     ],
 )
 def test_config_validation_errors(overrides):
@@ -797,6 +798,37 @@ def test_sweep_never_imports_numpy_ma():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_main_freezes_import_heap_and_skips_hashlib():
+    # the command line owns its process: main moves the import-time heap out
+    # of the collector's reach, so the exit's last collection skips it, and
+    # validate hashes no config, so it never loads hashlib
+    code = (
+        "import gc, sys\n"
+        "from hdris.cli import main\n"
+        "assert main(['validate']) == 0\n"
+        "print(gc.get_freeze_count() > 0, 'hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
+def test_library_sweep_leaves_heap_unfrozen():
+    # a library caller owns its process: importing hdris and sweeping
+    # freezes none of its heap
+    code = (
+        "import dataclasses, gc\n"
+        "import hdris\n"
+        "from hdris.simulate import default_config\n"
+        "cfg = dataclasses.replace(default_config(), n_trials=1, snr_grid_db=(0.0,))\n"
+        "assert len(hdris.run_nmse_sweep(cfg)) == 6\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "0"
+
+
 # ---------------------------------------------------------------------------
 # freed-heap setting
 # ---------------------------------------------------------------------------
@@ -936,8 +968,6 @@ def test_complexity_dims_rules():
     # unknown count n_bs * n_ris
     assert dims400.n_blocks == 400
     check_feasible(dims400)
-    with pytest.raises(ConfigError, match="perfect square"):
-        _complexity_dims(cfg, 10)
 
 
 def test_complexity_sweep_rows():
@@ -1079,6 +1109,16 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["nmse", "--config", str(bad)]) == 2
 
 
+def test_cli_validate_rejects_non_square_grid(tmp_path, capsys):
+    # the grid rule lives in the config, so validate refuses the grid that
+    # the complexity sweep could not build
+    rc = main(["validate", "--config", _write_small_config(tmp_path, ris_grid=[16, 50])])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: ris_grid entries must be perfect squares (square surface), got 50\n"
+    )
+
+
 def test_cli_unknown_key_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": _dims_json(), "oops": 1}))
@@ -1115,6 +1155,8 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"ris_grid": [16, 16]}, []),
         # a noise energy noise_var*n_ue*n_bs*n_ris past the float64 range
         ({"snr_grid_db": [-3070.0]}, []),
+        # a grid entry the complexity sweep cannot build as a square surface
+        ({"ris_grid": [12]}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
