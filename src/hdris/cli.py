@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
+import os
 import sys
 
 from .simulate import (
@@ -95,6 +97,17 @@ def _validate_command(cfg) -> int:
     return 0
 
 
+def _check_output_dir(path: str) -> None:
+    """Raise OSError unless the directory of ``path`` exists and may be
+    written, so a sweep never runs for an output it cannot keep."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), directory)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), directory)
+
+
 def main(argv=None) -> int:
     # The command line owns its process: move everything the imports built
     # into the permanent generation, so neither a full collection during a
@@ -107,6 +120,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "validate":
             return _validate_command(cfg)
+        if cfg.output_path:
+            _check_output_dir(cfg.output_path)
         runner = {
             "nmse": run_nmse_sweep,
             "se": run_se_sweep,

@@ -60,28 +60,33 @@ def _block_product(a: np.ndarray, design: TrainingDesign, adjoint: bool) -> np.n
     2-D ``a``.  When ``design.block_fft`` holds the profiles are the leading
     rows of the unitary n_blocks-point DFT, so the product is a zero-padded
     FFT along the rows (the adjoint a truncated inverse FFT, a view of
-    the row-major spectrum); every other design takes the dense product,
-    whose adjoint is formed transposed and so comes out column-major."""
+    the row-major spectrum) that reads only the design's sizes; every
+    other design takes the dense product, whose adjoint is formed
+    transposed and so comes out column-major."""
     if design.block_fft:
-        n_ris, n_blocks = design.ris_phases.shape
         if adjoint:
-            return np.fft.ifft(a, axis=1, norm="ortho")[:, :n_ris]
-        return np.fft.fft(a, n=n_blocks, axis=1, norm="ortho")
+            return np.fft.ifft(a, axis=1, norm="ortho")[:, :design.n_ris]
+        return np.fft.fft(a, n=design.n_blocks, axis=1, norm="ortho")
     if adjoint:
         return (design.ris_phases.conj() @ a.T).T
     return a @ design.ris_phases
 
 
 def _check_pilot_inputs(ch: ChannelRealization, design: TrainingDesign, noise_var: float) -> None:
-    """Reject a noise variance outside [0, inf) and a design for another surface."""
+    """Reject a noise variance outside [0, inf) and a design for other dims."""
     if not 0 <= noise_var < math.inf:
         raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
     dims = ch.dims
     # the FFT route would zero-pad a surface mismatch instead of failing
-    if design.ris_phases.shape != (dims.n_ris, dims.n_blocks):
+    if (design.n_ris, design.n_blocks) != (dims.n_ris, dims.n_blocks):
         raise ValueError(
             "surface profiles are %d x %d but the channel has n_ris=%d, n_blocks=%d"
-            % (design.ris_phases.shape + (dims.n_ris, dims.n_blocks))
+            % (design.n_ris, design.n_blocks, dims.n_ris, dims.n_blocks)
+        )
+    if (design.n_bs, design.n_pilots) != (dims.n_bs, dims.n_pilots):
+        raise ValueError(
+            "pilot block is %d x %d but the channel has n_bs=%d, n_pilots=%d"
+            % (design.n_bs, design.n_pilots, dims.n_bs, dims.n_pilots)
         )
 
 
@@ -222,12 +227,10 @@ def matched_filter(
     """
     x = np.asarray(obs)
     _, n_pilots, n_blocks = x.shape
-    bs_pilots, ris_phases = design.bs_pilots, design.ris_phases
-    t_cols, k_cols = bs_pilots.shape[1], ris_phases.shape[1]
-    if (t_cols, k_cols) != (n_pilots, n_blocks):
+    if (design.n_pilots, design.n_blocks) != (n_pilots, n_blocks):
         raise ValueError(
             "training operator has %d columns but observation has %d"
-            % (t_cols * k_cols, n_pilots * n_blocks)
+            % (design.n_pilots * design.n_blocks, n_pilots * n_blocks)
         )
     if check:
         residual = design.report.row_orthonormality
@@ -236,7 +239,7 @@ def matched_filter(
                 "training operator rows are not orthonormal (residual %.3g)"
                 % residual
             )
-    per_bs = _pilot_product(bs_pilots.conj(), x.transpose(1, 0, 2))
+    per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2))
     filtered = _block_product(per_bs, design, adjoint=True)
     del per_bs
     return np.asfortranarray(filtered)

@@ -376,7 +376,7 @@ class RankOneFactors:
 
 def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     """Rank-one truncated higher-order SVD of ``x``, a ComplexTensor or an
-    ndarray (a view such as a transposed array is read in place).
+    ndarray (a view such as a transposed array is copied C-ordered first).
 
     Each mode's factor is the dominant left singular vector of that mode's
     unfolding (De Lathauwer, De Moor & Vandewalle 2000, *A multilinear

@@ -20,6 +20,7 @@ from .channel import SystemDims
 
 __all__ = [
     "CONTRACT_TOL",
+    "DftDesign",
     "FFT_MIN_BLOCKS",
     "TrainingInfeasibleError",
     "TrainingDesign",
@@ -49,45 +50,73 @@ class TrainingDesign:
 
     Both factors are stored as read-only complex copies, so a design
     cannot change after construction, and ``report`` (the
-    :func:`validate_training` result) and ``block_fft`` (the route of the
-    surface-block product) are computed once per instance.  Two designs
-    compare equal only when they are the same object."""
+    :func:`validate_training` result) is computed once per instance.  The
+    four sizes are kept beside them, and the surface-block products of a
+    design built from arrays are dense (``block_fft`` is False).  Two
+    designs compare equal only when they are the same object."""
 
     bs_pilots: np.ndarray
     ris_phases: np.ndarray
 
+    block_fft = False
+
     def __post_init__(self):
         for name in ("bs_pilots", "ris_phases"):
             factor = np.array(getattr(self, name), dtype=np.complex128)
+            if factor.ndim != 2:
+                raise ValueError("%s must be a matrix, got shape %s" % (name, factor.shape))
             factor.setflags(write=False)
             object.__setattr__(self, name, factor)
+        _set_sizes(self, *self.bs_pilots.shape, *self.ris_phases.shape)
 
     @functools.cached_property
     def report(self) -> TrainingReport:
         """:func:`validate_training` of this design, computed on first use."""
         return validate_training(self)
 
-    @functools.cached_property
-    def block_fft(self) -> bool:
-        """True when the surface-block products may run as FFTs: at least
-        ``FFT_MIN_BLOCKS`` blocks and profiles bit for bit the leading rows
-        of the unitary n_blocks-point DFT, so ``a @ ris_phases`` is a
-        zero-padded FFT and ``p @ ris_phases^H`` a truncated inverse FFT.
-        The block count is tested first, so smaller designs build no DFT."""
-        n_ris, n_blocks = self.ris_phases.shape
-        return n_blocks >= FFT_MIN_BLOCKS and np.array_equal(
-            self.ris_phases, _dft_rows(n_ris, n_blocks)
-        )
+
+def _set_sizes(design, *sizes: int) -> None:
+    """Record a design's n_bs, n_pilots, n_ris and n_blocks, the only
+    attributes the FFT route reads."""
+    for name, size in zip(("n_bs", "n_pilots", "n_ris", "n_blocks"), sizes):
+        object.__setattr__(design, name, size)
 
 
-@functools.cache
 def _dft_rows(rows: int, points: int) -> np.ndarray:
-    """First ``rows`` rows of the unitary ``points``-point DFT matrix, built
-    once per process and shared read-only (a design stores its own copy)."""
+    """First ``rows`` rows of the unitary ``points``-point DFT matrix, read-only."""
     grid = np.outer(np.arange(rows), np.arange(points))
     block = np.exp(-2j * np.pi * grid / points) / np.sqrt(points)
     block.setflags(write=False)
     return block
+
+
+def _dft_factor(rows: str, points: str) -> functools.cached_property:
+    """A factor of :class:`DftDesign`: the leading rows of the unitary DFT
+    sized by the design's ``rows`` and ``points`` attributes, built on
+    first read and kept by the design."""
+    def build(design) -> np.ndarray:
+        return _dft_rows(getattr(design, rows), getattr(design, points))
+    return functools.cached_property(build)
+
+
+class DftDesign(TrainingDesign):
+    """The DFT training design of :func:`make_training`, described by its
+    four sizes.
+
+    ``bs_pilots`` is the first n_bs rows of the n_pilots-point unitary DFT
+    and ``ris_phases`` the first n_ris rows of the n_blocks-point one.  Each
+    is built on its first read, read-only and owned by the design, so a
+    sweep that applies the profiles by FFT never forms the n_ris x
+    n_blocks matrix.  ``block_fft`` is set once, at construction, and
+    holds from ``FFT_MIN_BLOCKS`` blocks on: there ``a @ ris_phases`` is a
+    zero-padded FFT and ``p @ ris_phases^H`` a truncated inverse FFT."""
+
+    bs_pilots = _dft_factor("n_bs", "n_pilots")
+    ris_phases = _dft_factor("n_ris", "n_blocks")
+
+    def __init__(self, n_bs: int, n_pilots: int, n_ris: int, n_blocks: int):
+        _set_sizes(self, n_bs, n_pilots, n_ris, n_blocks)
+        object.__setattr__(self, "block_fft", n_blocks >= FFT_MIN_BLOCKS)
 
 
 def check_feasible(dims: SystemDims) -> None:
@@ -103,8 +132,10 @@ def check_feasible(dims: SystemDims) -> None:
         )
 
 
-def make_training(dims: SystemDims) -> TrainingDesign:
-    """Build the deterministic DFT-based training design for ``dims``.
+def make_training(dims: SystemDims) -> DftDesign:
+    """The deterministic DFT-based training design for ``dims``, a
+    :class:`DftDesign` of its four sizes whose factors are built on first
+    read.
 
     The pilot block is the first n_bs rows of the n_pilots-point unitary
     DFT and the profile matrix the first n_ris rows of the n_blocks-point
@@ -117,10 +148,7 @@ def make_training(dims: SystemDims) -> TrainingDesign:
     passes.
     """
     check_feasible(dims)
-    return TrainingDesign(
-        bs_pilots=_dft_rows(dims.n_bs, dims.n_pilots),
-        ris_phases=_dft_rows(dims.n_ris, dims.n_blocks),
-    )
+    return DftDesign(dims.n_bs, dims.n_pilots, dims.n_ris, dims.n_blocks)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from hdris.tensors import (
     unfold,
     vec,
 )
-from hdris.training import make_training, validate_training
+from hdris.training import TrainingDesign, make_training, validate_training
 from oracles import (
     MacCounter,
     counted_matmul,
@@ -290,6 +290,22 @@ def test_observation_validation():
             simulate_observation(_realization(FFT72_DIMS), make_training(dims), 0.1)
 
 
+@pytest.mark.parametrize("dims, other", [
+    (FFT72_DIMS, dataclasses.replace(FFT72_DIMS, n_bs_z=1)),
+    (FFT72_DIMS, dataclasses.replace(FFT72_DIMS, n_pilots=8)),
+    (REF_DIMS, dataclasses.replace(REF_DIMS, n_bs_z=2)),
+    (REF_DIMS, dataclasses.replace(REF_DIMS, n_pilots=32)),
+], ids=["fft-n_bs", "fft-n_pilots", "dense-n_bs", "dense-n_pilots"])
+def test_pilot_paths_reject_a_pilot_block_for_other_dims(dims, other):
+    # a design for the channel's surface but another n_bs or n_pilots fails
+    # with one line on both pilot paths, before numpy meets the shapes
+    ch, design = _realization(dims), make_training(other)
+    for path in (lambda: simulate_observation(ch, design, 0.1, seed=0),
+                 lambda: filtered_observation(ch, design, 0.1, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="pilot block is .* but the channel has n_bs="):
+            path()
+
+
 @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, -1.0])
 def test_observation_rejects_bad_noise_var(noise_var):
     # NaN used to run noiseless and inf to fill the block with inf
@@ -398,8 +414,8 @@ def test_matched_filter_rejects_bad_training():
     corrupted = design.ris_phases.copy()
     corrupted[2, 3] += 0.05
     for bad in (
-        dataclasses.replace(design, bs_pilots=design.bs_pilots * 1.5),
-        dataclasses.replace(design, ris_phases=corrupted),
+        TrainingDesign(design.bs_pilots * 1.5, design.ris_phases),
+        TrainingDesign(design.bs_pilots, corrupted),
     ):
         with pytest.raises(ValueError, match="not orthonormal"):
             matched_filter(obs, bad, check=True)
@@ -429,7 +445,7 @@ def test_matched_filter_validates_each_design_once(monkeypatch):
     for factor in (design.bs_pilots, design.ris_phases):
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 2.0
-    replaced = dataclasses.replace(design, bs_pilots=pilots)
+    replaced = TrainingDesign(pilots, design.ris_phases)
     assert not replaced.bs_pilots.flags.writeable and replaced.bs_pilots is not pilots
     matched_filter(obs, replaced, check=True)
     assert len(seen) == 2 and seen[1] is replaced
@@ -462,18 +478,20 @@ def test_block_product_route(monkeypatch):
         assert calls == ["fft", "ifft"]
         calls.clear()
 
-    # one profile entry off the DFT grid: dense route, bit for bit the GEMM
+    # a design built from arrays takes the dense route, bit for bit the
+    # GEMM, whether its profiles are the DFT rows or one entry off them
     design = make_training(WIDE_DIMS)
     moved = np.array(design.ris_phases)
     moved[3, 5] += 1e-3
-    perturbed = dataclasses.replace(design, ris_phases=moved)
-    obs = simulate_observation(_realization(WIDE_DIMS, 63), perturbed, 0.1, seed=63)
-    out = matched_filter(obs, perturbed, check=False)
-    assert not perturbed.block_fft and calls == []
     d = WIDE_DIMS
-    per_bs = np.matmul(perturbed.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)
-    want = (per_bs @ perturbed.ris_phases.conj().T).reshape(d.n_ue, d.n_bs, d.n_ris)
-    assert np.array_equal(out, want.reshape(d.n_ue * d.n_bs, d.n_ris, order="F"))
+    for phases in (design.ris_phases, moved):
+        explicit = TrainingDesign(design.bs_pilots, phases)
+        obs = simulate_observation(_realization(WIDE_DIMS, 63), explicit, 0.1, seed=63)
+        out = matched_filter(obs, explicit, check=False)
+        assert not explicit.block_fft and calls == []
+        per_bs = np.matmul(explicit.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)
+        want = (per_bs @ explicit.ris_phases.conj().T).reshape(d.n_ue, d.n_bs, d.n_ris)
+        assert np.array_equal(out, want.reshape(d.n_ue * d.n_bs, d.n_ris, order="F"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ a gauge on a direction whose phase nothing reads fails here, so the
 package keeps one certified kernel, one fallback, one home for the
 smaller-Gram rule and one for the factor gauge.
 
+``training._dft_rows`` is reached only from the DFT design's factor
+builder (``training._dft_factor``'s ``build``), so a DFT factor is built
+on first read by its design and nowhere else: an eager profile build in
+``make_training`` or a second cache of the rows fails here.
+
 ``gc.freeze`` is reached only from ``cli.main``.  The command line owns
 its process, so it may put the import-time heap out of the collector's
 reach; a library import or sweep runs in its caller's process and must
@@ -35,6 +40,7 @@ HOMES = {
     "psd_top": ("tensors", "dominant_left_singular_vector"),
     "_fix_phase": ("tensors", "hosvd_rank1"),
     "freeze": ("cli", "main"),
+    "_dft_rows": ("training", "_dft_factor.build"),
 }
 
 
@@ -74,6 +80,8 @@ def test_eigen_kernels_are_used_at_home():
         ("dominant_left_singular_vector", "psd_top"),
         ("hosvd_rank1", "_fix_phase"),
     }
+    source = (PACKAGE / "training.py").read_text(encoding="utf-8")
+    assert _references(source, HOMES) == [("_dft_factor.build", "_dft_rows")]
 
 
 def test_reference_scan_reads_every_form():

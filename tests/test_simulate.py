@@ -37,7 +37,9 @@ from hdris.simulate import (
     run_se_sweep,
     write_csv,
 )
-from hdris.training import TrainingDesign, TrainingInfeasibleError, check_feasible, make_training
+import hdris.training as training
+from hdris.estimators import matched_filter
+from hdris.training import TrainingInfeasibleError, check_feasible, make_training
 from oracles import dominant_pairs_oracle
 
 SMALL_DIMS = SystemDims(
@@ -343,12 +345,38 @@ def test_sweep_rows_agree_across_block_routes(sweep, dims, monkeypatch):
     cfg = _small_cfg(dims=dims, snr_grid_db=(-10.0, 0.0, 20.0), n_trials=3)
     assert make_training(dims).block_fft
     fft_rows = sweep(cfg)
-    monkeypatch.setattr(TrainingDesign, "block_fft", False)
+    monkeypatch.setattr(training, "FFT_MIN_BLOCKS", dims.n_blocks + 1)
     assert not make_training(dims).block_fft
     dense_rows = sweep(cfg)
     assert [dict(r, value=0) for r in fft_rows] == [dict(r, value=0) for r in dense_rows]
     for got, want in zip(fft_rows, dense_rows):
         assert abs(got["value"] - want["value"]) <= 1e-13 * math.sqrt(want["value"]), got
+
+
+def test_fft_route_sweep_never_builds_the_profile_matrix(monkeypatch, tmp_path):
+    # the FFT route reads the design's sizes only: a 16x16-surface sweep on
+    # 256 blocks builds its 16x16 pilot block and no 256x256 profile
+    # matrix, while hdris validate and a checked filter build both factors
+    built = []
+    dft_rows = training._dft_rows
+
+    def recording(rows, points):
+        built.append((rows, points))
+        return dft_rows(rows, points)
+
+    monkeypatch.setattr(training, "_dft_rows", recording)
+    dims = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+    for sweep in (run_nmse_sweep, run_se_sweep):
+        sweep(_small_cfg(dims=dims, snr_grid_db=(0.0,), n_trials=2))
+        assert built == [(16, 16)]
+        built.clear()
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"dims": dataclasses.asdict(dims), "snr_grid_db": [0.0],
+                                  "n_trials": 2}))
+    assert main(["validate", "--config", str(config)]) == 0
+    assert built == [(16, 16), (256, 256)]
+    matched_filter(np.zeros((16, 16, 256), dtype=complex), make_training(dims), check=True)
+    assert built == [(16, 16), (256, 256)] * 2
 
 
 def _csv_text(rows):
@@ -691,16 +719,22 @@ def test_forked_sweep_imports_no_process_pool():
     assert out == "[]\n"
 
 
-def test_pinned_se_workload_matches_perfbench_reference():
+@pytest.mark.parametrize("workload, sweep", [
+    ("pinned-se-mt", run_se_sweep),
+    ("ref-nmse", run_nmse_sweep),
+    ("wide-ris-nmse", run_nmse_sweep),
+], ids=["pinned-se-mt", "ref-nmse", "wide-ris-nmse"])
+def test_workload_matches_perfbench_reference(workload, sweep):
     # the benchmark's own reference rows, recorded from CLI runs at seed 0,
-    # reproduced by one in-process sweep (the files are only read)
+    # reproduced by one in-process sweep (the files are only read), so a
+    # change that moves a benchmark row fails here too
     cfg = dataclasses.replace(
-        load_config(str(PERFBENCH_WORKLOADS / "pinned-se-mt.json")), seed=0, threads=1
+        load_config(str(PERFBENCH_WORKLOADS / (workload + ".json"))), seed=0, threads=1
     )
     reference = json.loads(
         (PERFBENCH_WORKLOADS.parent / "reference.json").read_text(encoding="utf-8")
-    )["pinned-se-mt"]["0"]
-    rows = run_se_sweep(cfg)
+    )[workload]["0"]
+    rows = sweep(cfg)
     got = {"%s,%r,%s" % (r["method"], r["snr_db"], r["stat"]): r["value"] for r in rows}
     assert got.keys() == reference.keys()
     for key, want in reference.items():
@@ -1194,7 +1228,21 @@ def test_readme_library_use_block_runs():
     assert errors["hdr"] < errors["krf"]
 
 
-def test_cli_io_error_exit_code(tmp_path):
+def test_cli_io_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an output that cannot be written fails before the sweep runs, with
+    # one line, exit code 1 and no file left behind
+    import hdris.cli
+
+    def refuse(cfg):
+        raise AssertionError("the sweep ran before the output was checked")
+
     cfg = _write_small_config(tmp_path)
-    rc = main(["nmse", "--config", cfg, "--out", str(tmp_path / "nodir" / "x.csv")])
-    assert rc == 1
+    monkeypatch.setattr(hdris.cli, "run_nmse_sweep", refuse)
+    before = sorted(tmp_path.iterdir())
+    # a missing directory, and a regular file in the directory's place
+    for target in (tmp_path / "nodir" / "x.csv", Path(cfg) / "x.csv"):
+        rc = main(["nmse", "--config", cfg, "--out", str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: ")
+    assert sorted(tmp_path.iterdir()) == before

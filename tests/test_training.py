@@ -12,11 +12,14 @@ from hdris.channel import SystemDims
 import hdris.training as training
 from hdris.training import (
     FFT_MIN_BLOCKS,
+    DftDesign,
+    TrainingDesign,
     TrainingInfeasibleError,
     check_feasible,
     make_training,
     validate_training,
 )
+from hdris.simulate import ExperimentConfig, run_nmse_sweep
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -65,6 +68,13 @@ def test_design_stores_only_the_two_factors():
     assert [f.name for f in dataclasses.fields(design)] == ["bs_pilots", "ris_phases"]
     assert design.bs_pilots.shape == (4, 16)
     assert design.ris_phases.shape == (16, 16)
+    # a design built from arrays keeps read-only copies and their sizes
+    pilots = np.array(design.bs_pilots)
+    explicit = TrainingDesign(pilots, design.ris_phases)
+    assert explicit.bs_pilots is not pilots and not explicit.bs_pilots.flags.writeable
+    assert (explicit.n_bs, explicit.n_pilots, explicit.n_ris, explicit.n_blocks) == (4, 16, 16, 16)
+    with pytest.raises(ValueError, match="ris_phases must be a matrix"):
+        TrainingDesign(design.bs_pilots, design.ris_phases[0])
 
 
 def test_training_feasibility_threshold():
@@ -114,16 +124,16 @@ def test_validate_training_accepts_good_design():
 def test_validate_training_flags_corruption():
     # one corrupted entry in either factor breaks its row orthonormality
     design = make_training(SMALL_DIMS)
-    for field in ("bs_pilots", "ris_phases"):
-        factor = getattr(design, field).copy()
-        factor[0, 0] += 0.05
-        report = validate_training(dataclasses.replace(design, **{field: factor}))
+    pilots, phases = np.array(design.bs_pilots), np.array(design.ris_phases)
+    pilots[0, 0] += 0.05
+    phases[0, 0] += 0.05
+    for bad in (TrainingDesign(pilots, design.ris_phases),
+                TrainingDesign(design.bs_pilots, phases)):
+        report = validate_training(bad)
         assert report.row_orthonormality > 1e-3
         assert not report.ok()
     # a uniformly scaled pilot block keeps constant-modulus profiles
-    report = validate_training(
-        dataclasses.replace(design, bs_pilots=design.bs_pilots * 1.5)
-    )
+    report = validate_training(TrainingDesign(design.bs_pilots * 1.5, design.ris_phases))
     assert report.row_orthonormality == pytest.approx(1.25, rel=1e-12)
     assert report.modulus_spread < 1e-10
 
@@ -147,19 +157,18 @@ def test_training_noise_variance_preserved():
 
 
 def test_block_fft_rule():
-    # DFT profiles qualify from FFT_MIN_BLOCKS blocks on; anything off the
-    # DFT grid, however close, does not
+    # DFT designs take the FFT route from FFT_MIN_BLOCKS blocks on; a
+    # design built from arrays never does, even from the DFT rows
     assert FFT_MIN_BLOCKS == 64
     assert not make_training(_dims(n_blocks=FFT_MIN_BLOCKS - 1)).block_fft
     design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
     assert design.block_fft
     assert make_training(_dims(n_ris=16, n_blocks=72)).block_fft
-    moved = np.array(design.ris_phases)
-    moved[1, 2] *= np.exp(1e-12j)
-    assert not dataclasses.replace(design, ris_phases=moved).block_fft
+    assert not TrainingDesign(design.bs_pilots, design.ris_phases).block_fft
 
 
-def test_block_fft_is_computed_once_per_design(monkeypatch):
+def _recording_dft_rows(monkeypatch):
+    """Record the (rows, points) of every DFT factor built from here on."""
     built = []
     dft_rows = training._dft_rows
 
@@ -167,32 +176,49 @@ def test_block_fft_is_computed_once_per_design(monkeypatch):
         built.append((rows, points))
         return dft_rows(rows, points)
 
+    monkeypatch.setattr(training, "_dft_rows", recording)
+    return built
+
+
+def test_block_fft_is_computed_once_per_design(monkeypatch):
+    # make_training and block_fft read only the four sizes: the route is
+    # decided once, at construction, and deciding it builds no factor
+    built = _recording_dft_rows(monkeypatch)
     design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
     small = make_training(_dims(n_blocks=16))
-    monkeypatch.setattr(training, "_dft_rows", recording)
+    assert isinstance(design, DftDesign) and isinstance(design, TrainingDesign)
+    assert "block_fft" in vars(design) and "block_fft" in vars(small)
     for _ in range(3):
-        assert design.block_fft
-    assert built == [(16, 64)]
-    # replace builds a new instance, which decides afresh
-    replaced = dataclasses.replace(design, bs_pilots=np.array(design.bs_pilots))
-    assert replaced.block_fft and built == [(16, 64), (16, 64)]
-    # the block count is tested first: a small design builds no DFT
-    assert not small.block_fft and len(built) == 2
+        assert design.block_fft and not small.block_fft
+    assert built == []
+    assert (design.n_bs, design.n_pilots, design.n_ris, design.n_blocks) == (4, 16, 16, 64)
+    # a design built from its own factors decides afresh, and is dense
+    explicit = TrainingDesign(design.bs_pilots, design.ris_phases)
+    assert not explicit.block_fft and built == [(4, 16), (16, 64)]
 
 
-def test_dft_block_is_built_once_per_process():
-    # repeated calls share one read-only block, and a design keeps its own
-    # writable-at-birth copy, so the shared block cannot be changed through it
-    block = training._dft_rows(16, 64)
-    assert training._dft_rows(16, 64) is block
-    assert not block.flags.writeable
+def test_dft_block_is_built_once_per_process(monkeypatch):
+    # each factor is built on its first read, then kept, read-only and
+    # owned by its design; a sweep makes one design per process, so the
+    # profile block is built once however many trials read it
+    built = _recording_dft_rows(monkeypatch)
+    design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
+    for _ in range(3):
+        phases = design.ris_phases
+    assert built == [(16, 64)] and design.ris_phases is phases
+    assert design.bs_pilots.shape == (4, 16) and built == [(16, 64), (4, 16)]
     with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = 0.0
+        phases[0, 0] = 0.0
     grid = np.outer(np.arange(16), np.arange(64))
-    np.testing.assert_array_equal(block, np.exp(-2j * np.pi * grid / 64) / np.sqrt(64))
-    design = make_training(_dims(n_blocks=64))
-    assert design.ris_phases is not block and not np.shares_memory(design.ris_phases, block)
-    np.testing.assert_array_equal(design.ris_phases, block)
+    np.testing.assert_array_equal(phases, np.exp(-2j * np.pi * grid / 64) / np.sqrt(64))
+    # another design of the same sizes builds and owns its own
+    other = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
+    assert other.ris_phases is not phases and not np.shares_memory(other.ris_phases, phases)
+    assert built[-1] == (16, 64) and len(built) == 3
+    built.clear()
+    run_nmse_sweep(ExperimentConfig(dims=SMALL_DIMS, snr_grid_db=(-5.0, 5.0), n_trials=3,
+                                    methods=("hdr", "krf", "ls"), seed=0, threads=1))
+    assert sorted(built) == [(4, 16), (16, 16)]
 
 
 def test_training_is_deterministic():
