@@ -7,10 +7,12 @@ against the two row-orthonormal training factors compresses it into the
 column-wise Kronecker product of the transposed first hop with the second
 hop.  The filter returns a noiseless block's cascade exactly, so the
 sweeps skip the block: :func:`filtered_observation` draws the same noise
-and filters only it, onto the true cascade.  Because both hops are rank
-one per axis, one reshape and transpose of the cascade's entries
-arranges them into a sixth-order tensor that is exactly a rank-one outer
-product of the six steering-related vectors.  ``ESTIMATORS`` maps each
+and filters only it, onto the true cascade.  All three apply the surface
+profiles through the design's ``block_product``, which picks the FFT or
+the dense route.  Because both hops are rank one per axis, one reshape
+and transpose of the cascade's entries arranges them into a sixth-order
+tensor that is exactly a rank-one outer product of the six
+steering-related vectors.  ``ESTIMATORS`` maps each
 method name to an :class:`Estimator` record for the estimator that
 consumes the cascade:
 
@@ -55,23 +57,6 @@ __all__ = [
 ]
 
 
-def _block_product(a: np.ndarray, design: TrainingDesign, adjoint: bool) -> np.ndarray:
-    """``a @ ris_phases`` (or ``a @ ris_phases^H`` when ``adjoint``) for a
-    2-D ``a``.  When ``design.block_fft`` holds the profiles are the leading
-    rows of the unitary n_blocks-point DFT, so the product is a zero-padded
-    FFT along the rows (the adjoint a truncated inverse FFT, a view of
-    the row-major spectrum) that reads only the design's sizes; every
-    other design takes the dense product, whose adjoint is formed
-    transposed and so comes out column-major."""
-    if design.block_fft:
-        if adjoint:
-            return np.fft.ifft(a, axis=1, norm="ortho")[:, :design.n_ris]
-        return np.fft.fft(a, n=design.n_blocks, axis=1, norm="ortho")
-    if adjoint:
-        return (design.ris_phases.conj() @ a.T).T
-    return a @ design.ris_phases
-
-
 def _check_pilot_inputs(ch: ChannelRealization, design: TrainingDesign, noise_var: float) -> None:
     """Reject a noise variance outside [0, inf) and a design for other dims."""
     if not 0 <= noise_var < math.inf:
@@ -112,23 +97,24 @@ def simulate_observation(
     plus circular complex Gaussian noise of variance ``noise_var`` per
     entry.  All blocks come from one product: entry (q, t, n) of the
     (n_ue, n_pilots, n_ris) array ris_ue[q, n] * (bs_ris @ bs_pilots)[n, t],
-    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases.  That
-    product is a zero-padded FFT over the rows when ``design.block_fft``
-    holds and a dense product otherwise.  The noise is added in place,
+    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases
+    (:meth:`TrainingDesign.block_product`).  The noise is added in place,
     real parts first, from one draw of a real and an imaginary block
-    (:func:`_standard_noise`).
+    (:func:`_standard_noise`), taken from ``rng`` or else from a generator
+    seeded with ``seed``; passing both is an error.
     """
-    _check_pilot_inputs(ch, design, noise_var)
-    dims = ch.dims
     if rng is None:
         rng = np.random.default_rng(seed)
+    elif seed is not None:
+        raise ValueError("pass rng or seed, not both")
+    _check_pilot_inputs(ch, design, noise_var)
+    dims = ch.dims
 
     first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
     # one expression, so the n_ue x n_pilots x n_ris product is freed
     # before the noise is drawn
-    x = _block_product(
-        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris),
-        design, adjoint=False,
+    x = design.block_product(
+        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris), adjoint=False,
     ).reshape(dims.n_ue, dims.n_pilots, dims.n_blocks)
 
     if noise_var > 0:
@@ -171,7 +157,7 @@ def filtered_observation(
     del re, im
     per_bs = _pilot_product(np.sqrt(noise_var / 2.0) * design.bs_pilots.conj(), noise)
     del noise
-    filtered = _block_product(per_bs, design, adjoint=True)
+    filtered = design.block_product(per_bs, adjoint=True)
     del per_bs
     # a column-major copy, then an in-place add: faster than one add
     # that writes column-major from the row-major spectrum
@@ -226,6 +212,9 @@ def matched_filter(
         construction (see :func:`filtered_observation`).
     """
     x = np.asarray(obs)
+    if x.ndim != 3:
+        raise ValueError("expected an (n_ue, n_pilots, n_blocks) observation, got shape %s"
+                         % (x.shape,))
     _, n_pilots, n_blocks = x.shape
     if (design.n_pilots, design.n_blocks) != (n_pilots, n_blocks):
         raise ValueError(
@@ -240,7 +229,7 @@ def matched_filter(
                 % residual
             )
     per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2))
-    filtered = _block_product(per_bs, design, adjoint=True)
+    filtered = design.block_product(per_bs, adjoint=True)
     del per_bs
     return np.asfortranarray(filtered)
 

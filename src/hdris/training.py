@@ -1,12 +1,16 @@
-"""Deterministic pilot and surface-phase training design.
+"""The pilot and surface-phase training design.
 
 The pilot stage transmits one symbol block from the base-station array
 while the surface cycles through a set of phase profiles, one per block.
 The joint training operator is the Kronecker product of the profile
 matrix with the pilot block.  It is never formed: it has orthonormal rows
 whenever both factors do, so the matched filter applies the two factors
-separately and validation checks each factor.  With DFT rows both
-hold exactly and every profile entry has the same modulus.
+separately and validation checks each factor.  The factors are the
+leading rows of unitary DFT matrices, so both hold exactly and every
+profile entry has the same modulus.  The profile product of a design
+(:meth:`TrainingDesign.block_product`) lives beside those DFT rows: from
+``FFT_MIN_BLOCKS`` blocks on it is an FFT that relies on their sign and
+normalisation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .channel import SystemDims
 
 __all__ = [
     "CONTRACT_TOL",
-    "DftDesign",
     "FFT_MIN_BLOCKS",
     "TrainingInfeasibleError",
     "TrainingDesign",
@@ -43,80 +46,68 @@ class TrainingInfeasibleError(ValueError):
     """The requested pilot budget cannot produce a row-orthonormal design."""
 
 
-@dataclass(frozen=True, eq=False)
-class TrainingDesign:
-    """Pilot block (n_bs x n_pilots) and surface profiles (n_ris x
-    n_blocks), the two Kronecker factors of the joint training operator.
-
-    Both factors are stored as read-only complex copies, so a design
-    cannot change after construction, and ``report`` (the
-    :func:`validate_training` result) is computed once per instance.  The
-    four sizes are kept beside them, and the surface-block products of a
-    design built from arrays are dense (``block_fft`` is False).  Two
-    designs compare equal only when they are the same object."""
-
-    bs_pilots: np.ndarray
-    ris_phases: np.ndarray
-
-    block_fft = False
-
-    def __post_init__(self):
-        for name in ("bs_pilots", "ris_phases"):
-            factor = np.array(getattr(self, name), dtype=np.complex128)
-            if factor.ndim != 2:
-                raise ValueError("%s must be a matrix, got shape %s" % (name, factor.shape))
-            factor.setflags(write=False)
-            object.__setattr__(self, name, factor)
-        _set_sizes(self, *self.bs_pilots.shape, *self.ris_phases.shape)
-
-    @functools.cached_property
-    def report(self) -> TrainingReport:
-        """:func:`validate_training` of this design, computed on first use."""
-        return validate_training(self)
-
-
-def _set_sizes(design, *sizes: int) -> None:
-    """Record a design's n_bs, n_pilots, n_ris and n_blocks, the only
-    attributes the FFT route reads."""
-    for name, size in zip(("n_bs", "n_pilots", "n_ris", "n_blocks"), sizes):
-        object.__setattr__(design, name, size)
-
-
 def _dft_rows(rows: int, points: int) -> np.ndarray:
-    """First ``rows`` rows of the unitary ``points``-point DFT matrix, read-only."""
+    """First ``rows`` rows of the unitary ``points``-point DFT matrix,
+    exp(-2 pi i n k / points) / sqrt(points), read-only."""
     grid = np.outer(np.arange(rows), np.arange(points))
     block = np.exp(-2j * np.pi * grid / points) / np.sqrt(points)
     block.setflags(write=False)
     return block
 
 
-def _dft_factor(rows: str, points: str) -> functools.cached_property:
-    """A factor of :class:`DftDesign`: the leading rows of the unitary DFT
-    sized by the design's ``rows`` and ``points`` attributes, built on
-    first read and kept by the design."""
-    def build(design) -> np.ndarray:
-        return _dft_rows(getattr(design, rows), getattr(design, points))
-    return functools.cached_property(build)
+@dataclass(frozen=True, eq=False)
+class TrainingDesign:
+    """The DFT training design, described by its four sizes.
 
+    Its two Kronecker factors, the pilot block ``bs_pilots`` (n_bs x
+    n_pilots) and the surface profiles ``ris_phases`` (n_ris x n_blocks),
+    are the leading rows of the unitary n_pilots- and n_blocks-point DFT.
+    Each is built on its first read, read-only and owned by the design, so
+    a sweep that applies the profiles by FFT never forms the n_ris x
+    n_blocks matrix.  ``report`` (the :func:`validate_training` result) is
+    computed once per design.  Two designs compare equal only when they
+    are the same object."""
 
-class DftDesign(TrainingDesign):
-    """The DFT training design of :func:`make_training`, described by its
-    four sizes.
+    n_bs: int
+    n_pilots: int
+    n_ris: int
+    n_blocks: int
 
-    ``bs_pilots`` is the first n_bs rows of the n_pilots-point unitary DFT
-    and ``ris_phases`` the first n_ris rows of the n_blocks-point one.  Each
-    is built on its first read, read-only and owned by the design, so a
-    sweep that applies the profiles by FFT never forms the n_ris x
-    n_blocks matrix.  ``block_fft`` is set once, at construction, and
-    holds from ``FFT_MIN_BLOCKS`` blocks on: there ``a @ ris_phases`` is a
-    zero-padded FFT and ``p @ ris_phases^H`` a truncated inverse FFT."""
+    @functools.cached_property
+    def bs_pilots(self) -> np.ndarray:
+        return _dft_rows(self.n_bs, self.n_pilots)
 
-    bs_pilots = _dft_factor("n_bs", "n_pilots")
-    ris_phases = _dft_factor("n_ris", "n_blocks")
+    @functools.cached_property
+    def ris_phases(self) -> np.ndarray:
+        return _dft_rows(self.n_ris, self.n_blocks)
 
-    def __init__(self, n_bs: int, n_pilots: int, n_ris: int, n_blocks: int):
-        _set_sizes(self, n_bs, n_pilots, n_ris, n_blocks)
-        object.__setattr__(self, "block_fft", n_blocks >= FFT_MIN_BLOCKS)
+    @property
+    def block_fft(self) -> bool:
+        """Whether :meth:`block_product` runs as an FFT: from
+        ``FFT_MIN_BLOCKS`` blocks on."""
+        return self.n_blocks >= FFT_MIN_BLOCKS
+
+    @functools.cached_property
+    def report(self) -> TrainingReport:
+        """:func:`validate_training` of this design, computed on first use."""
+        return validate_training(self)
+
+    def block_product(self, a: np.ndarray, adjoint: bool) -> np.ndarray:
+        """``a @ ris_phases`` (or ``a @ ris_phases^H`` when ``adjoint``) for
+        a 2-D ``a`` of n_ris (or n_blocks) columns.
+
+        On the FFT route (``block_fft``) the product is a zero-padded FFT
+        along the rows, and the adjoint a truncated inverse FFT (a view of
+        the row-major spectrum); both read only the design's sizes.  Below
+        it the product is dense, and its adjoint is formed transposed, so
+        it comes out column-major."""
+        if self.block_fft:
+            if adjoint:
+                return np.fft.ifft(a, axis=1, norm="ortho")[:, :self.n_ris]
+            return np.fft.fft(a, n=self.n_blocks, axis=1, norm="ortho")
+        if adjoint:
+            return (self.ris_phases.conj() @ a.T).T
+        return a @ self.ris_phases
 
 
 def check_feasible(dims: SystemDims) -> None:
@@ -132,10 +123,10 @@ def check_feasible(dims: SystemDims) -> None:
         )
 
 
-def make_training(dims: SystemDims) -> DftDesign:
+def make_training(dims: SystemDims) -> TrainingDesign:
     """The deterministic DFT-based training design for ``dims``, a
-    :class:`DftDesign` of its four sizes whose factors are built on first
-    read.
+    :class:`TrainingDesign` of its four sizes whose factors are built on
+    first read.
 
     The pilot block is the first n_bs rows of the n_pilots-point unitary
     DFT and the profile matrix the first n_ris rows of the n_blocks-point
@@ -148,7 +139,7 @@ def make_training(dims: SystemDims) -> DftDesign:
     passes.
     """
     check_feasible(dims)
-    return DftDesign(dims.n_bs, dims.n_pilots, dims.n_ris, dims.n_blocks)
+    return TrainingDesign(dims.n_bs, dims.n_pilots, dims.n_ris, dims.n_blocks)
 
 
 @dataclass(frozen=True)

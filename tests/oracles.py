@@ -15,7 +15,8 @@ rate scoring by dominant pairs that ``spectral_efficiency`` replaced by
 beams read off ``hdr``'s factors and one eigenproblem per beam.  The
 dominant pairs keep the phase gauge that only ``hosvd_rank1`` still
 fixes; :func:`phase_distance` compares the package's other directions
-with them.
+with them.  :func:`design_with_factors` stands in for the designs built
+from explicit arrays that the package no longer makes.
 """
 
 import dataclasses
@@ -139,6 +140,23 @@ def dominant_pairs_oracle(m, counter=None):
     for idx in np.ndindex(*m.shape[:-2]):
         u[idx], sigma[idx] = dominant_pair_oracle(m[idx], counter)
     return u, sigma
+
+
+def design_with_factors(design, **factors):
+    """A fresh design of ``design``'s sizes whose ``bs_pilots`` and/or
+    ``ris_phases`` are read-only copies of the given arrays instead of the
+    DFT rows, seeded into the cached properties; a factor not given is
+    built on first read as usual.  Validation and the dense block product
+    read a seeded profile matrix; the FFT route (``block_fft``) never does."""
+    shapes = {"bs_pilots": (design.n_bs, design.n_pilots),
+              "ris_phases": (design.n_ris, design.n_blocks)}
+    fresh = dataclasses.replace(design)
+    for name, factor in factors.items():
+        factor = np.array(factor, dtype=np.complex128)
+        assert factor.shape == shapes[name], (name, factor.shape)
+        factor.setflags(write=False)
+        vars(fresh)[name] = factor
+    return fresh
 
 
 def ideal_estimate(ch):

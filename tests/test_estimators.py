@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hdris.training as training
 from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
 from hdris.estimators import (
     ESTIMATORS,
@@ -37,10 +38,11 @@ from hdris.tensors import (
     unfold,
     vec,
 )
-from hdris.training import TrainingDesign, make_training, validate_training
+from hdris.training import make_training, validate_training
 from oracles import (
     MacCounter,
     counted_matmul,
+    design_with_factors,
     dominant_pair_oracle,
     dominant_pairs_oracle,
     identity_tensor,
@@ -283,6 +285,12 @@ def test_observation_validation():
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError):
         simulate_observation(ch, design, -1.0)
+    # rng and seed each name the noise stream, so the pair is rejected
+    # before anything is drawn
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match="rng or seed, not both"):
+        simulate_observation(ch, design, 0.1, rng=rng, seed=7)
+    assert rng.standard_normal() == np.random.default_rng(1).standard_normal()
     # a design for another surface fails on both block routes, even when
     # the block counts agree and an FFT could zero-pad the difference
     for dims in (ODD_DIMS, dataclasses.replace(FFT72_DIMS, n_ris_z=9)):
@@ -378,6 +386,11 @@ def test_matched_filter_rejects_shape_mismatch():
     obs = simulate_observation(_realization(ODD_DIMS), make_training(ODD_DIMS), 0.0)
     with pytest.raises(ValueError, match="columns but observation has"):
         matched_filter(obs, design)
+    # an observation of another order fails with one line, not in unpacking
+    block = simulate_observation(_realization(), design, 0.0)
+    for bad in (block[0], block[None]):
+        with pytest.raises(ValueError, match=r"expected an \(n_ue, n_pilots, n_blocks\) obs"):
+            matched_filter(bad, design)
 
 
 def test_matched_filter_charges_filter_macs():
@@ -414,8 +427,8 @@ def test_matched_filter_rejects_bad_training():
     corrupted = design.ris_phases.copy()
     corrupted[2, 3] += 0.05
     for bad in (
-        TrainingDesign(design.bs_pilots * 1.5, design.ris_phases),
-        TrainingDesign(design.bs_pilots, corrupted),
+        design_with_factors(design, bs_pilots=design.bs_pilots * 1.5),
+        design_with_factors(design, ris_phases=corrupted),
     ):
         with pytest.raises(ValueError, match="not orthonormal"):
             matched_filter(obs, bad, check=True)
@@ -425,8 +438,6 @@ def test_matched_filter_rejects_bad_training():
 
 
 def test_matched_filter_validates_each_design_once(monkeypatch):
-    import hdris.training as training
-
     seen = []
 
     def recording_validate(design):
@@ -440,13 +451,13 @@ def test_matched_filter_validates_each_design_once(monkeypatch):
     for _ in range(11):
         np.testing.assert_array_equal(matched_filter(obs, design, check=True), first)
     assert [d is design for d in seen] == [True]
-    # the factors are read-only copies, so the cached report cannot go stale
-    pilots = np.array(design.bs_pilots)
+    # the factors are read-only, so the cached report cannot go stale; a
+    # design with other factors validates afresh
     for factor in (design.bs_pilots, design.ris_phases):
         with pytest.raises(ValueError, match="read-only"):
             factor[0, 0] = 2.0
-    replaced = TrainingDesign(pilots, design.ris_phases)
-    assert not replaced.bs_pilots.flags.writeable and replaced.bs_pilots is not pilots
+    replaced = design_with_factors(design, bs_pilots=design.bs_pilots)
+    assert not replaced.bs_pilots.flags.writeable
     matched_filter(obs, replaced, check=True)
     assert len(seen) == 2 and seen[1] is replaced
 
@@ -478,19 +489,20 @@ def test_block_product_route(monkeypatch):
         assert calls == ["fft", "ifft"]
         calls.clear()
 
-    # a design built from arrays takes the dense route, bit for bit the
-    # GEMM, whether its profiles are the DFT rows or one entry off them
-    design = make_training(WIDE_DIMS)
+    # with FFT_MIN_BLOCKS raised past the block count, the profiles take
+    # the dense route, bit for bit the GEMM, whether they are the DFT rows
+    # or one entry off them
+    d = WIDE_DIMS
+    monkeypatch.setattr(training, "FFT_MIN_BLOCKS", d.n_blocks + 1)
+    design = make_training(d)
     moved = np.array(design.ris_phases)
     moved[3, 5] += 1e-3
-    d = WIDE_DIMS
-    for phases in (design.ris_phases, moved):
-        explicit = TrainingDesign(design.bs_pilots, phases)
-        obs = simulate_observation(_realization(WIDE_DIMS, 63), explicit, 0.1, seed=63)
-        out = matched_filter(obs, explicit, check=False)
-        assert not explicit.block_fft and calls == []
-        per_bs = np.matmul(explicit.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)
-        want = (per_bs @ explicit.ris_phases.conj().T).reshape(d.n_ue, d.n_bs, d.n_ris)
+    for dense in (design, design_with_factors(design, ris_phases=moved)):
+        obs = simulate_observation(_realization(d, 63), dense, 0.1, seed=63)
+        out = matched_filter(obs, dense, check=False)
+        assert not dense.block_fft and calls == []
+        per_bs = np.matmul(dense.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)
+        want = (per_bs @ dense.ris_phases.conj().T).reshape(d.n_ue, d.n_bs, d.n_ris)
         assert np.array_equal(out, want.reshape(d.n_ue * d.n_bs, d.n_ris, order="F"))
 
 

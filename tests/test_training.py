@@ -1,7 +1,8 @@
 """Tests for the pilot/phase training design and its validation report.
 
-The design stores only the two Kronecker factors; the joint operator
-kron(ris_phases, bs_pilots) is built here where a test needs it."""
+The design stores only its four sizes and builds its two Kronecker
+factors on first read; the joint operator kron(ris_phases, bs_pilots) is
+built here where a test needs it."""
 
 import dataclasses
 
@@ -12,7 +13,6 @@ from hdris.channel import SystemDims
 import hdris.training as training
 from hdris.training import (
     FFT_MIN_BLOCKS,
-    DftDesign,
     TrainingDesign,
     TrainingInfeasibleError,
     check_feasible,
@@ -20,6 +20,7 @@ from hdris.training import (
     validate_training,
 )
 from hdris.simulate import ExperimentConfig, run_nmse_sweep
+from oracles import design_with_factors
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -63,18 +64,16 @@ def test_combined_entries_have_constant_modulus():
     )
 
 
-def test_design_stores_only_the_two_factors():
+def test_design_stores_only_its_sizes():
     design = make_training(SMALL_DIMS)
-    assert [f.name for f in dataclasses.fields(design)] == ["bs_pilots", "ris_phases"]
+    assert type(design) is TrainingDesign
+    assert dataclasses.asdict(design) == {"n_bs": 4, "n_pilots": 16, "n_ris": 16, "n_blocks": 16}
     assert design.bs_pilots.shape == (4, 16)
     assert design.ris_phases.shape == (16, 16)
-    # a design built from arrays keeps read-only copies and their sizes
-    pilots = np.array(design.bs_pilots)
-    explicit = TrainingDesign(pilots, design.ris_phases)
-    assert explicit.bs_pilots is not pilots and not explicit.bs_pilots.flags.writeable
-    assert (explicit.n_bs, explicit.n_pilots, explicit.n_ris, explicit.n_blocks) == (4, 16, 16, 16)
-    with pytest.raises(ValueError, match="ris_phases must be a matrix"):
-        TrainingDesign(design.bs_pilots, design.ris_phases[0])
+    # neither a size nor a factor can be set on a design
+    for name in ("n_blocks", "bs_pilots", "ris_phases"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(design, name, None)
 
 
 def test_training_feasibility_threshold():
@@ -127,13 +126,13 @@ def test_validate_training_flags_corruption():
     pilots, phases = np.array(design.bs_pilots), np.array(design.ris_phases)
     pilots[0, 0] += 0.05
     phases[0, 0] += 0.05
-    for bad in (TrainingDesign(pilots, design.ris_phases),
-                TrainingDesign(design.bs_pilots, phases)):
+    for bad in (design_with_factors(design, bs_pilots=pilots),
+                design_with_factors(design, ris_phases=phases)):
         report = validate_training(bad)
         assert report.row_orthonormality > 1e-3
         assert not report.ok()
     # a uniformly scaled pilot block keeps constant-modulus profiles
-    report = validate_training(TrainingDesign(design.bs_pilots * 1.5, design.ris_phases))
+    report = validate_training(design_with_factors(design, bs_pilots=design.bs_pilots * 1.5))
     assert report.row_orthonormality == pytest.approx(1.25, rel=1e-12)
     assert report.modulus_spread < 1e-10
 
@@ -157,14 +156,11 @@ def test_training_noise_variance_preserved():
 
 
 def test_block_fft_rule():
-    # DFT designs take the FFT route from FFT_MIN_BLOCKS blocks on; a
-    # design built from arrays never does, even from the DFT rows
+    # designs take the FFT route from FFT_MIN_BLOCKS blocks on
     assert FFT_MIN_BLOCKS == 64
     assert not make_training(_dims(n_blocks=FFT_MIN_BLOCKS - 1)).block_fft
-    design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
-    assert design.block_fft
+    assert make_training(_dims(n_blocks=FFT_MIN_BLOCKS)).block_fft
     assert make_training(_dims(n_ris=16, n_blocks=72)).block_fft
-    assert not TrainingDesign(design.bs_pilots, design.ris_phases).block_fft
 
 
 def _recording_dft_rows(monkeypatch):
@@ -181,20 +177,28 @@ def _recording_dft_rows(monkeypatch):
 
 
 def test_block_fft_is_computed_once_per_design(monkeypatch):
-    # make_training and block_fft read only the four sizes: the route is
-    # decided once, at construction, and deciding it builds no factor
+    # make_training and block_fft read only the four sizes: the route
+    # follows from n_blocks, is stored nowhere, and deciding it builds no
+    # factor
     built = _recording_dft_rows(monkeypatch)
     design = make_training(_dims(n_blocks=FFT_MIN_BLOCKS))
     small = make_training(_dims(n_blocks=16))
-    assert isinstance(design, DftDesign) and isinstance(design, TrainingDesign)
-    assert "block_fft" in vars(design) and "block_fft" in vars(small)
+    assert "block_fft" not in vars(design) and "block_fft" not in vars(small)
     for _ in range(3):
         assert design.block_fft and not small.block_fft
     assert built == []
     assert (design.n_bs, design.n_pilots, design.n_ris, design.n_blocks) == (4, 16, 16, 64)
-    # a design built from its own factors decides afresh, and is dense
-    explicit = TrainingDesign(design.bs_pilots, design.ris_phases)
-    assert not explicit.block_fft and built == [(4, 16), (16, 64)]
+    # a design replaced with other sizes is the design of those sizes, and
+    # builds its own factors on first read
+    for n_blocks, fft in ((72, True), (16, False)):
+        other = dataclasses.replace(design, n_blocks=n_blocks)
+        assert type(other) is TrainingDesign and other.block_fft == fft
+        assert dataclasses.astuple(other) == (4, 16, 16, n_blocks) and built == []
+        phases = other.ris_phases
+        assert built == [(16, n_blocks)] and other.ris_phases is phases
+        assert other.report.ok() and built == [(16, n_blocks), (4, 16)]
+        built.clear()
+    assert "ris_phases" not in vars(design)
 
 
 def test_dft_block_is_built_once_per_process(monkeypatch):
