@@ -2,8 +2,9 @@
 
 The pilot stage yields an (n_ue x n_pilots x n_blocks) observation block
 (:func:`simulate_observation`, the pilot model).  Matched filtering
-against the two row-orthonormal training factors compresses it into the
-(n_bs*n_ue x n_ris) cascade matrix, whose noiseless value is the
+against the two training factors, which have orthonormal rows in every
+design (a design checks its sizes when it is made), compresses it into
+the (n_bs*n_ue x n_ris) cascade matrix, whose noiseless value is the
 column-wise Kronecker product of the transposed first hop with the second
 hop.  The filter returns a noiseless block's cascade exactly, so the
 sweeps skip the block: :func:`filtered_observation` draws the same noise
@@ -38,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelRealization, SystemDims
 from .tensors import dominant_left_singular_vector, gram_macs, hosvd_rank1, hosvd_rank1_macs
-from .training import CONTRACT_TOL, TrainingDesign
+from .training import TrainingDesign
 
 __all__ = [
     "ESTIMATORS",
@@ -134,11 +135,11 @@ def filtered_observation(
     """The matched filter's output for one pilot block, without forming
     the block: ``ch.cascade`` plus the matched-filtered noise.
 
-    With both training factors row-orthonormal (the design contract,
-    which ``matched_filter(..., check=False)`` assumes too) the filter
-    returns a noiseless block's cascade exactly, so by linearity this
-    equals ``matched_filter(simulate_observation(ch, design, noise_var,
-    rng=rng), design, check=False)`` up to rounding.  The noise is drawn
+    Both training factors of every design have orthonormal rows (a
+    design checks its sizes when it is made), so the filter returns a
+    noiseless block's cascade exactly, and by linearity this equals
+    ``matched_filter(simulate_observation(ch, design, noise_var,
+    rng=rng), design)`` up to rounding.  The noise is drawn
     from ``rng`` as there (:func:`_standard_noise`), leaving the stream
     at the same position, and no draw is made when ``noise_var`` is 0.
     It is written pilot-major, so the filter's pilot mode is one product,
@@ -204,12 +205,10 @@ def matched_filter(
     Parameters
     ----------
     check : bool
-        Verify both training factors have orthonormal rows within
-        ``training.CONTRACT_TOL`` first (the design contract the filter
-        relies on).  The check reads ``design.report``, so it validates
-        each design once however often it is filtered against.  The
-        sweeps rely on it unchecked: their DFT designs hold it by
-        construction (see :func:`filtered_observation`).
+        Kept for existing callers; both values run the same code.  The
+        filter relies on both training factors having orthonormal rows,
+        and every :class:`TrainingDesign` has them: a design checks its
+        sizes when it is made, and its factors are exact DFT rows.
     """
     x = np.asarray(obs)
     if x.ndim != 3:
@@ -221,13 +220,6 @@ def matched_filter(
             "training operator has %d columns but observation has %d"
             % (design.n_pilots * design.n_blocks, n_pilots * n_blocks)
         )
-    if check:
-        residual = design.report.row_orthonormality
-        if residual > CONTRACT_TOL:
-            raise ValueError(
-                "training operator rows are not orthonormal (residual %.3g)"
-                % residual
-            )
     per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2))
     filtered = design.block_product(per_bs, adjoint=True)
     del per_bs

@@ -53,6 +53,14 @@ def _unit_phases(surface: np.ndarray) -> np.ndarray:
     return np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
 
 
+def _check_rate_inputs(tx_power: float, noise_var: float) -> None:
+    """Reject a transmit power or noise variance outside (0, inf)."""
+    if not 0 < tx_power < math.inf:
+        raise ValueError("transmit power must be finite and > 0, got %r" % (tx_power,))
+    if not 0 < noise_var < math.inf:
+        raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
+
+
 def spectral_efficiency(
     ch: ChannelRealization,
     est: EstimateSet,
@@ -86,11 +94,11 @@ def spectral_efficiency(
     Raises
     ------
     ValueError
-        If ``noise_var`` is not finite and > 0, or an unstructured
-        estimate or its H is zero (and so has no dominant direction).
+        If ``tx_power`` or ``noise_var`` is not finite and > 0, or an
+        unstructured estimate or its H is zero (and so has no dominant
+        direction).
     """
-    if not 0 < noise_var < math.inf:
-        raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
+    _check_rate_inputs(tx_power, noise_var)
     dims = ch.dims
     if est.surface_y is not None:
         phases = _unit_phases(kron(est.surface_y, est.surface_z))
@@ -116,8 +124,7 @@ def ideal_spectral_efficiency(
     """Closed form for perfect CSI: coherent surface combining contributes
     a factor n_ris and matched transmit/receive beamforming a factor
     sqrt(n_bs*n_ue) to the amplitude."""
-    if not 0 < noise_var < math.inf:
-        raise ValueError("noise variance must be finite and > 0, got %r" % (noise_var,))
+    _check_rate_inputs(tx_power, noise_var)
     return float(
         np.log2(1.0 + tx_power * dims.n_ue * dims.n_bs * dims.n_ris ** 2 / noise_var)
     )

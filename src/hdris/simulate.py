@@ -34,7 +34,7 @@ from .metrics import (
     spectral_efficiency,
     summarize,
 )
-from .training import TrainingInfeasibleError, check_feasible, make_training
+from .training import TrainingInfeasibleError, make_training
 
 __all__ = [
     "ConfigError",
@@ -116,7 +116,7 @@ class ExperimentConfig:
         if bad:
             raise ConfigError("unknown methods %s (allowed: %s)" % (bad, allowed))
         try:
-            check_feasible(self.dims)
+            make_training(self.dims)     # checks the sizes, builds no factor
         except TrainingInfeasibleError as exc:
             raise ConfigError("infeasible dims: %s" % exc) from exc
 
@@ -501,7 +501,8 @@ def _complexity_dims(cfg: ExperimentConfig, n_ris: int) -> SystemDims:
     """The square surface of ``n_ris`` elements (a perfect square, as the
     config guarantees), with one block per element."""
     root = math.isqrt(n_ris)
-    # cfg passed check_feasible, so n_ris blocks cover the n_bs * n_ris unknowns
+    # cfg's design was feasible (n_pilots >= n_bs), so n_ris blocks cover the
+    # n_bs * n_ris unknowns
     return dataclasses.replace(cfg.dims, n_ris_y=root, n_ris_z=root, n_blocks=n_ris)
 
 

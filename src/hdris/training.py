@@ -5,36 +5,31 @@ while the surface cycles through a set of phase profiles, one per block.
 The joint training operator is the Kronecker product of the profile
 matrix with the pilot block.  It is never formed: it has orthonormal rows
 whenever both factors do, so the matched filter applies the two factors
-separately and validation checks each factor.  The factors are the
-leading rows of unitary DFT matrices, so both hold exactly and every
-profile entry has the same modulus.  The profile product of a design
-(:meth:`TrainingDesign.block_product`) lives beside those DFT rows: from
-``FFT_MIN_BLOCKS`` blocks on it is an FFT that relies on their sign and
-normalisation.
+separately.  The factors are the leading rows of unitary DFT matrices, so
+both have orthonormal rows exactly, and every profile entry has the same
+modulus, whenever a design's sizes allow it: n_pilots >= n_bs and
+n_blocks >= n_ris.  A design checks that one rule when it is made, so no
+design of other sizes exists and nothing re-checks the factors.  The
+profile product of a design (:meth:`TrainingDesign.block_product`) lives
+beside those DFT rows: from ``FFT_MIN_BLOCKS`` blocks on it is an FFT
+that relies on their sign and normalisation.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import SystemDims
 
 __all__ = [
-    "CONTRACT_TOL",
     "FFT_MIN_BLOCKS",
     "TrainingInfeasibleError",
     "TrainingDesign",
-    "TrainingReport",
-    "check_feasible",
     "make_training",
-    "validate_training",
 ]
-
-# Largest residual either design contract may show (3e-13 at 4096 DFT blocks).
-CONTRACT_TOL = 1e-10
 
 # Fewest blocks at which DFT profiles are applied by FFT instead of a dense
 # product.  On 256 rows with one BLAS thread the two tie at 36-64 blocks
@@ -64,14 +59,31 @@ class TrainingDesign:
     are the leading rows of the unitary n_pilots- and n_blocks-point DFT.
     Each is built on its first read, read-only and owned by the design, so
     a sweep that applies the profiles by FFT never forms the n_ris x
-    n_blocks matrix.  ``report`` (the :func:`validate_training` result) is
-    computed once per design.  Two designs compare equal only when they
-    are the same object."""
+    n_blocks matrix.  Two designs compare equal only when they are the
+    same object.
+
+    Every size is at least 1, and the design exists only where both
+    factors have orthonormal rows: n_pilots >= n_bs and n_blocks >= n_ris,
+    which also gives the pilot budget n_pilots*n_blocks >= n_bs*n_ris.
+    Construction, :func:`make_training` and ``dataclasses.replace`` all
+    check this before any factor is built, raising ``ValueError`` for a
+    size below 1 and :class:`TrainingInfeasibleError` for a short budget."""
 
     n_bs: int
     n_pilots: int
     n_ris: int
     n_blocks: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError("%s must be >= 1" % f.name)
+        if self.n_pilots < self.n_bs or self.n_blocks < self.n_ris:
+            raise TrainingInfeasibleError(
+                "Kronecker-structured training needs n_pilots >= n_bs and "
+                "n_blocks >= n_ris (got n_pilots=%d, n_bs=%d, n_blocks=%d, "
+                "n_ris=%d)" % (self.n_pilots, self.n_bs, self.n_blocks, self.n_ris)
+            )
 
     @functools.cached_property
     def bs_pilots(self) -> np.ndarray:
@@ -86,11 +98,6 @@ class TrainingDesign:
         """Whether :meth:`block_product` runs as an FFT: from
         ``FFT_MIN_BLOCKS`` blocks on."""
         return self.n_blocks >= FFT_MIN_BLOCKS
-
-    @functools.cached_property
-    def report(self) -> TrainingReport:
-        """:func:`validate_training` of this design, computed on first use."""
-        return validate_training(self)
 
     def block_product(self, a: np.ndarray, adjoint: bool) -> np.ndarray:
         """``a @ ris_phases`` (or ``a @ ris_phases^H`` when ``adjoint``) for
@@ -110,19 +117,6 @@ class TrainingDesign:
         return a @ self.ris_phases
 
 
-def check_feasible(dims: SystemDims) -> None:
-    """Raise :class:`TrainingInfeasibleError` unless a Kronecker-structured
-    design with orthonormal rows exists for ``dims``: it needs n_pilots >=
-    n_bs and n_blocks >= n_ris, which also gives the pilot budget
-    n_pilots*n_blocks >= n_bs*n_ris."""
-    if dims.n_pilots < dims.n_bs or dims.n_blocks < dims.n_ris:
-        raise TrainingInfeasibleError(
-            "Kronecker-structured training needs n_pilots >= n_bs and "
-            "n_blocks >= n_ris (got n_pilots=%d, n_bs=%d, n_blocks=%d, "
-            "n_ris=%d)" % (dims.n_pilots, dims.n_bs, dims.n_blocks, dims.n_ris)
-        )
-
-
 def make_training(dims: SystemDims) -> TrainingDesign:
     """The deterministic DFT-based training design for ``dims``, a
     :class:`TrainingDesign` of its four sizes whose factors are built on
@@ -135,34 +129,7 @@ def make_training(dims: SystemDims) -> TrainingDesign:
     (constant-modulus surface states) and every entry of the joint
     operator has modulus 1/sqrt(n_pilots*n_blocks).
 
-    Raises :class:`TrainingInfeasibleError` unless :func:`check_feasible`
-    passes.
+    Raises :class:`TrainingInfeasibleError` unless n_pilots >= n_bs and
+    n_blocks >= n_ris (the design's own rule).
     """
-    check_feasible(dims)
     return TrainingDesign(dims.n_bs, dims.n_pilots, dims.n_ris, dims.n_blocks)
-
-
-@dataclass(frozen=True)
-class TrainingReport:
-    """Residuals of the two training-design contracts."""
-
-    row_orthonormality: float   # max over both factors of |F F^H - I|
-    modulus_spread: float       # max - min modulus over profile entries
-
-    def ok(self) -> bool:
-        return (self.row_orthonormality <= CONTRACT_TOL
-                and self.modulus_spread <= CONTRACT_TOL)
-
-
-def validate_training(design: TrainingDesign) -> TrainingReport:
-    """Measure how far a design is from its contracts (all zero when built
-    by :func:`make_training`)."""
-    row_orth = max(
-        float(np.max(np.abs(f @ f.conj().T - np.eye(f.shape[0]))))
-        for f in (design.bs_pilots, design.ris_phases)
-    )
-    mods = np.abs(design.ris_phases)
-    return TrainingReport(
-        row_orthonormality=row_orth,
-        modulus_spread=float(np.max(mods) - np.min(mods)),
-    )

@@ -146,8 +146,8 @@ def design_with_factors(design, **factors):
     """A fresh design of ``design``'s sizes whose ``bs_pilots`` and/or
     ``ris_phases`` are read-only copies of the given arrays instead of the
     DFT rows, seeded into the cached properties; a factor not given is
-    built on first read as usual.  Validation and the dense block product
-    read a seeded profile matrix; the FFT route (``block_fft``) never does."""
+    built on first read as usual.  The dense block product reads a seeded
+    profile matrix; the FFT route (``block_fft``) never does."""
     shapes = {"bs_pilots": (design.n_bs, design.n_pilots),
               "ris_phases": (design.n_ris, design.n_blocks)}
     fresh = dataclasses.replace(design)

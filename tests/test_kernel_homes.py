@@ -14,6 +14,13 @@ properties, ``bs_pilots`` and ``ris_phases``, so a DFT factor is built
 on first read by its design and nowhere else: an eager profile build in
 ``make_training`` or a second cache of the rows fails here.
 
+``TrainingInfeasibleError`` is raised only in
+``TrainingDesign.__post_init__`` and caught only in
+``ExperimentConfig.__post_init__``: the training size rule is checked
+where a design is made and nowhere else, and the config check turns it
+into a config error.  A second copy of the rule, say a feasibility
+function beside the design or a check in a sweep, fails here.
+
 ``gc.freeze`` is reached only from ``cli.main``.  The command line owns
 its process, so it may put the import-time heap out of the collector's
 reach; a library import or sweep runs in its caller's process and must
@@ -41,6 +48,7 @@ HOMES = {
     "_fix_phase": {("tensors", "hosvd_rank1")},
     "freeze": {("cli", "main")},
     "_dft_rows": {("training", "bs_pilots"), ("training", "ris_phases")},
+    "TrainingInfeasibleError": {("training", "__post_init__"), ("simulate", "__post_init__")},
 }
 
 
@@ -81,7 +89,13 @@ def test_eigen_kernels_are_used_at_home():
         ("hosvd_rank1", "_fix_phase"),
     }
     source = (PACKAGE / "training.py").read_text(encoding="utf-8")
-    assert _references(source, HOMES) == [("bs_pilots", "_dft_rows"), ("ris_phases", "_dft_rows")]
+    assert _references(source, HOMES) == [
+        ("__post_init__", "TrainingInfeasibleError"),
+        ("bs_pilots", "_dft_rows"),
+        ("ris_phases", "_dft_rows"),
+    ]
+    source = (PACKAGE / "simulate.py").read_text(encoding="utf-8")
+    assert _references(source, HOMES) == [("__post_init__", "TrainingInfeasibleError")]
 
 
 def test_reference_scan_reads_every_form():

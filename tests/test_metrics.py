@@ -197,6 +197,18 @@ def test_rate_rejects_non_finite_or_non_positive_noise(noise_var):
         ideal_spectral_efficiency(SMALL_DIMS, noise_var=noise_var)
 
 
+@pytest.mark.parametrize("tx_power", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rate_rejects_non_finite_or_non_positive_power(tx_power):
+    # a negative power reached log2 of a negative number (NaN), an
+    # infinite one returned inf
+    ch = build_channels(SMALL_DIMS, sample_params(np.random.default_rng(6)))
+    est = ls_estimate(ch.cascade, SMALL_DIMS)
+    with pytest.raises(ValueError, match="transmit power must be finite and > 0"):
+        spectral_efficiency(ch, est, tx_power=tx_power)
+    with pytest.raises(ValueError, match="transmit power must be finite and > 0"):
+        ideal_spectral_efficiency(SMALL_DIMS, tx_power=tx_power)
+
+
 def test_transmit_beam_from_receive_beam_matches_two_eigh_oracle():
     # hdr's beams read off its factors, and krf/ls's from one eigenproblem
     # per direction with the other beam projected through H, score what

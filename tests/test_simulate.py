@@ -39,7 +39,7 @@ from hdris.simulate import (
 )
 import hdris.training as training
 from hdris.estimators import matched_filter
-from hdris.training import TrainingInfeasibleError, check_feasible, make_training
+from hdris.training import TrainingInfeasibleError, make_training
 from oracles import dominant_pairs_oracle
 
 SMALL_DIMS = SystemDims(
@@ -77,7 +77,7 @@ def _small_cfg(**overrides):
 def test_default_config_dims():
     cfg = default_config()
     assert cfg.dims.n_bs == 16 and cfg.dims.n_ue == 16 and cfg.dims.n_ris == 16
-    check_feasible(cfg.dims)
+    make_training(cfg.dims)
     assert cfg.n_trials == 500
     assert cfg.methods == ("hdr", "krf", "ls")
 
@@ -104,7 +104,7 @@ def test_config_rejects_infeasible_dims():
         n_pilots=4, n_blocks=4,
     )
     with pytest.raises(TrainingInfeasibleError) as training_exc:
-        check_feasible(thin)
+        make_training(thin)
     with pytest.raises(ConfigError) as config_exc:
         _small_cfg(dims=thin)
     # the config check wraps the one training rule's message
@@ -302,9 +302,10 @@ def test_se_sweep_ideal_only_runs_no_trial(monkeypatch):
     def no_trial(*args, **kwargs):
         raise AssertionError("an ideal-only se sweep ran a trial")
 
+    # the config checks its dims by making a design, so it is built first
+    cfg = _small_cfg(methods=("ideal",), n_trials=5)
     for name in ("_run_point", "make_training", "filtered_observation"):
         monkeypatch.setattr(simulate, name, no_trial)
-    cfg = _small_cfg(methods=("ideal",), n_trials=5)
     rows = run_se_sweep(cfg)
     assert [(r["method"], r["snr_db"], r["stat"]) for r in rows] == [
         ("ideal", snr, stat) for snr in (-5.0, 5.0) for stat in ("mean", "median")
@@ -356,7 +357,8 @@ def test_sweep_rows_agree_across_block_routes(sweep, dims, monkeypatch):
 def test_fft_route_sweep_never_builds_the_profile_matrix(monkeypatch, tmp_path):
     # the FFT route reads the design's sizes only: a 16x16-surface sweep on
     # 256 blocks builds its 16x16 pilot block and no 256x256 profile
-    # matrix, while hdris validate and a checked filter build both factors
+    # matrix, and so does a filter with check=True; hdris validate builds
+    # neither
     built = []
     dft_rows = training._dft_rows
 
@@ -374,9 +376,9 @@ def test_fft_route_sweep_never_builds_the_profile_matrix(monkeypatch, tmp_path):
     config.write_text(json.dumps({"dims": dataclasses.asdict(dims), "snr_grid_db": [0.0],
                                   "n_trials": 2}))
     assert main(["validate", "--config", str(config)]) == 0
-    assert built == [(16, 16), (256, 256)]
+    assert built == []
     matched_filter(np.zeros((16, 16, 256), dtype=complex), make_training(dims), check=True)
-    assert built == [(16, 16), (256, 256)] * 2
+    assert built == [(16, 16)]
 
 
 def _csv_text(rows):
@@ -1001,7 +1003,7 @@ def test_complexity_dims_rules():
     # one block per surface element: n_pilots >= n_bs already covers the
     # unknown count n_bs * n_ris
     assert dims400.n_blocks == 400
-    check_feasible(dims400)
+    make_training(dims400)
 
 
 def test_complexity_sweep_rows():
@@ -1122,11 +1124,15 @@ def test_cli_complexity(tmp_path, capsys):
     assert "flops_analytic" in out and "flops_measured" in out
 
 
-def test_cli_validate(tmp_path, capsys):
+def test_cli_validate(tmp_path, capsys, monkeypatch):
+    # validate reports the dims, the pilot budget and the block route, read
+    # off the design's sizes: it builds no training factor
+    built = []
+    monkeypatch.setattr(training, "_dft_rows", lambda *shape: built.append(shape))
     rc = main(["validate", "--config", _write_small_config(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "training design ok" in out
+    assert len(out.splitlines()) == 4 and out.endswith("training design ok\n")
     assert "feasible" in out
     assert "surface block product: dense (16 blocks < 64)\n" in out
     fft_dims = dict(_dims_json(), n_ris_y=8, n_ris_z=8, n_pilots=4, n_blocks=72)
@@ -1135,6 +1141,7 @@ def test_cli_validate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "surface block product: FFT (DFT profiles, 72 blocks >= 64)\n" in out
     assert "training design ok" in out
+    assert built == []
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -1239,8 +1246,9 @@ def test_cli_io_error_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _write_small_config(tmp_path)
     monkeypatch.setattr(hdris.cli, "run_nmse_sweep", refuse)
     before = sorted(tmp_path.iterdir())
-    # a missing directory, and a regular file in the directory's place
-    for target in (tmp_path / "nodir" / "x.csv", Path(cfg) / "x.csv"):
+    # a missing directory, a regular file in the directory's place, and
+    # an existing directory named as the output file
+    for target in (tmp_path / "nodir" / "x.csv", Path(cfg) / "x.csv", tmp_path):
         rc = main(["nmse", "--config", cfg, "--out", str(target)])
         assert rc == 1
         err = capsys.readouterr().err

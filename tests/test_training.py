@@ -1,8 +1,10 @@
-"""Tests for the pilot/phase training design and its validation report.
+"""Tests for the pilot/phase training design and its size rule.
 
-The design stores only its four sizes and builds its two Kronecker
-factors on first read; the joint operator kron(ris_phases, bs_pilots) is
-built here where a test needs it."""
+The design stores only its four sizes, checks them when it is made and
+builds its two Kronecker factors on first read; the joint operator
+kron(ris_phases, bs_pilots) is built here where a test needs it, and the
+factors' contract (orthonormal rows, equal-modulus profiles) is proved
+numerically here rather than at run time."""
 
 import dataclasses
 
@@ -15,15 +17,16 @@ from hdris.training import (
     FFT_MIN_BLOCKS,
     TrainingDesign,
     TrainingInfeasibleError,
-    check_feasible,
     make_training,
-    validate_training,
 )
 from hdris.simulate import ExperimentConfig, run_nmse_sweep
-from oracles import design_with_factors
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
+    n_pilots=16, n_blocks=16,
+)
+REF_DIMS = SystemDims(
+    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
     n_pilots=16, n_blocks=16,
 )
 
@@ -77,20 +80,20 @@ def test_design_stores_only_its_sizes():
 
 
 def test_training_feasibility_threshold():
-    check_feasible(SMALL_DIMS)
+    make_training(SMALL_DIMS)
     skinny = SystemDims(
         n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
         n_pilots=4, n_blocks=4,
     )
     # 16 pilot symbols against 64 unknowns per receive antenna
     with pytest.raises(TrainingInfeasibleError):
-        check_feasible(skinny)
+        make_training(skinny)
     # 64 pilot symbols cover the 64 unknowns, but a Kronecker design with
     # orthonormal rows also needs n_pilots >= n_bs and n_blocks >= n_ris
     for n_pilots, n_blocks in ((2, 32), (32, 2)):
         short = dataclasses.replace(SMALL_DIMS, n_pilots=n_pilots, n_blocks=n_blocks)
         with pytest.raises(TrainingInfeasibleError):
-            check_feasible(short)
+            make_training(short)
 
 
 def test_budget_shortfall_raises():
@@ -105,36 +108,73 @@ def test_kron_structure_shortfall_raises():
         make_training(_dims(n_bs=4, n_ris=16, n_pilots=8, n_blocks=8))
 
 
+# feasible sizes (n_bs, n_pilots, n_ris, n_blocks): square, with more
+# pilots or blocks than needed, and on both block routes
+FEASIBLE_SIZES = (
+    (1, 1, 1, 1),
+    (4, 4, 16, 16),
+    (4, 4, 16, 20),
+    (4, 16, 16, 20),
+    (16, 16, 16, 72),
+    (4, 16, 16, FFT_MIN_BLOCKS),
+    (16, 16, 256, 256),
+)
+
+
 def test_oversampled_blocks_stay_orthonormal():
-    # more training blocks than surface elements: still exactly orthonormal
-    design = make_training(_dims(n_bs=4, n_ris=16, n_pilots=4, n_blocks=20))
-    assert validate_training(design).row_orthonormality < 1e-10
-    gram = _joint(design) @ _joint(design).conj().T
-    assert np.max(np.abs(gram - np.eye(64))) < 1e-10
+    # every feasible design meets the contract the matched filter relies
+    # on: both factors have orthonormal rows, and every entry of a factor
+    # has the same modulus (constant-modulus surface profiles)
+    assert {n_blocks >= FFT_MIN_BLOCKS for *_, n_blocks in FEASIBLE_SIZES} == {False, True}
+    for sizes in FEASIBLE_SIZES:
+        design = TrainingDesign(*sizes)
+        for factor, points in ((design.bs_pilots, design.n_pilots),
+                               (design.ris_phases, design.n_blocks)):
+            gram = factor @ factor.conj().T
+            assert np.max(np.abs(gram - np.eye(factor.shape[0]))) <= 1e-12, sizes
+            assert np.max(np.abs(np.abs(factor) - 1.0 / np.sqrt(points))) <= 1e-12, sizes
+        if design.n_bs * design.n_ris <= 64:
+            joint = _joint(design)
+            gram = joint @ joint.conj().T
+            assert np.max(np.abs(gram - np.eye(design.n_bs * design.n_ris))) <= 1e-12, sizes
 
 
-def test_validate_training_accepts_good_design():
-    report = validate_training(make_training(SMALL_DIMS))
-    assert report.row_orthonormality < 1e-10
-    assert report.modulus_spread < 1e-10
-    assert report.ok()
+@pytest.mark.parametrize("sizes, error, match", [
+    # too few pilots for the array, and too few blocks for the surface
+    ((16, 4, 4, 4), TrainingInfeasibleError, "n_pilots >= n_bs"),
+    ((4, 4, 100, 64), TrainingInfeasibleError, "n_blocks >= n_ris"),
+    ((4, 4, 16, 8), TrainingInfeasibleError, "n_blocks=8, n_ris=16"),
+    # no size may be 0, even where the two inequalities hold
+    ((0, 0, 0, 0), ValueError, "n_bs must be >= 1"),
+    ((4, 4, 16, 0), ValueError, "n_blocks must be >= 1"),
+    ((1, -1, 1, 1), ValueError, "n_pilots must be >= 1"),
+])
+def test_design_rejects_infeasible_sizes(monkeypatch, sizes, error, match):
+    # the rule lives in the design: a design of infeasible sizes is never
+    # made, so no factor of it is built
+    built = _recording_dft_rows(monkeypatch)
+    with pytest.raises(error, match=match):
+        TrainingDesign(*sizes)
+    assert built == []
 
 
-def test_validate_training_flags_corruption():
-    # one corrupted entry in either factor breaks its row orthonormality
-    design = make_training(SMALL_DIMS)
-    pilots, phases = np.array(design.bs_pilots), np.array(design.ris_phases)
-    pilots[0, 0] += 0.05
-    phases[0, 0] += 0.05
-    for bad in (design_with_factors(design, bs_pilots=pilots),
-                design_with_factors(design, ris_phases=phases)):
-        report = validate_training(bad)
-        assert report.row_orthonormality > 1e-3
-        assert not report.ok()
-    # a uniformly scaled pilot block keeps constant-modulus profiles
-    report = validate_training(design_with_factors(design, bs_pilots=design.bs_pilots * 1.5))
-    assert report.row_orthonormality == pytest.approx(1.25, rel=1e-12)
-    assert report.modulus_spread < 1e-10
+def test_replaced_design_checks_its_sizes(monkeypatch):
+    # dataclasses.replace makes a new design, so it goes through the same
+    # rule as construction and make_training, with the same message
+    built = _recording_dft_rows(monkeypatch)
+    design = make_training(REF_DIMS)
+    with pytest.raises(TrainingInfeasibleError) as replaced:
+        dataclasses.replace(design, n_pilots=4)
+    with pytest.raises(TrainingInfeasibleError) as made:
+        make_training(dataclasses.replace(REF_DIMS, n_pilots=4))
+    assert str(replaced.value) == str(made.value) == (
+        "Kronecker-structured training needs n_pilots >= n_bs and n_blocks >= n_ris "
+        "(got n_pilots=4, n_bs=16, n_blocks=16, n_ris=16)"
+    )
+    for bad in (dict(n_blocks=8), dict(n_ris=32), dict(n_bs=0)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(design, **bad)
+    assert built == []
 
 
 def test_training_noise_variance_preserved():
@@ -196,7 +236,7 @@ def test_block_fft_is_computed_once_per_design(monkeypatch):
         assert dataclasses.astuple(other) == (4, 16, 16, n_blocks) and built == []
         phases = other.ris_phases
         assert built == [(16, n_blocks)] and other.ris_phases is phases
-        assert other.report.ok() and built == [(16, n_blocks), (4, 16)]
+        assert other.bs_pilots.shape == (4, 16) and built == [(16, n_blocks), (4, 16)]
         built.clear()
     assert "ris_phases" not in vars(design)
 
