@@ -214,11 +214,12 @@ def matched_filter(
     if x.ndim != 3:
         raise ValueError("expected an (n_ue, n_pilots, n_blocks) observation, got shape %s"
                          % (x.shape,))
-    _, n_pilots, n_blocks = x.shape
-    if (design.n_pilots, design.n_blocks) != (n_pilots, n_blocks):
+    want, got = (design.n_pilots, design.n_blocks), x.shape[1:]
+    if want != got:
         raise ValueError(
-            "training operator has %d columns but observation has %d"
-            % (design.n_pilots * design.n_blocks, n_pilots * n_blocks)
+            "training operator has %d columns but observation has %d "
+            "(n_pilots x n_blocks: design %d x %d, observation %d x %d)"
+            % (math.prod(want), math.prod(got), *want, *got)
         )
     per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2))
     filtered = design.block_product(per_bs, adjoint=True)

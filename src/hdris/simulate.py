@@ -22,6 +22,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 
 import numpy as np
 
@@ -101,8 +102,10 @@ class ExperimentConfig:
                 raise ConfigError("%s must not repeat an entry, got %s" % (key, values))
         # the noise energy noise_var*n_ue*n_bs*n_ris, the filtered observation's
         # expected squared norm, stays 2^20 (60 dB) below the float64 maximum:
-        # room for a draw above it and for the scored channel's squared norm
+        # room for a draw above it and for the scored channel's squared norm;
+        # dims past the float range give an infinite energy, which fails
         entries = self.dims.n_ue * self.dims.n_bs * self.dims.n_ris
+        entries = float(entries) if entries <= sys.float_info.max else math.inf
         for snr_db in self.snr_grid_db:
             noise_var = _noise_var(self.tx_power_watts, snr_db)
             if not 0.0 < noise_var * entries <= np.finfo(np.float64).max * 2.0 ** -20:
@@ -161,7 +164,8 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # a decode error, bad UTF-8 or an integer past int's digit limit
+        except ValueError as exc:
             raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -211,8 +215,10 @@ def _typed(key: str, value, kind: type):
     an integer is accepted (and converted) where a float is expected, and a
     float must be finite."""
     accepted = (int, float) if kind is float else kind
+    # compared exactly with the largest float, NaN, the infinities and
+    # integers past float range all fail the bound
     if (isinstance(value, bool) or not isinstance(value, accepted)
-            or (kind is float and not math.isfinite(value))):
+            or (kind is float and not abs(value) <= sys.float_info.max)):
         raise ConfigError("%s must be %s, got %r" % (key, _KIND_NAMES[kind], value))
     return kind(value)
 

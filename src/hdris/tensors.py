@@ -152,14 +152,9 @@ def vec(a) -> np.ndarray:
 _MAX_SQUARINGS = 16
 _CERTIFICATE_TOL = 1e-14
 _SCALE_EXP = 40
-# hosvd_rank1 forms the Gram of a mode with more than one entry before it
-# and at most this many after it by one GEMM over its rows: with so short
-# a trailing axis, a batched product pays more per slice than the
-# transposed copies cost.
-_GRAM_COPY_MAX_TRAIL = 16
-# Entries of one slab of those copied rows (256 KiB of each copy): the
-# copies stay a quarter of a 16 x 16 surface's tensor, and a slab of the
-# reference dims' tensor is all of it.
+# Entries of one slab of a mode's rows in hosvd_rank1's Gram loop (256 KiB
+# of complex128): a quarter of a 16 x 16 surface's tensor, and all of the
+# reference dims' tensor.
 _GRAM_SLAB = 1 << 14
 
 
@@ -384,29 +379,22 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     with all factor vectors conjugated.
 
     No unfolding is formed.  The tensor is held C-ordered (one copy unless
-    it already is) and conjugated once.  Mode n of extent d is the middle
-    axis of an (a, d, b) reshape, so its Gram is sum_a X[a] X[a]^H, formed
-    by one of two routes that depend on the shape only:
-
-    * b <= 16 with a > 1: GEMMs of the mode's d rows of length a * b
-      with the conjugate rows, since a batch of many small slices pays
-      more per-slice overhead than copying the rows costs.  For b == 1
-      the rows of the tensor and of its conjugate are views, and one
-      GEMM takes them whole; otherwise both are copied one slab of the
-      a axis at a time, at most _GRAM_SLAB entries each or a single
-      index of that axis (the whole tensor at the reference dims, a
-      quarter of it at the 16 x 16 surface), with one GEMM per slab;
-    * otherwise a batched product summed over a (a single product for the
-      first mode).
+    it already is).  Mode n of extent d is the middle axis of an (a, d, b)
+    reshape, so its Gram is sum_a X[a] X[a]^H.  One loop forms it: for
+    each slab of the a axis, at most _GRAM_SLAB entries or a single index
+    of that axis (the whole tensor for the first mode and at the reference
+    dims, a quarter of it at the 16 x 16 surface), the slab's d rows are
+    read (a view when the slab is one index or b == 1, else a copy of the
+    slab) and one GEMM adds rows @ rows^H.
 
     All Grams of one size go through one stacked ``eigh``.  A mode longer
     than the rest of the tensor together (d^2 > size) is handed to
     :func:`dominant_left_singular_vector` on its unfolding, which works on
     the smaller Gram.  Each factor is then gauged by :func:`_fix_phase`,
     its largest-modulus entry made real and positive, so a global phase on
-    ``x`` moves only the amplitude.  The amplitude is the
-    conjugate of the conjugated tensor contracted with the factors by
-    successive matrix-vector products.
+    ``x`` moves only the amplitude.  The amplitude is the tensor
+    contracted with the conjugated factors by successive matrix-vector
+    products.
 
     Its cost in complex MACs is :func:`hosvd_rank1_macs`, what the
     per-unfolding fit multiplies; the eigensolvers are not counted.
@@ -417,7 +405,6 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
         If ``x`` is zero (or its Grams underflow to zero).
     """
     data = np.ascontiguousarray(_as_array(x), dtype=np.complex128)
-    data_c = data.conj()
     size = data.size
     vectors = [None] * data.ndim
     by_size = {}                    # Gram size -> [(mode index, Gram)]
@@ -430,19 +417,12 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
                 raise ValueError("rank-one fit of a zero tensor is undefined") from exc
             vectors[n] = _fix_phase(u[None])[0]
         else:
-            x3, c3 = data.reshape(lead, d, -1), data_c.reshape(lead, d, -1)
-            trail = x3.shape[2]
-            if lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL:
-                # the (d, a*b) rows, views when b == 1 and otherwise copied
-                # a slab of the leading axis at a time, one GEMM per slab
-                step = lead if trail == 1 else max(1, _GRAM_SLAB // (d * trail))
-                gram = sum(
-                    np.matmul(x3[i:i + step].transpose(1, 0, 2).reshape(d, -1),
-                              c3[i:i + step].transpose(1, 0, 2).reshape(d, -1).T)
-                    for i in range(0, lead, step)
-                )
-            else:
-                gram = np.matmul(x3, c3.transpose(0, 2, 1)).sum(axis=0)
+            x3 = data.reshape(lead, d, -1)
+            step = max(1, _GRAM_SLAB // (d * x3.shape[2]))
+            gram = 0
+            for i in range(0, lead, step):
+                rows = x3[i:i + step].transpose(1, 0, 2).reshape(d, -1)
+                gram = gram + np.matmul(rows, rows.conj().T)
             by_size.setdefault(d, []).append((n, gram))
         lead *= d
     for members in by_size.values():
@@ -453,10 +433,10 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
         top = _fix_phase(eigh_top(grams))
         for (n, _), v in zip(members, top):
             vectors[n] = v
-    cur = data_c.reshape(-1)
+    cur = data.reshape(-1)
     for v in vectors:
-        cur = v @ cur.reshape(len(v), -1)
-    return RankOneFactors(tuple(vectors), complex(cur[0]).conjugate())
+        cur = v.conj() @ cur.reshape(len(v), -1)
+    return RankOneFactors(tuple(vectors), complex(cur[0]))
 
 
 def hosvd_rank1_macs(shape: Sequence[int]) -> int:

@@ -1198,10 +1198,27 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"snr_grid_db": [-3070.0]}, []),
         # a grid entry the complexity sweep cannot build as a square surface
         ({"ris_grid": [12]}, []),
+        # integers beyond float range where a float is expected, and dims
+        # whose noise energy is beyond it (the config fails before any sweep)
+        ({"snr_grid_db": [10 ** 400]}, []),
+        ({"tx_power_watts": 10 ** 400}, []),
+        ({"angles_deg": dict(_ANGLES, az_bs=10 ** 400)}, []),
+        ({"dims": dict(_dims_json(), n_ris_y=10 ** 200, n_ris_z=10 ** 200)}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
     rc = main(["nmse", "--config", _write_small_config(tmp_path, **extra), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_config_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    # an integer literal longer than Python's int-conversion digit limit
+    # fails in json.load itself, as a ValueError that is not a decode error
+    path = tmp_path / "cfg.json"
+    path.write_text('{"snr_grid_db": [1%s]}' % ("0" * 5000))
+    rc = main(["validate", "--config", str(path)])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

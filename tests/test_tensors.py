@@ -8,7 +8,6 @@ import pytest
 
 from hdris.tensors import (
     _CERTIFICATE_TOL,
-    _GRAM_COPY_MAX_TRAIL,
     _GRAM_SLAB,
     ComplexTensor,
     RankOneFactors,
@@ -992,47 +991,39 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
 
 
 @pytest.mark.parametrize(
-    "shape, copied",
-    [((4, 4, 4, 4, 4, 4), {4, 5, 6}), ((4, 4, 16, 4, 4, 16), {5, 6}),
-     ((2, 2, 4, 2, 2, 4), {3, 4, 5, 6}), ((3, 4, 5), {2, 3}), ((4, 2, 2), {2, 3})],
+    "shape",
+    [(4, 4, 4, 4, 4, 4), (4, 4, 16, 4, 4, 16), (2, 2, 4, 2, 2, 4), (3, 4, 5), (4, 2, 2)],
     ids=["ref", "wide", "small", "3x4x5", "short-first-mode"],
 )
-def test_hosvd_rank1_gram_routes(monkeypatch, shape, copied):
-    # a mode with b <= 16 trailing and a > 1 leading entries forms its
-    # Gram by GEMMs over its rows: one on views when b == 1, else one per
-    # slab of the leading axis, each slab's copy at most _GRAM_SLAB entries
-    # (or one leading index); every other mode by the batched product
+def test_hosvd_rank1_gram_routes(monkeypatch, shape):
+    # every mode's Gram is one loop of 2-D GEMMs, each of one slab's d rows
+    # with their conjugate: the slabs reassemble to the mode's rows of the
+    # (a, d, b) reshape, and none holds more than _GRAM_SLAB entries (or
+    # one index of the leading axis)
     data = crandn(np.random.default_rng(53), *shape)
     calls = []
     matmul = np.matmul
 
     def recording(a, b, *args, **kwargs):
-        calls.append(np.array(a))
+        calls.append((np.array(a), np.array(b)))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
     hosvd_rank1(data)
     monkeypatch.undo()
     pos, lead = 0, 1
-    for mode, d in enumerate(shape, start=1):
+    for d in shape:
         x3 = data.reshape(lead, d, -1)
         trail = x3.shape[2]
-        assert (mode in copied) == (lead > 1 and trail <= _GRAM_COPY_MAX_TRAIL)
-        if mode in copied:
-            rows = x3.transpose(1, 0, 2).reshape(d, -1)
-            slabs = []
-            while sum(slab.shape[1] for slab in slabs) < rows.shape[1]:
-                assert calls[pos].ndim == 2
-                slabs.append(calls[pos])
-                pos += 1
-            np.testing.assert_array_equal(np.hstack(slabs), rows)
-            if trail == 1:
-                assert len(slabs) == 1
-            else:
-                assert all(slab.size <= max(_GRAM_SLAB, d * trail) for slab in slabs)
-        else:
-            assert calls[pos].ndim == 3 and np.array_equal(calls[pos], x3)
+        slabs = []
+        while sum(slab.shape[1] for slab in slabs) < lead * trail:
+            rows, rows_h = calls[pos]
+            assert rows.ndim == 2 and rows.shape[0] == d
+            np.testing.assert_array_equal(rows_h, rows.conj().T)
+            assert rows.size <= max(_GRAM_SLAB, d * trail)
+            slabs.append(rows)
             pos += 1
+        np.testing.assert_array_equal(np.hstack(slabs), x3.transpose(1, 0, 2).reshape(d, -1))
         lead *= d
     assert pos == len(calls)
 
