@@ -8,7 +8,10 @@ the (n_bs*n_ue x n_ris) cascade matrix, whose noiseless value is the
 column-wise Kronecker product of the transposed first hop with the second
 hop.  The filter returns a noiseless block's cascade exactly, so the
 sweeps skip the block: :func:`filtered_observation` draws the same noise
-and filters only it, onto the true cascade.  All three apply the surface
+and filters only it, onto the true cascade.  Both pilot paths take
+``(ch, design, noise_var, rng)``, draw their noise from that generator
+only, and reject a design whose (n_bs, n_pilots, n_ris, n_blocks) are
+not the channel's.  All three apply the surface
 profiles through the design's ``block_product``, which picks the FFT or
 the dense route.  Because both hops are rank one per axis, one reshape
 and transpose of the cascade's entries arranges them into a sixth-order
@@ -26,7 +29,8 @@ consumes the cascade:
 * ``ls``  - the matched-filter output taken as-is.
 
 Every record pairs the fit, ``fit(cascade_obs, dims)``, with ``macs(dims)``,
-the closed form of what it multiplies; adding a method means adding one entry.
+the closed form of what it multiplies; adding a method means adding one entry
+and its branch in the paper's cost model, ``metrics.flops_analytic``.
 """
 
 from __future__ import annotations
@@ -59,21 +63,18 @@ __all__ = [
 
 
 def _check_pilot_inputs(ch: ChannelRealization, design: TrainingDesign, noise_var: float) -> None:
-    """Reject a noise variance outside [0, inf) and a design for other dims."""
+    """Reject a noise variance outside [0, inf) and a design whose sizes
+    (n_bs, n_pilots, n_ris, n_blocks) are not the channel's: the one size
+    rule of both pilot paths, checked before numpy meets the shapes (the
+    FFT route would zero-pad a surface mismatch instead of failing)."""
     if not 0 <= noise_var < math.inf:
         raise ValueError("noise variance must be finite and >= 0, got %r" % (noise_var,))
-    dims = ch.dims
-    # the FFT route would zero-pad a surface mismatch instead of failing
-    if (design.n_ris, design.n_blocks) != (dims.n_ris, dims.n_blocks):
-        raise ValueError(
-            "surface profiles are %d x %d but the channel has n_ris=%d, n_blocks=%d"
-            % (design.n_ris, design.n_blocks, dims.n_ris, dims.n_blocks)
-        )
-    if (design.n_bs, design.n_pilots) != (dims.n_bs, dims.n_pilots):
-        raise ValueError(
-            "pilot block is %d x %d but the channel has n_bs=%d, n_pilots=%d"
-            % (design.n_bs, design.n_pilots, dims.n_bs, dims.n_pilots)
-        )
+    d = ch.dims
+    want = (d.n_bs, d.n_pilots, d.n_ris, d.n_blocks)
+    got = (design.n_bs, design.n_pilots, design.n_ris, design.n_blocks)
+    if got != want:
+        raise ValueError("design has (n_bs, n_pilots, n_ris, n_blocks) = %s but the channel has %s"
+                         % (got, want))
 
 
 def _standard_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -87,8 +88,7 @@ def simulate_observation(
     ch: ChannelRealization,
     design: TrainingDesign,
     noise_var: float,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Simulate the (n_ue, n_pilots, n_blocks) received pilot block for
     one channel realization: the pilot model of the package and the
@@ -101,13 +101,10 @@ def simulate_observation(
     read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases
     (:meth:`TrainingDesign.block_product`).  The noise is added in place,
     real parts first, from one draw of a real and an imaginary block
-    (:func:`_standard_noise`), taken from ``rng`` or else from a generator
-    seeded with ``seed``; passing both is an error.
+    (:func:`_standard_noise`), taken from ``rng``; no draw is made when
+    ``noise_var`` is 0.  It takes the inputs of :func:`filtered_observation`
+    and checks them by the same rule (:func:`_check_pilot_inputs`).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    elif seed is not None:
-        raise ValueError("pass rng or seed, not both")
     _check_pilot_inputs(ch, design, noise_var)
     dims = ch.dims
 
@@ -138,10 +135,11 @@ def filtered_observation(
     Both training factors of every design have orthonormal rows (a
     design checks its sizes when it is made), so the filter returns a
     noiseless block's cascade exactly, and by linearity this equals
-    ``matched_filter(simulate_observation(ch, design, noise_var,
-    rng=rng), design)`` up to rounding.  The noise is drawn
+    ``matched_filter(simulate_observation(ch, design, noise_var, rng),
+    design)`` up to rounding.  The noise is drawn
     from ``rng`` as there (:func:`_standard_noise`), leaving the stream
-    at the same position, and no draw is made when ``noise_var`` is 0.
+    at the same position, no draw is made when ``noise_var`` is 0, and
+    the inputs are checked by the same rule (:func:`_check_pilot_inputs`).
     It is written pilot-major, so the filter's pilot mode is one product,
     which also applies the noise scale, and the true cascade is added to
     the result in the column-major layout :func:`matched_filter` returns.

@@ -159,12 +159,24 @@ def default_config() -> ExperimentConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a repeated key is an error, where plain
+    ``json.load`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r" % key)
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Parse a JSON config file.  Unknown keys are rejected."""
+    """Parse a JSON config file.  Unknown and repeated keys are rejected."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            raw = json.load(f)
-        # a decode error, bad UTF-8 or an integer past int's digit limit
+            raw = json.load(f, object_pairs_hook=_unique_keys)
+        # a decode error, bad UTF-8, an integer past int's digit limit or
+        # a repeated key
         except ValueError as exc:
             raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from exc
     if not isinstance(raw, dict):

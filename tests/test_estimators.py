@@ -8,7 +8,9 @@ index tables of the re-indexing and the per-column rank-one fit."""
 
 import dataclasses
 import functools
+import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +122,12 @@ def _realization(dims=SMALL_DIMS, seed=0):
     return build_channels(dims, sample_params(np.random.default_rng(seed)))
 
 
+def _noiseless(ch, design):
+    """The pilot model at noise variance 0, which draws nothing from its
+    generator."""
+    return simulate_observation(ch, design, 0.0, np.random.default_rng(0))
+
+
 def _angle_dist(a, b):
     return abs(np.angle(np.exp(1j * (a - b))))
 
@@ -215,7 +223,7 @@ def _gather_tables(dims):
 def test_observation_shape_and_metadata():
     ch = _realization()
     design = make_training(SMALL_DIMS)
-    obs = simulate_observation(ch, design, noise_var=0.1, seed=7)
+    obs = simulate_observation(ch, design, noise_var=0.1, rng=np.random.default_rng(7))
     assert isinstance(obs, np.ndarray)
     assert obs.shape == (4, 16, 16)
     assert obs.dtype == np.complex128
@@ -227,7 +235,7 @@ def test_observation_routes_agree():
     for dims in (SMALL_DIMS, ODD_DIMS):
         ch = _realization(dims, seed=1)
         design = make_training(dims)
-        a = simulate_observation(ch, design, 0.0)
+        a = _noiseless(ch, design)
         b = _tensor_route_observation(ch, design)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -239,7 +247,7 @@ def test_observation_matches_per_block_oracle():
         ch = _realization(dims, seed)
         design = make_training(dims)
         for noise_var in (0.0, 0.3):
-            got = simulate_observation(ch, design, noise_var, seed=seed)
+            got = simulate_observation(ch, design, noise_var, rng=np.random.default_rng(seed))
             want = _per_block_observation(
                 ch, design, noise_var, np.random.default_rng(seed)
             )
@@ -251,9 +259,9 @@ def test_in_place_noise_is_bit_identical():
     for dims, seed in ((SMALL_DIMS, 45), (REF_DIMS, 46), (WIDE_DIMS, 47)):
         ch = _realization(dims, seed)
         design = make_training(dims)
-        clean = simulate_observation(ch, design, 0.0)
+        clean = _noiseless(ch, design)
         for noise_var in (0.3, 10.0):
-            got = simulate_observation(ch, design, noise_var, seed=seed)
+            got = simulate_observation(ch, design, noise_var, rng=np.random.default_rng(seed))
             want = noisy_observation(clean, noise_var, np.random.default_rng(seed))
             assert np.array_equal(got, want)
 
@@ -262,7 +270,7 @@ def test_observation_noise_statistics():
     ch = _realization(seed=2)
     design = make_training(SMALL_DIMS)
     sigma2 = 0.5
-    clean = simulate_observation(ch, design, 0.0)
+    clean = _noiseless(ch, design)
     acc = 0.0
     n_draws = 100
     rng = np.random.default_rng(3)
@@ -275,8 +283,8 @@ def test_observation_noise_statistics():
 def test_observation_seed_reproducible():
     ch = _realization(seed=4)
     design = make_training(SMALL_DIMS)
-    a = simulate_observation(ch, design, 0.2, seed=11)
-    b = simulate_observation(ch, design, 0.2, seed=11)
+    a = simulate_observation(ch, design, 0.2, rng=np.random.default_rng(11))
+    b = simulate_observation(ch, design, 0.2, rng=np.random.default_rng(11))
     np.testing.assert_array_equal(a, b)
 
 
@@ -284,18 +292,19 @@ def test_observation_validation():
     ch = _realization()
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError):
-        simulate_observation(ch, design, -1.0)
-    # rng and seed each name the noise stream, so the pair is rejected
-    # before anything is drawn
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match="rng or seed, not both"):
-        simulate_observation(ch, design, 0.1, rng=rng, seed=7)
-    assert rng.standard_normal() == np.random.default_rng(1).standard_normal()
-    # a design for another surface fails on both block routes, even when
-    # the block counts agree and an FFT could zero-pad the difference
-    for dims in (ODD_DIMS, dataclasses.replace(FFT72_DIMS, n_ris_z=9)):
-        with pytest.raises(ValueError, match="surface profiles are"):
-            simulate_observation(_realization(FFT72_DIMS), make_training(dims), 0.1)
+        simulate_observation(ch, design, -1.0, np.random.default_rng(0))
+    # the pilot model takes the sweeps' pilot-path inputs: the generator is
+    # required, so no call draws from an unseeded stream
+    names = list(inspect.signature(filtered_observation).parameters)
+    params = inspect.signature(simulate_observation).parameters
+    assert list(params) == names == ["ch", "design", "noise_var", "rng"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
+    with pytest.raises(TypeError):
+        simulate_observation(ch, design, 0.1)
+
+
+def _sizes(d):
+    return (d.n_bs, d.n_pilots, d.n_ris, d.n_blocks)
 
 
 @pytest.mark.parametrize("dims, other", [
@@ -303,15 +312,23 @@ def test_observation_validation():
     (FFT72_DIMS, dataclasses.replace(FFT72_DIMS, n_pilots=8)),
     (REF_DIMS, dataclasses.replace(REF_DIMS, n_bs_z=2)),
     (REF_DIMS, dataclasses.replace(REF_DIMS, n_pilots=32)),
-], ids=["fft-n_bs", "fft-n_pilots", "dense-n_bs", "dense-n_pilots"])
+    (FFT72_DIMS, dataclasses.replace(FFT72_DIMS, n_ris_z=9)),
+    (FFT72_DIMS, dataclasses.replace(FFT72_DIMS, n_blocks=64)),
+    (REF_DIMS, dataclasses.replace(REF_DIMS, n_ris_z=2)),
+    (REF_DIMS, dataclasses.replace(REF_DIMS, n_blocks=32)),
+], ids=["fft-n_bs", "fft-n_pilots", "dense-n_bs", "dense-n_pilots",
+        "fft-n_ris", "fft-n_blocks", "dense-n_ris", "dense-n_blocks"])
 def test_pilot_paths_reject_a_pilot_block_for_other_dims(dims, other):
-    # a design for the channel's surface but another n_bs or n_pilots fails
-    # with one line on both pilot paths, before numpy meets the shapes
+    # a design that differs from the channel in one of its four sizes fails
+    # with one line naming both quadruples on both pilot paths, before numpy
+    # meets the shapes, and even where an FFT could zero-pad the difference
     ch, design = _realization(dims), make_training(other)
-    for path in (lambda: simulate_observation(ch, design, 0.1, seed=0),
-                 lambda: filtered_observation(ch, design, 0.1, np.random.default_rng(0))):
-        with pytest.raises(ValueError, match="pilot block is .* but the channel has n_bs="):
-            path()
+    assert sum(a != b for a, b in zip(_sizes(dims), _sizes(other))) == 1
+    want = re.escape("design has (n_bs, n_pilots, n_ris, n_blocks) = %s but the channel has %s"
+                     % (_sizes(other), _sizes(dims)))
+    for path in (simulate_observation, filtered_observation):
+        with pytest.raises(ValueError, match="^%s$" % want):
+            path(ch, design, 0.1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("noise_var", [math.nan, math.inf, -math.inf, -1.0])
@@ -320,7 +337,7 @@ def test_observation_rejects_bad_noise_var(noise_var):
     ch = _realization()
     design = make_training(SMALL_DIMS)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        simulate_observation(ch, design, noise_var, seed=0)
+        simulate_observation(ch, design, noise_var, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("noise_var", [0.0, 0.1, 10.0])
@@ -348,9 +365,6 @@ def test_filtered_observation_rejects_what_the_simulation_rejects():
     for noise_var in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="finite and >= 0"):
             filtered_observation(ch, design, noise_var, np.random.default_rng(0))
-    other = make_training(dataclasses.replace(FFT72_DIMS, n_ris_z=9))
-    with pytest.raises(ValueError, match="surface profiles are"):
-        filtered_observation(_realization(FFT72_DIMS), other, 0.1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +376,7 @@ def test_matched_filter_inverts_training_noiselessly():
     for dims in (SMALL_DIMS, ODD_DIMS):
         ch = _realization(dims, seed=5)
         design = make_training(dims)
-        obs = simulate_observation(ch, design, 0.0)
+        obs = _noiseless(ch, design)
         out = matched_filter(obs, design)
         assert out.shape == (dims.n_ue * dims.n_bs, dims.n_ris)
         np.testing.assert_allclose(out, ch.cascade, atol=1e-10)
@@ -375,7 +389,7 @@ def test_matched_filter_matches_dense_oracle():
                        (FFT64_DIMS, 23), (FFT72_DIMS, 24)):
         ch = _realization(dims, seed)
         design = make_training(dims)
-        obs = simulate_observation(ch, design, 0.5, seed=seed)
+        obs = simulate_observation(ch, design, 0.5, rng=np.random.default_rng(seed))
         dense = _dense_matched_filter(obs, design)
         out = matched_filter(obs, design)
         assert np.linalg.norm(out - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -383,7 +397,7 @@ def test_matched_filter_matches_dense_oracle():
 
 def test_matched_filter_rejects_shape_mismatch():
     design = make_training(SMALL_DIMS)
-    obs = simulate_observation(_realization(ODD_DIMS), make_training(ODD_DIMS), 0.0)
+    obs = _noiseless(_realization(ODD_DIMS), make_training(ODD_DIMS))
     with pytest.raises(ValueError, match="columns but observation has"):
         matched_filter(obs, design)
     # equal column counts from other (n_pilots, n_blocks) pairs: the message
@@ -394,7 +408,7 @@ def test_matched_filter_rejects_shape_mismatch():
     with pytest.raises(ValueError, match=want):
         matched_filter(np.zeros((REF_DIMS.n_ue, 8, 32), dtype=complex), square)
     # an observation of another order fails with one line, not in unpacking
-    block = simulate_observation(_realization(), design, 0.0)
+    block = _noiseless(_realization(), design)
     for bad in (block[0], block[None]):
         with pytest.raises(ValueError, match=r"expected an \(n_ue, n_pilots, n_blocks\) obs"):
             matched_filter(bad, design)
@@ -405,7 +419,7 @@ def test_matched_filter_charges_filter_macs():
     # on 2-D products that give the filter's output
     for d, seed in ((SMALL_DIMS, 50), (ODD_DIMS, 51), (REF_DIMS, 52)):
         design = make_training(d)
-        obs = simulate_observation(_realization(d, seed), design, 0.0)
+        obs = _noiseless(_realization(d, seed), design)
         counter = MacCounter()
         want = _counted_matched_filter(obs, design, counter)
         got = matched_filter(obs, design)
@@ -431,7 +445,7 @@ def test_matched_filter_check_changes_nothing():
     # every design has orthonormal factor rows by its sizes, so the check
     # flag is kept for callers only: both values give the same bits
     design = make_training(SMALL_DIMS)
-    obs = simulate_observation(_realization(seed=9), design, 0.1, seed=3)
+    obs = simulate_observation(_realization(seed=9), design, 0.1, rng=np.random.default_rng(3))
     np.testing.assert_array_equal(matched_filter(obs, design, check=True),
                                   matched_filter(obs, design, check=False))
 
@@ -451,13 +465,15 @@ def test_block_product_route(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", recording("ifft", np.fft.ifft))
 
     design = make_training(REF_DIMS)
-    obs = simulate_observation(_realization(REF_DIMS, 60), design, 0.1, seed=60)
+    obs = simulate_observation(_realization(REF_DIMS, 60), design, 0.1,
+                               rng=np.random.default_rng(60))
     matched_filter(obs, design)
     assert not design.block_fft and calls == []
 
     for dims, seed in ((FFT64_DIMS, 61), (WIDE_DIMS, 62)):
         design = make_training(dims)
-        obs = simulate_observation(_realization(dims, seed), design, 0.1, seed=seed)
+        obs = simulate_observation(_realization(dims, seed), design, 0.1,
+                                   rng=np.random.default_rng(seed))
         assert calls == ["fft"]
         matched_filter(obs, design, check=False)
         assert calls == ["fft", "ifft"]
@@ -472,7 +488,7 @@ def test_block_product_route(monkeypatch):
     moved = np.array(design.ris_phases)
     moved[3, 5] += 1e-3
     for dense in (design, design_with_factors(design, ris_phases=moved)):
-        obs = simulate_observation(_realization(d, 63), dense, 0.1, seed=63)
+        obs = simulate_observation(_realization(d, 63), dense, 0.1, rng=np.random.default_rng(63))
         out = matched_filter(obs, dense, check=False)
         assert not dense.block_fft and calls == []
         per_bs = np.matmul(dense.bs_pilots.conj(), obs).reshape(d.n_ue * d.n_bs, d.n_blocks)

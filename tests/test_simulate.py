@@ -233,6 +233,46 @@ def test_load_config_rejects_bad_json(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def _with_repeat(obj, key, value):
+    """``obj`` as JSON text with ``key`` written once more, as ``value``,
+    after its other keys."""
+    return json.dumps(obj)[:-1] + ", %s: %s}" % (json.dumps(key), json.dumps(value))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"n_trials": 3, "n_trials": 2, "snr_grid_db": [0]}', "n_trials"),
+    ('{"dims": %s}' % _with_repeat(_dims_json(), "n_ris_y", 2), "n_ris_y"),
+    ('{"dims": %s, "angles_deg": %s}'
+     % (json.dumps(_dims_json()), _with_repeat(_ANGLES, "az_bs", 0)), "az_bs"),
+], ids=["top", "dims", "angles_deg"])
+def test_load_config_rejects_a_repeated_key(tmp_path, capsys, text, key):
+    # json.load alone keeps a repeated key's last value: the top-level case
+    # used to run 2 trials and exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="repeated key '%s'" % key):
+        load_config(str(path))
+    assert main(["nmse", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: invalid JSON in %s: repeated key '%s'\n" % (path, key)
+
+
+def test_load_config_without_dims_takes_the_reference_dims(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_trials": 2}))
+    cfg = load_config(str(path))
+    assert cfg.dims == default_config().dims
+    assert cfg.n_trials == 2
+
+
+def test_cli_zero_extent_exits_2_with_the_dims_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": dict(_dims_json(), n_ris_y=0)}))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: bad dims: n_ris_y must be >= 1\n"
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -721,6 +761,17 @@ def test_forked_sweep_imports_no_process_pool():
     assert out == "[]\n"
 
 
+def test_perfbench_workloads_load_and_validate(capsys):
+    # the benchmark's configs are only read: a parser change that rejects
+    # one fails here, not first in the benchmark
+    paths = sorted(PERFBENCH_WORKLOADS.glob("*.json"))
+    assert {p.stem for p in paths} >= {"pinned-se-mt", "ref-nmse", "wide-ris-nmse"}
+    for path in paths:
+        load_config(str(path))
+        assert main(["validate", "--config", str(path)]) == 0, path.name
+        assert capsys.readouterr().out.endswith("training design ok\n")
+
+
 @pytest.mark.parametrize("workload, sweep", [
     ("pinned-se-mt", run_se_sweep),
     ("ref-nmse", run_nmse_sweep),
@@ -1039,6 +1090,16 @@ def test_cli_complexity_default_csv_is_pinned(tmp_path):
     assert hashlib.md5(out.read_bytes()).hexdigest() == "fc27f8ef40fa8625dd000bc095e69891"
 
 
+def test_flops_analytic_covers_every_estimator():
+    # metrics.flops_analytic keeps its own per-method branches (the paper's
+    # cost model): every method a config accepts must have one, at the
+    # reference dims and at every surface of the default complexity grid
+    cfg = default_config()
+    for dims in (cfg.dims, *(_complexity_dims(cfg, n) for n in cfg.ris_grid)):
+        for method in hdris.ESTIMATORS:
+            assert flops_analytic(method, dims) > 0
+
+
 def test_complexity_sweep_rejects_non_square_grid():
     with pytest.raises(ConfigError, match="perfect square"):
         run_complexity_sweep(_small_cfg(ris_grid=(12,)))
@@ -1150,6 +1211,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["nmse", "--config", str(bad)]) == 2
 
 
+def test_cli_threads_override_keeps_csv_bytes(tmp_path):
+    cfg = _write_small_config(tmp_path, n_trials=3)
+    for t in ("1", "2"):
+        assert main(["nmse", "--config", cfg, "--threads", t,
+                     "--out", str(tmp_path / ("t%s.csv" % t))]) == 0
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
 def test_cli_validate_rejects_non_square_grid(tmp_path, capsys):
     # the grid rule lives in the config, so validate refuses the grid that
     # the complexity sweep could not build
@@ -1204,6 +1273,8 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"tx_power_watts": 10 ** 400}, []),
         ({"angles_deg": dict(_ANGLES, az_bs=10 ** 400)}, []),
         ({"dims": dict(_dims_json(), n_ris_y=10 ** 200, n_ris_z=10 ** 200)}, []),
+        # a worker count below 1 from the command line
+        ({}, ["--threads", "0"]),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
