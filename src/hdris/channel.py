@@ -3,15 +3,16 @@
 A multi-antenna base station (uniform rectangular array) reaches a
 multi-antenna user terminal only through a reconfigurable reflecting
 surface.  Both hops are modeled as single-path outer products of URA
-steering vectors, so every channel matrix factors into a Kronecker
-product of a horizontal (y) and a vertical (z) rank-one term.  All
-functions here are pure and side-effect free; randomness enters only
-through an explicitly passed generator.
+steering vectors, so each hop factors into a Kronecker product of a
+horizontal (y) and a vertical (z) rank-one term.  The model yields the
+BS-surface-user cascade, the one channel description every later stage
+reads; the hop matrices themselves are never formed.  All functions here
+are pure and side-effect free; randomness enters only through an
+explicitly passed generator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -133,19 +134,19 @@ class ChannelRealization:
 
     Two realizations compare equal only when they are the same object.
 
-    bs_ris  (n_ris x n_bs): base station -> surface hop, Kronecker product
-        of a horizontal and a vertical rank-one factor (z index fastest).
-    ris_ue  (n_ue x n_ris): surface -> user hop, likewise.  Both hops are
-        formed from ``params`` on first read: only the pilot model reads
-        them, the sweeps read only the cascade.
     cascade (n_bs*n_ue x n_ris): column-wise Kronecker product of the
-        transposed first hop with the second hop; the quantity the pilot
-        stage ultimately estimates.  Column n collects what user antennas
-        see of base-station antennas via surface element n alone; it is
-        stored column-major, the layout of every estimate of it.
+        transposed base station -> surface hop (n_ris x n_bs) with the
+        surface -> user hop (n_ue x n_ris); the quantity the pilot stage
+        ultimately estimates and the one channel description the pilot
+        model, the sweeps and the scorers read.  Column n collects what
+        user antennas see of base-station antennas via surface element n
+        alone; it is stored column-major, the layout of every estimate of
+        it.
+    bs_y/bs_z, ue_y/ue_z: per-axis steering vectors of the two arrays.
     surface_y/surface_z: element-wise products of the surface arrival and
         departure responses; kron(surface_y, surface_z) collects the
         per-element cascaded phases that a phase-profile vector multiplies.
+        These six vectors are the truth for factor alignment in the tests.
     """
 
     dims: SystemDims
@@ -158,33 +159,18 @@ class ChannelRealization:
     surface_z: np.ndarray
     cascade: np.ndarray
 
-    @functools.cached_property
-    def bs_ris(self) -> np.ndarray:
-        """Base station -> surface hop (n_ris x n_bs), computed on first read."""
-        arr_fy, arr_fz = self.params.ris_arr_freqs
-        return kron(np.outer(steering_1d(self.dims.n_ris_y, arr_fy), self.bs_y),
-                    np.outer(steering_1d(self.dims.n_ris_z, arr_fz), self.bs_z))
-
-    @functools.cached_property
-    def ris_ue(self) -> np.ndarray:
-        """Surface -> user hop (n_ue x n_ris), computed on first read."""
-        dep_fy, dep_fz = self.params.ris_dep_freqs
-        return kron(np.outer(self.ue_y, steering_1d(self.dims.n_ris_y, dep_fy)),
-                    np.outer(self.ue_z, steering_1d(self.dims.n_ris_z, dep_fz)))
-
 
 def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealization:
     """Construct the cascade and its factors for one geometry.
 
     Per axis, the first hop is the outer product of the surface arrival
     response with the base-station response, and the second hop the outer
-    product of the user response with the surface departure response; the
-    full matrices are Kronecker products of their two axis factors, formed
-    only when read (:class:`ChannelRealization`).  The cascade, the
+    product of the user response with the surface departure response; each
+    hop is the Kronecker product of its two axis factors.  The cascade, the
     column-wise Kronecker product of the transposed first hop with the
     second hop, is rank one: the outer product of kron(kron(bs_y, bs_z),
     kron(ue_y, ue_z)) with kron(surface_y, surface_z), and it is built as
-    that product.
+    that product, so neither hop is formed.
     """
     bs_fy, bs_fz = params.bs_freqs
     arr_fy, arr_fz = params.ris_arr_freqs

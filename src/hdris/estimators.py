@@ -1,19 +1,20 @@
 """Pilot simulation, matched filtering and the three channel estimators.
 
 The pilot stage yields an (n_ue x n_pilots x n_blocks) observation block
-(:func:`simulate_observation`, the pilot model).  Matched filtering
-against the two training factors, which have orthonormal rows in every
-design (a design checks its sizes when it is made), compresses it into
-the (n_bs*n_ue x n_ris) cascade matrix, whose noiseless value is the
-column-wise Kronecker product of the transposed first hop with the second
-hop.  The filter returns a noiseless block's cascade exactly, so the
-sweeps skip the block: :func:`filtered_observation` draws the same noise
-and filters only it, onto the true cascade.  Both pilot paths take
-``(ch, design, noise_var, rng)``, draw their noise from that generator
-only, and reject a design whose (n_bs, n_pilots, n_ris, n_blocks) are
-not the channel's.  All three apply the surface
-profiles through the design's ``block_product``, which picks the FFT or
-the dense route.  Because both hops are rank one per axis, one reshape
+(:func:`simulate_observation`, the pilot model) from the realization's
+(n_bs*n_ue x n_ris) cascade, the only channel description it reads.
+Matched filtering against the two training factors, which have
+orthonormal rows in every design (a design checks its sizes when it is
+made), compresses the block back into that cascade matrix, exactly when
+there is no noise.  So the sweeps skip the block:
+:func:`filtered_observation` draws the same noise and filters only it,
+onto the true cascade.  Both pilot paths take
+``(ch, design, noise_var, rng)``, read ``ch.dims`` and ``ch.cascade``
+only, draw their noise from that generator only, and reject a design
+whose (n_bs, n_pilots, n_ris, n_blocks) are not the channel's.  All
+three apply the surface profiles through the design's ``block_product``,
+which picks the FFT or the dense route.  For the line-of-sight model of
+:mod:`hdris.channel`, whose hops are rank one per axis, one reshape
 and transpose of the cascade's entries arranges them into a sixth-order
 tensor that is exactly a rank-one outer product of the six
 steering-related vectors.  ``ESTIMATORS`` maps each
@@ -94,11 +95,14 @@ def simulate_observation(
     one channel realization: the pilot model of the package and the
     reference the sweeps' :func:`filtered_observation` is tested against.
 
-    Block k receives ris_ue @ diag(ris_phases[:, k]) @ bs_ris @ bs_pilots
-    plus circular complex Gaussian noise of variance ``noise_var`` per
-    entry.  All blocks come from one product: entry (q, t, n) of the
-    (n_ue, n_pilots, n_ris) array ris_ue[q, n] * (bs_ris @ bs_pilots)[n, t],
-    read as an (n_ue*n_pilots) x n_ris matrix, times ris_phases
+    Block k receives sum_n ris_phases[n, k] * C_n @ bs_pilots plus
+    circular complex Gaussian noise of variance ``noise_var`` per entry,
+    where C_n is column n of ``ch.cascade`` read as its n_ue x n_bs
+    matrix.  Of the realization it reads only ``dims`` and ``cascade``, so
+    any cascade put in with ``dataclasses.replace`` is simulated as
+    given.  All blocks come from one product: entry (q, t, n) of the
+    (n_ue, n_pilots, n_ris) array (C_n @ bs_pilots)[q, t], read as an
+    (n_ue*n_pilots) x n_ris matrix, times ris_phases
     (:meth:`TrainingDesign.block_product`).  The noise is added in place,
     real parts first, from one draw of a real and an imaginary block
     (:func:`_standard_noise`), taken from ``rng``; no draw is made when
@@ -108,11 +112,11 @@ def simulate_observation(
     _check_pilot_inputs(ch, design, noise_var)
     dims = ch.dims
 
-    first_hop_tx = ch.bs_ris @ design.bs_pilots       # n_ris x n_pilots
+    per_column = ch.cascade.reshape(dims.n_ue, dims.n_bs, dims.n_ris, order="F")
     # one expression, so the n_ue x n_pilots x n_ris product is freed
     # before the noise is drawn
     x = design.block_product(
-        (ch.ris_ue[:, None, :] * first_hop_tx.T).reshape(-1, dims.n_ris), adjoint=False,
+        (design.bs_pilots.T @ per_column).reshape(-1, dims.n_ris), adjoint=False,
     ).reshape(dims.n_ue, dims.n_pilots, dims.n_blocks)
 
     if noise_var > 0:

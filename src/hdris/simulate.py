@@ -100,18 +100,26 @@ class ExperimentConfig:
             values = list(getattr(self, key))
             if len(set(values)) != len(values):
                 raise ConfigError("%s must not repeat an entry, got %s" % (key, values))
+        if self.output_path == "":
+            raise ConfigError("output_path must not be empty")
         # the noise energy noise_var*n_ue*n_bs*n_ris, the filtered observation's
-        # expected squared norm, stays 2^20 (60 dB) below the float64 maximum:
-        # room for a draw above it and for the scored channel's squared norm;
-        # dims past the float range give an infinite energy, which fails
-        entries = self.dims.n_ue * self.dims.n_bs * self.dims.n_ris
-        entries = float(entries) if entries <= sys.float_info.max else math.inf
+        # expected squared norm, and the ideal rate's argument gain/(sigma^2/P)
+        # = 10^(snr/10)*n_ue*n_bs*n_ris^2, which bounds every estimate's, stay
+        # 2^20 (60 dB) below the float64 maximum: room for a draw above the
+        # energy and for the scored channel's squared norm; dims past the
+        # float range count as infinite, and an SNR past it gives NaN: both fail
+        d = self.dims
+        entries, gain = (float(n) if n <= sys.float_info.max else math.inf
+                         for n in (d.n_ue * d.n_bs * d.n_ris, d.n_ue * d.n_bs * d.n_ris ** 2))
+        limit = sys.float_info.max * 2.0 ** -20
         for snr_db in self.snr_grid_db:
             noise_var = _noise_var(self.tx_power_watts, snr_db)
-            if not 0.0 < noise_var * entries <= np.finfo(np.float64).max * 2.0 ** -20:
+            if not (0.0 < noise_var * entries <= limit
+                    and gain / _noise_var(1.0, snr_db) <= limit):
                 raise ConfigError(
                     "snr %r dB at tx_power_watts %r gives noise variance %r (must be > 0, "
-                    "with noise_var*n_ue*n_bs*n_ris at most 2^-20 of the float64 maximum)"
+                    "with noise_var*n_ue*n_bs*n_ris and 10^(snr/10)*n_ue*n_bs*n_ris^2 "
+                    "at most 2^-20 of the float64 maximum)"
                     % (snr_db, self.tx_power_watts, noise_var)
                 )
         allowed = [*ESTIMATORS, "ideal"]

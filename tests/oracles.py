@@ -16,13 +16,16 @@ beams read off ``hdr``'s factors and one eigenproblem per beam.  The
 dominant pairs keep the phase gauge that only ``hosvd_rank1`` still
 fixes; :func:`phase_distance` compares the package's other directions
 with them.  :func:`design_with_factors` stands in for the designs built
-from explicit arrays that the package no longer makes.
+from explicit arrays that the package no longer makes, and :func:`hops`
+for the two hop matrices that a realization no longer holds: the package
+forms only their cascade.
 """
 
 import dataclasses
 
 import numpy as np
 
+from hdris.channel import steering_1d
 from hdris.estimators import hdr_estimate
 from hdris.tensors import ComplexTensor, RankOneFactors, fold, unfold
 
@@ -157,6 +160,29 @@ def design_with_factors(design, **factors):
         factor.setflags(write=False)
         vars(fresh)[name] = factor
     return fresh
+
+
+def hops(ch):
+    """The two hop matrices of ``ch``'s line-of-sight geometry, rebuilt
+    from ``ch.params`` and ``ch.dims``: bs_ris (n_ris x n_bs), base station
+    -> surface, and ris_ue (n_ue x n_ris), surface -> user.  Per axis, the
+    first hop is the outer product of the surface arrival response with
+    the base-station response and the second the outer product of the
+    user response with the surface departure response; each hop is the
+    Kronecker product of its horizontal and vertical factors (z index
+    fastest)."""
+    d, p = ch.dims, ch.params
+
+    def axes(n_y, n_z, freqs):
+        return [steering_1d(n, f) for n, f in zip((n_y, n_z), freqs)]
+
+    bs = axes(d.n_bs_y, d.n_bs_z, p.bs_freqs)
+    arr = axes(d.n_ris_y, d.n_ris_z, p.ris_arr_freqs)
+    dep = axes(d.n_ris_y, d.n_ris_z, p.ris_dep_freqs)
+    ue = axes(d.n_ue_y, d.n_ue_z, p.ue_freqs)
+    bs_ris = np.kron(np.outer(arr[0], bs[0]), np.outer(arr[1], bs[1]))
+    ris_ue = np.kron(np.outer(ue[0], dep[0]), np.outer(ue[1], dep[1]))
+    return bs_ris, ris_ue
 
 
 def ideal_estimate(ch):

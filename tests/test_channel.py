@@ -1,4 +1,5 @@
-"""Tests for the geometric channel model: steering vectors, hops, cascade."""
+"""Tests for the geometric channel model: steering vectors and the cascade,
+checked against the hop matrices rebuilt by ``oracles.hops``."""
 
 import math
 
@@ -16,6 +17,7 @@ from hdris.channel import (
     steering_1d,
 )
 from hdris.tensors import khatri_rao, kron, vec
+from oracles import hops
 
 SMALL_DIMS = SystemDims(
     n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
@@ -110,8 +112,9 @@ def _flat_params():
 
 def test_build_channels_boresight_is_all_ones():
     ch = build_channels(SMALL_DIMS, _flat_params())
-    np.testing.assert_allclose(ch.bs_ris, np.ones((16, 4)), atol=1e-12)
-    np.testing.assert_allclose(ch.ris_ue, np.ones((4, 16)), atol=1e-12)
+    bs_ris, ris_ue = hops(ch)
+    np.testing.assert_allclose(bs_ris, np.ones((16, 4)), atol=1e-12)
+    np.testing.assert_allclose(ris_ue, np.ones((4, 16)), atol=1e-12)
     np.testing.assert_allclose(ch.cascade, np.ones((16, 16)), atol=1e-12)
 
 
@@ -119,8 +122,9 @@ def test_cascade_is_khatri_rao_of_hops():
     rng = np.random.default_rng(1)
     params = sample_params(rng)
     ch = build_channels(SMALL_DIMS, params)
+    bs_ris, ris_ue = hops(ch)
     np.testing.assert_allclose(
-        ch.cascade, khatri_rao(ch.bs_ris.T, ch.ris_ue), atol=1e-12
+        ch.cascade, khatri_rao(bs_ris.T, ris_ue), atol=1e-12
     )
     assert ch.cascade.shape == (16, 16)
 
@@ -129,12 +133,13 @@ def test_cascade_row_ordering():
     # row index is bs_antenna * n_ue + ue_antenna (ue fastest)
     rng = np.random.default_rng(2)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
+    bs_ris, ris_ue = hops(ch)
     n_ue = SMALL_DIMS.n_ue
     for m in range(SMALL_DIMS.n_bs):
         for q in range(n_ue):
             np.testing.assert_allclose(
                 ch.cascade[m * n_ue + q, :],
-                ch.bs_ris[:, m] * ch.ris_ue[q, :],
+                bs_ris[:, m] * ris_ue[q, :],
                 atol=1e-12,
             )
 
@@ -161,21 +166,10 @@ def _hop_axes(ch):
 def test_hop_matrices_factor_by_axis():
     rng = np.random.default_rng(3)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
+    bs_ris, ris_ue = hops(ch)
     (bs_ris_y, bs_ris_z), (ris_ue_y, ris_ue_z) = _hop_axes(ch)
-    np.testing.assert_allclose(ch.bs_ris, kron(bs_ris_y, bs_ris_z), atol=1e-12)
-    np.testing.assert_allclose(ch.ris_ue, kron(ris_ue_y, ris_ue_z), atol=1e-12)
-
-
-def test_hops_are_formed_on_first_read():
-    # the sweeps read only the cascade: a fresh realization holds no hop
-    # until one is read, and then keeps it
-    ch = build_channels(SMALL_DIMS, sample_params(np.random.default_rng(3)))
-    assert "bs_ris" not in vars(ch) and "ris_ue" not in vars(ch)
-    first = ch.bs_ris
-    assert "bs_ris" in vars(ch) and "ris_ue" not in vars(ch)
-    assert ch.bs_ris is first
-    assert ch.ris_ue.shape == (SMALL_DIMS.n_ue, SMALL_DIMS.n_ris)
-    assert "ris_ue" in vars(ch)
+    np.testing.assert_allclose(bs_ris, kron(bs_ris_y, bs_ris_z), atol=1e-12)
+    np.testing.assert_allclose(ris_ue, kron(ris_ue_y, ris_ue_z), atol=1e-12)
 
 
 def test_surface_vector_combines_arrival_and_departure():
@@ -234,8 +228,9 @@ def test_build_channels_nonsquare_extents():
     )
     ch = build_channels(dims, sample_params(np.random.default_rng(8)))
     assert ch.cascade.shape == (dims.n_ue * dims.n_bs, dims.n_ris)
+    bs_ris, ris_ue = hops(ch)
     np.testing.assert_allclose(
-        ch.cascade, khatri_rao(ch.bs_ris.T, ch.ris_ue), atol=1e-12
+        ch.cascade, khatri_rao(bs_ris.T, ris_ue), atol=1e-12
     )
 
 

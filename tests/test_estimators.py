@@ -31,7 +31,7 @@ from hdris.estimators import (
     matched_filter,
     simulate_observation,
 )
-from hdris.metrics import nmse
+from hdris.metrics import nmse, spectral_efficiency
 from hdris.tensors import (
     dominant_left_singular_vector,
     fold,
@@ -47,12 +47,14 @@ from oracles import (
     design_with_factors,
     dominant_pair_oracle,
     dominant_pairs_oracle,
+    hops,
     identity_tensor,
     ideal_estimate,
     n_mode_product,
     hosvd_rank1_oracle,
     noisy_observation,
     phase_distance,
+    rate_oracle,
     tensorize,
     to_cascade,
 )
@@ -136,20 +138,23 @@ def _tensor_route_observation(ch, design):
     """Noiseless observation through multilinear products: identity core
     contracted with the two hops along the first two modes, then with the
     pilot block and the phase profiles along the pilot and block modes."""
-    hops = n_mode_product(identity_tensor(3, ch.dims.n_ris), ch.ris_ue, 1)
-    hops = n_mode_product(hops, ch.bs_ris.T, 2)       # mode 3 keeps identity
-    x = n_mode_product(hops, design.bs_pilots.T, 2)
+    bs_ris, ris_ue = hops(ch)
+    core = n_mode_product(identity_tensor(3, ch.dims.n_ris), ris_ue, 1)
+    core = n_mode_product(core, bs_ris.T, 2)          # mode 3 keeps identity
+    x = n_mode_product(core, design.bs_pilots.T, 2)
     return n_mode_product(x, design.ris_phases.T, 3).data
 
 
 def _per_block_observation(ch, design, noise_var, rng):
     """Block k as its own product ris_ue @ diag(ris_phases[:, k]) @
-    bs_ris @ bs_pilots, plus the package's noise draw."""
+    bs_ris @ bs_pilots, from the hops rebuilt by :func:`oracles.hops`,
+    plus the package's noise draw."""
     d = ch.dims
-    first_hop_tx = ch.bs_ris @ design.bs_pilots
+    bs_ris, ris_ue = hops(ch)
+    first_hop_tx = bs_ris @ design.bs_pilots
     x = np.empty((d.n_ue, d.n_pilots, d.n_blocks), dtype=np.complex128)
     for k in range(d.n_blocks):
-        x[:, :, k] = ch.ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
+        x[:, :, k] = ris_ue @ (design.ris_phases[:, k, None] * first_hop_tx)
     if noise_var > 0:
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         x = x + np.sqrt(noise_var / 2.0) * noise
@@ -357,6 +362,31 @@ def test_filtered_observation_is_the_filtered_simulation(dims, noise_var):
     assert got.shape == want.shape == (dims.n_bs * dims.n_ue, dims.n_ris)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert rng_path.standard_normal() == rng_model.standard_normal()
+
+
+@pytest.mark.parametrize("dims", [REF_DIMS, WIDE_DIMS], ids=["ref", "wide"])
+def test_a_cascade_outside_the_rank_one_model_runs_through_every_stage(dims):
+    # a truth put in with dataclasses.replace, as a channel model outside
+    # the line-of-sight geometry would give it: both pilot paths simulate
+    # that cascade, not the geometry's, and every fit and score runs on it
+    ch = _realization(dims, seed=72)
+    design = make_training(dims)
+    assert design.block_fft == (dims is WIDE_DIMS)
+    rng = np.random.default_rng(73)
+    truth = np.asfortranarray(crandn(rng, *ch.cascade.shape))
+    ch = dataclasses.replace(ch, cascade=truth)
+    for noise_var in (0.0, 0.1):
+        obs = simulate_observation(ch, design, noise_var, np.random.default_rng(74))
+        want = matched_filter(obs, design, check=False)
+        got = filtered_observation(ch, design, noise_var, np.random.default_rng(74))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    for name, method in ESTIMATORS.items():
+        est = method.fit(got, dims)
+        assert np.isfinite(nmse(truth, est.cascade)), name
+        rate = spectral_efficiency(ch, est, 1.0, 0.1)
+        assert np.isfinite(rate), name
+        if name in ("krf", "ls"):
+            assert abs(rate - rate_oracle(ch, est, 1.0, 0.1)) <= 1e-12 * rate, name
 
 
 def test_filtered_observation_rejects_what_the_simulation_rejects():

@@ -1275,6 +1275,9 @@ def test_cli_unknown_key_exit_code(tmp_path):
         ({"dims": dict(_dims_json(), n_ris_y=10 ** 200, n_ris_z=10 ** 200)}, []),
         # a worker count below 1 from the command line
         ({}, ["--threads", "0"]),
+        # an ideal rate argument 10^(snr/10)*n_ue*n_bs*n_ris^2 past the
+        # float64 range
+        ({"snr_grid_db": [3075.0]}, []),
     ],
 )
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
@@ -1282,6 +1285,30 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, extra, flags):
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_config_bounds_the_snr_from_above_by_the_ideal_rate():
+    # at the default dims, 10^(snr/10)*n_ue*n_bs*n_ris^2 stays 2^20 below
+    # the float64 maximum up to about 2974 dB; above, the ideal rate and
+    # every estimate's overflowed to inf
+    cfg = default_config()
+    dataclasses.replace(cfg, snr_grid_db=(2974.0,))
+    assert math.isfinite(ideal_spectral_efficiency(cfg.dims, 1.0, 10.0 ** -297.4))
+    for snr_db in (2975.0, 3075.0):
+        with pytest.raises(ConfigError, match=r"10\^\(snr/10\)\*n_ue\*n_bs\*n_ris\^2"):
+            dataclasses.replace(cfg, snr_grid_db=(0.0, snr_db))
+
+
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_cli_empty_output_path_exits_2(tmp_path, capsys, route):
+    # an empty path used to count as no path: the CSV went to stdout, exit 0
+    if route == "config":
+        argv = ["nmse", "--config", _write_small_config(tmp_path, output_path="")]
+    else:
+        argv = ["nmse", "--config", _write_small_config(tmp_path), "--out", ""]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: output_path must not be empty\n"
 
 
 def test_cli_config_integer_past_digit_limit_exits_2(tmp_path, capsys):
