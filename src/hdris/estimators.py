@@ -78,11 +78,17 @@ def _check_pilot_inputs(ch: ChannelRealization, design: TrainingDesign, noise_va
                          % (got, want))
 
 
-def _standard_noise(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """The pilot noise draw: a (2, *shape) array of standard normals from
-    one call, the real block then the imaginary block, so the stream is
-    read exactly as by two successive draws of ``shape``."""
-    return rng.standard_normal((2,) + shape)
+def _standard_noise(rng: np.random.Generator, shape: tuple):
+    """The pilot noise draw: yields the real block, then the imaginary
+    block, of standard normals of ``shape``, each drawn into one reused
+    float64 buffer of that shape, so the caller must consume a block
+    before asking for the next.  The values and the stream position are
+    those of ``rng.standard_normal((2,) + shape)`` split along its first
+    axis; the draw holds half a complex block at most."""
+    block = np.empty(shape)
+    for _ in range(2):
+        rng.standard_normal(out=block)
+        yield block
 
 
 def simulate_observation(
@@ -104,10 +110,13 @@ def simulate_observation(
     (n_ue, n_pilots, n_ris) array (C_n @ bs_pilots)[q, t], read as an
     (n_ue*n_pilots) x n_ris matrix, times ris_phases
     (:meth:`TrainingDesign.block_product`).  The noise is added in place,
-    real parts first, from one draw of a real and an imaginary block
-    (:func:`_standard_noise`), taken from ``rng``; no draw is made when
-    ``noise_var`` is 0.  It takes the inputs of :func:`filtered_observation`
-    and checks them by the same rule (:func:`_check_pilot_inputs`).
+    real parts first, from a real and then an imaginary block of
+    standard normals drawn from ``rng`` into one reused buffer
+    (:func:`_standard_noise`); no draw is made when ``noise_var`` is 0.
+    Beyond the returned block it holds the n_ue x n_pilots x n_ris
+    product while forming it and half a block while drawing.  It takes
+    the inputs of :func:`filtered_observation` and checks them by the
+    same rule (:func:`_check_pilot_inputs`).
     """
     _check_pilot_inputs(ch, design, noise_var)
     dims = ch.dims
@@ -121,9 +130,9 @@ def simulate_observation(
 
     if noise_var > 0:
         scale = np.sqrt(noise_var / 2.0)
-        re, im = _standard_noise(rng, x.shape)
-        x.real += scale * re
-        x.imag += scale * im
+        for block, part in zip(_standard_noise(rng, x.shape), (x.real, x.imag)):
+            block *= scale
+            part += block
     return x
 
 
@@ -147,17 +156,20 @@ def filtered_observation(
     It is written pilot-major, so the filter's pilot mode is one product,
     which also applies the noise scale, and the true cascade is added to
     the result in the column-major layout :func:`matched_filter` returns.
+    Beyond the returned array it holds at most two complex blocks at a
+    time: the noise and the pilot product, then the product and the
+    filter's spectrum; the draw adds half a block to the noise.
     """
     _check_pilot_inputs(ch, design, noise_var)
     if noise_var == 0:
         return np.array(ch.cascade)
     dims = ch.dims
-    re, im = _standard_noise(rng, (dims.n_ue, dims.n_pilots, dims.n_blocks))
     noise = np.empty((dims.n_pilots, dims.n_ue, dims.n_blocks), dtype=np.complex128)
-    noise.real = re.transpose(1, 0, 2)
-    noise.imag = im.transpose(1, 0, 2)
+    draws = _standard_noise(rng, (dims.n_ue, dims.n_pilots, dims.n_blocks))
+    noise.real = next(draws).transpose(1, 0, 2)
+    noise.imag = next(draws).transpose(1, 0, 2)
     # each full-size block is dropped once the next is formed
-    del re, im
+    del draws
     per_bs = _pilot_product(np.sqrt(noise_var / 2.0) * design.bs_pilots.conj(), noise)
     del noise
     filtered = design.block_product(per_bs, adjoint=True)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import ChannelRealization, SystemDims
-from .tensors import dominant_left_singular_vector, kron
+from .tensors import _GRAM_SLAB, dominant_left_singular_vector, kron
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -36,7 +36,14 @@ def _squared_norm(a: np.ndarray) -> float:
 
 
 def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Normalized squared error ||truth - estimate||_F^2 / ||truth||_F^2."""
+    """Normalized squared error ||truth - estimate||_F^2 / ||truth||_F^2.
+
+    The error is summed over slabs of the last axis (column slabs of a
+    matrix) of at most _GRAM_SLAB entries, or one index of that axis if
+    it holds more, so no full-size difference is formed: the transients
+    stay within one slab's difference.  An array within one slab, as the
+    reference dims' cascade, is one slab.  Neither input is written.
+    """
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     if truth.shape != estimate.shape:
@@ -44,7 +51,13 @@ def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
     denom = _squared_norm(truth)
     if not denom > 0:
         raise ValueError("reference has zero norm")
-    return _squared_norm(truth - estimate) / denom
+    truth, estimate = np.atleast_1d(truth, estimate)
+    cols = truth.shape[-1]
+    width = max(1, _GRAM_SLAB // (truth.size // cols))      # columns per slab
+    error = 0.0
+    for j in range(0, cols, width):
+        error += _squared_norm(truth[..., j:j + width] - estimate[..., j:j + width])
+    return error / denom
 
 
 def _unit_phases(surface: np.ndarray) -> np.ndarray:

@@ -152,9 +152,11 @@ def vec(a) -> np.ndarray:
 _MAX_SQUARINGS = 16
 _CERTIFICATE_TOL = 1e-14
 _SCALE_EXP = 40
-# Entries of one slab of a mode's rows in hosvd_rank1's Gram loop (256 KiB
-# of complex128): a quarter of a 16 x 16 surface's tensor, and all of the
-# reference dims' tensor.
+# The one slab budget of a trial's transients, in entries (256 KiB of
+# complex128): a quarter of a 16 x 16 surface's cascade, and all of the
+# reference dims' cascade, so at those dims every slab loop runs once.
+# Its users: hosvd_rank1's Gram loop, dominant_left_singular_vector's
+# loop over a stack and metrics.nmse's loop over column slabs.
 _GRAM_SLAB = 1 << 14
 
 
@@ -305,6 +307,12 @@ def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
     column chosen is the first one holding the largest eigenvalue, so
     repeated calls agree bit for bit.
 
+    A stack is fitted in slabs of _GRAM_SLAB // (r*c) members (at least
+    one), each with its own Gram, squarings and fallback, so its
+    transients stay within about four slabs of _GRAM_SLAB entries: the
+    slab's conjugate or its Gram, and the two squaring buffers.  A stack
+    that fits one slab, as at the reference dims, is one call.
+
     Its cost in complex MACs is :func:`gram_macs` per matrix; the
     squarings, the tail products and any fallback are not counted.
 
@@ -325,6 +333,13 @@ def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if not 2 <= m.ndim <= 3:
         raise ValueError("expected a matrix or a stack of matrices, got shape %s" % (m.shape,))
+    if m.ndim == 3:
+        step = max(1, _GRAM_SLAB // (m.shape[1] * m.shape[2]))
+        if step < len(m):
+            u = np.empty(m.shape[:2], dtype=np.complex128)
+            for i in range(0, len(m), step):
+                u[i:i + step] = dominant_left_singular_vector(m[i:i + step])
+            return u
     wide = m.shape[-2] <= m.shape[-1]
     gram = m @ m.conj().swapaxes(-1, -2) if wide else m.conj().swapaxes(-1, -2) @ m
     trace = np.einsum("...ii->...", gram).real      # np.trace loops per member
@@ -380,12 +395,15 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
 
     No unfolding is formed.  The tensor is held C-ordered (one copy unless
     it already is).  Mode n of extent d is the middle axis of an (a, d, b)
-    reshape, so its Gram is sum_a X[a] X[a]^H.  One loop forms it: for
-    each slab of the a axis, at most _GRAM_SLAB entries or a single index
-    of that axis (the whole tensor for the first mode and at the reference
-    dims, a quarter of it at the 16 x 16 surface), the slab's d rows are
-    read (a view when the slab is one index or b == 1, else a copy of the
-    slab) and one GEMM adds rows @ rows^H.
+    reshape, so its Gram is sum_a X[a] X[a]^H.  One loop forms it from
+    slabs of at most _GRAM_SLAB entries (or one entry per row, if d
+    exceeds that): a run of whole a indices while one index fits, else
+    column slabs of one index.  The slab's d rows are read (a view when
+    the slab is within one index or b == 1, else a copy of the slab) and
+    one GEMM adds rows @ rows^H.  At the reference dims every mode is one
+    slab, the whole tensor.  So beyond a C-ordered input the fit holds at
+    most two slabs at a time, a slab's copy and its conjugate, and then
+    the amplitude's first contraction, 1/d of the tensor.
 
     All Grams of one size go through one stacked ``eigh``.  A mode longer
     than the rest of the tensor together (d^2 > size) is handed to
@@ -418,11 +436,13 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
             vectors[n] = _fix_phase(u[None])[0]
         else:
             x3 = data.reshape(lead, d, -1)
-            step = max(1, _GRAM_SLAB // (d * x3.shape[2]))
+            step = max(1, _GRAM_SLAB // (d * x3.shape[2]))      # a indices per slab
+            width = max(1, _GRAM_SLAB // d)                     # columns per slab
             gram = 0
             for i in range(0, lead, step):
-                rows = x3[i:i + step].transpose(1, 0, 2).reshape(d, -1)
-                gram = gram + np.matmul(rows, rows.conj().T)
+                for j in range(0, x3.shape[2], width):
+                    rows = x3[i:i + step, :, j:j + width].transpose(1, 0, 2).reshape(d, -1)
+                    gram = gram + np.matmul(rows, rows.conj().T)
             by_size.setdefault(d, []).append((n, gram))
         lead *= d
     for members in by_size.values():

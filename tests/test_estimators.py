@@ -20,6 +20,7 @@ import hdris.training as training
 from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
 from hdris.estimators import (
     ESTIMATORS,
+    _standard_noise,
     _swap_middle,
     build_permutations,
     extract_spatial_frequency,
@@ -33,6 +34,7 @@ from hdris.estimators import (
 )
 from hdris.metrics import nmse, spectral_efficiency
 from hdris.tensors import (
+    _GRAM_SLAB,
     dominant_left_singular_vector,
     fold,
     hosvd_rank1,
@@ -76,6 +78,10 @@ REF_DIMS = SystemDims(
 
 # 16x16 surface: 256 elements, 256 blocks
 WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+
+# 10x10 surface with 4x4 arrays: krf's 100 16x16 members fill one slab of
+# _GRAM_SLAB // 256 = 64 and a partial one of 36
+PARTIAL_SLAB_DIMS = SystemDims(4, 4, 4, 4, 10, 10, 16, 100)
 
 # 16 surface elements on 72 DFT blocks, with more pilots than base-station
 # antennas: the FFT block route with both factors oversampled
@@ -269,6 +275,30 @@ def test_in_place_noise_is_bit_identical():
             got = simulate_observation(ch, design, noise_var, rng=np.random.default_rng(seed))
             want = noisy_observation(clean, noise_var, np.random.default_rng(seed))
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims", [REF_DIMS, WIDE_DIMS], ids=["ref", "wide"])
+def test_pilot_noise_is_the_split_two_block_draw(dims):
+    # the helper yields the real block, then the imaginary block, from one
+    # reused buffer: bit for bit one (2, *shape) draw split on its first
+    # axis, leaving the generator in the same state; both pilot paths draw
+    # through it and leave the generator in that state too
+    shape = (dims.n_ue, dims.n_pilots, dims.n_blocks)
+    want = np.random.default_rng(90)
+    split = want.standard_normal((2,) + shape)
+    rng = np.random.default_rng(90)
+    blocks = []
+    for block in _standard_noise(rng, shape):
+        assert not blocks or block is blocks[0][0]
+        blocks.append((block, block.copy()))
+    assert [b.shape for _, b in blocks] == [shape, shape]
+    assert np.array_equal(blocks[0][1], split[0]) and np.array_equal(blocks[1][1], split[1])
+    assert rng.bit_generator.state == want.bit_generator.state
+    ch, design = _realization(dims, seed=92), make_training(dims)
+    for path in (simulate_observation, filtered_observation):
+        rng = np.random.default_rng(90)
+        path(ch, design, 0.3, rng)
+        assert rng.bit_generator.state == want.bit_generator.state, path.__name__
 
 
 def test_observation_noise_statistics():
@@ -725,10 +755,13 @@ def test_krf_noiseless_is_exact():
 def test_krf_matches_per_column_oracle():
     # the stacked fit of all columns == one rank-one fit per column, in
     # values, and krf's closed-form MACs == the per-column products counted;
-    # the last dims fold each column to a tall 6 x 2 matrix
+    # WIDE_DIMS and PARTIAL_SLAB_DIMS fit their stacks in slabs, the last of
+    # them partial at PARTIAL_SLAB_DIMS, and the last dims fold each column
+    # to a tall 6 x 2 matrix
+    assert PARTIAL_SLAB_DIMS.n_ris % (_GRAM_SLAB // PARTIAL_SLAB_DIMS.n_ue ** 2) == 36
     tall = SystemDims(1, 2, 3, 2, 2, 2, 2, 4)
     for dims, seed in ((SMALL_DIMS, 43), (ODD_DIMS, 44), (REF_DIMS, 45), (WIDE_DIMS, 46),
-                       (tall, 47)):
+                       (PARTIAL_SLAB_DIMS, 48), (tall, 47)):
         ch = _realization(dims, seed)
         rng = np.random.default_rng(seed)
         noisy = ch.cascade + 0.5 * crandn(rng, *ch.cascade.shape)
@@ -740,7 +773,8 @@ def test_krf_matches_per_column_oracle():
 
 
 @pytest.mark.parametrize(
-    "dims", [SMALL_DIMS, ODD_DIMS, REF_DIMS, WIDE_DIMS], ids=["small", "odd", "ref", "wide"]
+    "dims", [SMALL_DIMS, ODD_DIMS, REF_DIMS, WIDE_DIMS, PARTIAL_SLAB_DIMS],
+    ids=["small", "odd", "ref", "wide", "partial-slab"],
 )
 def test_krf_stack_members_match_eigh_oracle_across_snr(dims):
     # every member of krf's stack, fitted by squaring and the matrix-vector
@@ -885,10 +919,10 @@ def test_extract_frequency_gauge_invariant():
 def test_stage_peak_memory_bounded_by_observation_size():
     # tracemalloc sees numpy buffers; each stage's peak above what was live
     # when it started stays within 3x the observation at the 256-element
-    # surface (measured: simulate 2.7x, krf 2.3x, hdr, the sweeps' pilot
-    # path and the filter 2.0x; a (n_blocks, n_ris, n_pilots) broadcast in
+    # surface (measured: simulate, the sweeps' pilot path and the filter
+    # 2.0x, hdr 1.5x, krf 1.4x; a (n_blocks, n_ris, n_pilots) broadcast in
     # the pilot simulation once read about 19x), and hdr's within 2.25x:
-    # its tensor's C-ordered copy plus one slab and its conjugate, with no
+    # its tensor's C-ordered copy plus at most two slabs, with no
     # conjugated copy of the whole tensor kept across its modes (2.5x)
     dims = WIDE_DIMS
     design = make_training(dims)

@@ -26,6 +26,12 @@ its process, so it may put the import-time heap out of the collector's
 reach; a library import or sweep runs in its caller's process and must
 not freeze that heap.
 
+``tensors._GRAM_SLAB`` is the one slab budget of a trial's transients:
+no other slab-size constant, by name or by value, is defined under
+``src/``, and the slab loops of ``tensors.hosvd_rank1``,
+``tensors.dominant_left_singular_vector`` and ``metrics.nmse`` read it
+and nothing else does.
+
 The scan reads the source, by name, whatever module or alias the name
 is reached through.
 """
@@ -49,6 +55,14 @@ HOMES = {
     "freeze": {("cli", "main")},
     "_dft_rows": {("training", "bs_pilots"), ("training", "ris_phases")},
     "TrainingInfeasibleError": {("training", "__post_init__"), ("simulate", "__post_init__")},
+}
+
+
+# the functions whose slab loops read the one slab budget
+SLAB_USERS = {
+    ("tensors", "hosvd_rank1"),
+    ("tensors", "dominant_left_singular_vector"),
+    ("metrics", "nmse"),
 }
 
 
@@ -116,3 +130,51 @@ def test_reference_scan_reads_every_form():
         (None, "eigh"), ("f", "eigh"), ("g.inner", "_tail_power"),
         ("g", "eigh"), ("g", "_tail_power"),
     ]
+
+
+def _module_constants(source: str) -> list:
+    """Names bound by a module-level assignment in ``source``."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _int_values(source: str) -> list:
+    """Every integer literal of ``source``, and the value of every binary
+    operation on two literals (such as ``1 << 14``)."""
+    values = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and all(
+            isinstance(side, ast.Constant) for side in (node.left, node.right)
+        ):
+            values.append(eval(compile(ast.Expression(node), "<literal>", "eval")))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            values.append(node.value)
+    return values
+
+
+def test_one_slab_budget():
+    from hdris.tensors import _GRAM_SLAB
+
+    sources = {m: (PACKAGE / (m + ".py")).read_text(encoding="utf-8") for m in MODULES}
+    assert [(m, name) for m in MODULES for name in _module_constants(sources[m])
+            if "SLAB" in name.upper()] == [("tensors", "_GRAM_SLAB")]
+    assert [m for m in MODULES for v in _int_values(sources[m]) if v == _GRAM_SLAB] == ["tensors"]
+    users = {(m, scope) for m in MODULES
+             for scope, _ in _references(sources[m], {"_GRAM_SLAB"}) if scope is not None}
+    assert users == SLAB_USERS
+
+
+def test_slab_scan_reads_every_form():
+    source = (
+        "_SLAB_A = 1 << 14\n"
+        "slab_b: int = 16384\n"
+        "def f(x):\n"
+        "    width = 2 ** 14\n"
+        "    return x[:_GRAM_SLAB], tensors._GRAM_SLAB\n"
+    )
+    assert _module_constants(source) == ["_SLAB_A", "slab_b"]
+    assert [v for v in _int_values(source) if v == 1 << 14] == [1 << 14] * 3
+    assert _references(source, {"_GRAM_SLAB"}) == [("f", "_GRAM_SLAB")] * 2

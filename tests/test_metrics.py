@@ -25,7 +25,7 @@ from hdris.metrics import (
     summarize,
 )
 from hdris.simulate import flops_measured
-from hdris.tensors import psd_top
+from hdris.tensors import _GRAM_SLAB, psd_top
 from hdris.training import make_training
 from oracles import ideal_estimate, rate_oracle
 
@@ -103,6 +103,24 @@ def test_nmse_scale_invariance():
     t, e = crandn(rng, 4, 4), crandn(rng, 4, 4)
     c = 3.7 * np.exp(0.9j)
     assert nmse(c * t, c * e) == pytest.approx(nmse(t, e), rel=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["F", "C", "1-D"])
+def test_nmse_slabs_match_the_plain_ratio(layout):
+    # the error summed over column slabs of _GRAM_SLAB entries, the last
+    # one partial (256 rows: slabs of 64 columns, then 36; 1-D: two slabs
+    # of _GRAM_SLAB entries, then 7,232), against the full difference;
+    # neither input is written
+    rng = np.random.default_rng(4)
+    t, e = crandn(rng, 256, 100), crandn(rng, 256, 100)
+    t, e = {"F": (np.asfortranarray(t), np.asfortranarray(e)),
+            "C": (t, e),
+            "1-D": (crandn(rng, 40000), crandn(rng, 40000))}[layout]
+    t0, e0 = t.copy(), e.copy()
+    want = np.sum(np.abs(t - e) ** 2) / np.sum(np.abs(t) ** 2)
+    assert abs(nmse(t, e) - want) <= 1e-14 * want
+    assert np.array_equal(t, t0) and np.array_equal(e, e0)
+    assert t.shape[-1] % max(1, _GRAM_SLAB // (t.size // t.shape[-1])) != 0
 
 
 def test_nmse_validation():

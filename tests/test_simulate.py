@@ -12,15 +12,16 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hdris
-from hdris.channel import ChannelParams, SystemDims
+from hdris.channel import ChannelParams, SystemDims, build_channels, sample_params
 from hdris.cli import main
-from hdris.metrics import flops_analytic, ideal_spectral_efficiency
+from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
 from hdris.simulate import (
     _MALLOPT_SETTINGS,
     ConfigError,
@@ -38,7 +39,8 @@ from hdris.simulate import (
     write_csv,
 )
 import hdris.training as training
-from hdris.estimators import matched_filter
+from hdris.estimators import build_permutations, filtered_observation, krf_estimate, matched_filter
+from hdris.tensors import _GRAM_SLAB, dominant_left_singular_vector, hosvd_rank1
 from hdris.training import TrainingInfeasibleError, make_training
 from oracles import dominant_pairs_oracle
 
@@ -914,6 +916,59 @@ def test_library_sweep_leaves_heap_unfrozen():
     proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# working set of a trial
+# ---------------------------------------------------------------------------
+
+
+def test_trial_working_set_is_three_cascades_and_a_few_slabs():
+    # every stage bounds its transients by the one slab budget,
+    # _GRAM_SLAB entries (256 KiB, a quarter of the cascade here), so a
+    # 16x16-surface trial holds the truth, the filtered observation and
+    # one estimate (or hdr's C-ordered copy) plus a few slabs.  Measured
+    # sweep peak: 3.52 cascades; 5.28 while krf fitted its 256 Grams in
+    # one stack, hdr conjugated its whole first mode and nmse formed the
+    # full difference.  Each of those stages has its own bound beside the
+    # pilot path's (measured: pilot path 1.0 cascade beyond its output,
+    # krf's stack 2.5 slabs, hdr's fit 2.04 and nmse 1.0)
+    dims = _WIDE_DIMS
+    cfg = ExperimentConfig(dims=dims, snr_grid_db=(0.0,), n_trials=2, seed=0)
+    run_nmse_sweep(cfg)                         # warm-up: lazy imports and caches
+    design = make_training(dims)
+    ch = build_channels(dims, sample_params(np.random.default_rng(60)))
+    rng = np.random.default_rng(61)
+    slab = _GRAM_SLAB * 16                      # bytes of one complex128 slab
+    small = 16 << 10                            # d x d Grams, vectors, numpy bookkeeping
+    peaks = {}
+
+    def stage(name, fn):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        return out
+
+    tracemalloc.start()
+    try:
+        stage("sweep", lambda: run_nmse_sweep(cfg))
+        obs = stage("pilot path", lambda: filtered_observation(ch, design, 1.0, rng))
+        tensor = np.ascontiguousarray(build_permutations(dims).to_tensor(obs))
+        stage("hosvd_rank1", lambda: hosvd_rank1(tensor))
+        stack = obs.reshape(dims.n_ue, dims.n_bs, dims.n_ris, order="F").transpose(2, 0, 1)
+        stage("stack", lambda: dominant_left_singular_vector(stack))
+        est = krf_estimate(obs, dims).cascade
+        stage("nmse", lambda: nmse(ch.cascade, est))
+    finally:
+        tracemalloc.stop()
+    cascade = ch.cascade.nbytes
+    assert cascade == 4 * slab and len(stack) > _GRAM_SLAB // 256
+    assert peaks["sweep"] <= 3.75 * cascade, peaks
+    assert peaks["pilot path"] - obs.nbytes <= 1.5 * obs.nbytes, peaks
+    assert peaks["hosvd_rank1"] <= 2 * slab + small, peaks
+    assert peaks["stack"] <= 4 * slab, peaks
+    assert peaks["nmse"] <= 2 * slab, peaks
 
 
 # ---------------------------------------------------------------------------

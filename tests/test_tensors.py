@@ -957,7 +957,10 @@ def test_hosvd_rank1_takes_plain_arrays():
 
 # re-indexed tensor layouts (ue_z, bs_z, ris_z, ue_y, bs_y, ris_y) of the
 # estimator tests' SMALL, ODD, REF and WIDE dims and of the all-singleton
-# plan, a generic order-3 shape and a tall order-2 shape
+# plan, a generic order-3 shape, a tall order-2 shape, and a shape whose
+# first mode's 7,007 columns take one full column slab of
+# _GRAM_SLAB // 3 = 5,461 and a partial one, and whose second mode's
+# 3 leading indices take slabs of 2 and 1
 HOSVD_SHAPES = {
     "small": (2, 2, 4, 2, 2, 4),
     "odd": (1, 2, 2, 2, 3, 5),
@@ -966,6 +969,7 @@ HOSVD_SHAPES = {
     "singleton": (1, 1, 1, 1, 1, 1),
     "3x4x5": (3, 4, 5),
     "tall-5x2": (5, 2),
+    "partial-slab": (3, 7, 11, 13, 7),
 }
 
 
@@ -992,14 +996,15 @@ def test_hosvd_rank1_matches_unfold_oracle(shape):
 
 @pytest.mark.parametrize(
     "shape",
-    [(4, 4, 4, 4, 4, 4), (4, 4, 16, 4, 4, 16), (2, 2, 4, 2, 2, 4), (3, 4, 5), (4, 2, 2)],
-    ids=["ref", "wide", "small", "3x4x5", "short-first-mode"],
+    [(4, 4, 4, 4, 4, 4), (4, 4, 16, 4, 4, 16), (2, 2, 4, 2, 2, 4), (3, 4, 5), (4, 2, 2),
+     (3, 7, 11, 13, 7)],
+    ids=["ref", "wide", "small", "3x4x5", "short-first-mode", "partial-slab"],
 )
 def test_hosvd_rank1_gram_routes(monkeypatch, shape):
     # every mode's Gram is one loop of 2-D GEMMs, each of one slab's d rows
     # with their conjugate: the slabs reassemble to the mode's rows of the
-    # (a, d, b) reshape, and none holds more than _GRAM_SLAB entries (or
-    # one index of the leading axis)
+    # (a, d, b) reshape, and none holds more than _GRAM_SLAB entries, so a
+    # leading index longer than that is split into column slabs
     data = crandn(np.random.default_rng(53), *shape)
     calls = []
     matmul = np.matmul
@@ -1020,7 +1025,7 @@ def test_hosvd_rank1_gram_routes(monkeypatch, shape):
             rows, rows_h = calls[pos]
             assert rows.ndim == 2 and rows.shape[0] == d
             np.testing.assert_array_equal(rows_h, rows.conj().T)
-            assert rows.size <= max(_GRAM_SLAB, d * trail)
+            assert rows.size <= _GRAM_SLAB
             slabs.append(rows)
             pos += 1
         np.testing.assert_array_equal(np.hstack(slabs), x3.transpose(1, 0, 2).reshape(d, -1))
