@@ -28,6 +28,7 @@ __all__ = [
     "ChannelRealization",
     "spatial_frequencies",
     "steering_1d",
+    "rank_one_cascade",
     "build_channels",
     "sample_params",
 ]
@@ -134,19 +135,17 @@ class ChannelRealization:
 
     Two realizations compare equal only when they are the same object.
 
-    cascade (n_bs*n_ue x n_ris): column-wise Kronecker product of the
-        transposed base station -> surface hop (n_ris x n_bs) with the
-        surface -> user hop (n_ue x n_ris); the quantity the pilot stage
-        ultimately estimates and the one channel description the pilot
-        model, the sweeps and the scorers read.  Column n collects what
-        user antennas see of base-station antennas via surface element n
-        alone; it is stored column-major, the layout of every estimate of
-        it.
+    cascade (n_bs*n_ue x n_ris): the :func:`rank_one_cascade` of the six
+        vectors below; the quantity the pilot stage ultimately estimates
+        and the one channel description the pilot model, the sweeps and
+        the scorers read.  Column n collects what user antennas see of
+        base-station antennas via surface element n alone; it is stored
+        column-major, the layout of every estimate of it.
     bs_y/bs_z, ue_y/ue_z: per-axis steering vectors of the two arrays.
     surface_y/surface_z: element-wise products of the surface arrival and
-        departure responses; kron(surface_y, surface_z) collects the
-        per-element cascaded phases that a phase-profile vector multiplies.
-        These six vectors are the truth for factor alignment in the tests.
+        departure responses, the per-element cascaded phases that a
+        phase-profile vector multiplies.  These six vectors are the truth
+        for factor alignment in the tests.
     """
 
     dims: SystemDims
@@ -160,17 +159,32 @@ class ChannelRealization:
     cascade: np.ndarray
 
 
+def rank_one_cascade(
+    *, ue_y, ue_z, bs_y, bs_z, surface_y, surface_z, amplitude=None,
+) -> np.ndarray:
+    """The one writer of a rank-one cascade: the (n_bs*n_ue x n_ris)
+    outer product of kron(kron(bs_y, bs_z), kron(ue_y, ue_z)), times
+    ``amplitude`` when one is given, with kron(surface_y, surface_z).
+
+    Keyword-only, since the realization and the estimates list the six
+    vectors in different orders.  Without an amplitude no scaling pass
+    runs, so each entry is the plain product of the six vector entries.
+    """
+    row = kron(kron(bs_y, bs_z), kron(ue_y, ue_z))
+    if amplitude is not None:
+        row = amplitude * row
+    return np.multiply.outer(kron(surface_y, surface_z), row).T
+
+
 def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealization:
     """Construct the cascade and its factors for one geometry.
 
     Per axis, the first hop is the outer product of the surface arrival
     response with the base-station response, and the second hop the outer
-    product of the user response with the surface departure response; each
-    hop is the Kronecker product of its two axis factors.  The cascade, the
-    column-wise Kronecker product of the transposed first hop with the
-    second hop, is rank one: the outer product of kron(kron(bs_y, bs_z),
-    kron(ue_y, ue_z)) with kron(surface_y, surface_z), and it is built as
-    that product, so neither hop is formed.
+    product of the user response with the surface departure response.  The
+    cascade, the column-wise Kronecker product of the transposed first hop
+    with the second hop, is rank one and is written by
+    :func:`rank_one_cascade`, so neither hop is formed.
     """
     bs_fy, bs_fz = params.bs_freqs
     arr_fy, arr_fz = params.ris_arr_freqs
@@ -188,20 +202,10 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
 
     surface_y = ris_arr_y * ris_dep_y
     surface_z = ris_arr_z * ris_dep_z
-    cascade = np.multiply.outer(
-        kron(surface_y, surface_z), kron(kron(bs_y, bs_z), kron(ue_y, ue_z))
-    ).T
-
+    vectors = dict(bs_y=bs_y, bs_z=bs_z, ue_y=ue_y, ue_z=ue_z,
+                   surface_y=surface_y, surface_z=surface_z)
     return ChannelRealization(
-        dims=dims,
-        params=params,
-        bs_y=bs_y,
-        bs_z=bs_z,
-        ue_y=ue_y,
-        ue_z=ue_z,
-        surface_y=surface_y,
-        surface_z=surface_z,
-        cascade=cascade,
+        dims=dims, params=params, **vectors, cascade=rank_one_cascade(**vectors),
     )
 
 

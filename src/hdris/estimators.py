@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims
+from .channel import ChannelRealization, SystemDims, rank_one_cascade
 from .tensors import dominant_left_singular_vector, gram_macs, hosvd_rank1, hosvd_rank1_macs
 from .training import TrainingDesign
 
@@ -289,7 +289,8 @@ def build_permutations(dims: SystemDims) -> PermutationPlan:
 
 @dataclass(frozen=True, eq=False)
 class EstimateSet:
-    """Output of one estimator on one matched-filter matrix.
+    """Output of one estimator on one matched-filter matrix; the method's
+    name is its ``ESTIMATORS`` key.
 
     ``cascade`` always holds the estimate of the cascade matrix.  The six
     per-axis link vectors and the amplitude are populated by the
@@ -298,7 +299,6 @@ class EstimateSet:
     positive; the amplitude carries the remaining scale and phase.
     """
 
-    method: str
     cascade: np.ndarray
     ue_y: np.ndarray | None = None
     ue_z: np.ndarray | None = None
@@ -325,34 +325,25 @@ def hdr_estimate(
 ) -> EstimateSet:
     """Structured estimator: one rank-one HOSVD on the re-indexed tensor.
 
-    The cascade is re-indexed by the plan into the sixth-order layout
-    (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y, n_ris_y) and approximated
-    by a single rank-one outer product.  Modes 1..6 give the user-z,
-    base-station-z, surface-z, user-y, base-station-y and surface-y
-    vectors respectively.  The returned cascade estimate is the rank-one
-    reconstruction written straight into the cascade layout: the outer
-    product of the amplitude-scaled row vector bs_y (x) bs_z (x) ue_y (x)
-    ue_z with the column vector surface_y (x) surface_z.
+    The plan re-indexes the cascade into its sixth-order layout
+    (``PermutationPlan.tensor_dims``), whose best rank-one outer product
+    gives one per-axis link vector per mode; the cascade estimate is their
+    :func:`channel.rank_one_cascade` with the fit's amplitude.  A ``plan``
+    whose tensor dims are not those of ``dims`` raises ``ValueError``.
     """
     cascade_obs = _checked_cascade(cascade_obs, dims)
+    own = build_permutations(dims)
     if plan is None:
-        plan = build_permutations(dims)
+        plan = own
+    elif plan.tensor_dims != own.tensor_dims:
+        raise ValueError("plan has tensor dims %s but dims give %s"
+                         % (plan.tensor_dims, own.tensor_dims))
     factors = hosvd_rank1(plan.to_tensor(cascade_obs))
-    ue_z, bs_z, surface_z, ue_y, bs_y, surface_y = factors.vectors
-    # cascade rows run over (bs_y, bs_z, ue_y, ue_z) and columns over
-    # (surface_y, surface_z), slowest digit first
-    outer = np.multiply.outer
-    row = outer(outer(bs_y, bs_z), outer(ue_y, ue_z)).reshape(-1)
-    cascade_hat = outer(outer(surface_y, surface_z).reshape(-1), factors.core * row).T
+    modes = ("ue_z", "bs_z", "surface_z", "ue_y", "bs_y", "surface_y")
+    vectors = dict(zip(modes, factors.vectors))
     return EstimateSet(
-        method="hdr",
-        cascade=cascade_hat,
-        ue_y=ue_y,
-        ue_z=ue_z,
-        bs_y=bs_y,
-        bs_z=bs_z,
-        surface_y=surface_y,
-        surface_z=surface_z,
+        cascade=rank_one_cascade(**vectors, amplitude=factors.core),
+        **vectors,
         amplitude=factors.core,
     )
 
@@ -376,7 +367,7 @@ def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
     # entry (n, m, q) is u[n, q] * right_h[n, m]: the column-major cascade
     cascade_hat = (right_h[:, :, None] * u[:, None, :]).reshape(n_ris, n_bs * n_ue)
-    return EstimateSet(method="krf", cascade=cascade_hat.T)
+    return EstimateSet(cascade=cascade_hat.T)
 
 
 def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> EstimateSet:
@@ -384,7 +375,7 @@ def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> Esti
     Its shape is checked against ``dims`` when they are given."""
     if dims is not None:
         cascade_obs = _checked_cascade(cascade_obs, dims)
-    return EstimateSet(method="ls", cascade=np.array(cascade_obs, dtype=np.complex128))
+    return EstimateSet(cascade=np.array(cascade_obs, dtype=np.complex128))
 
 
 def _hdr_macs(dims: SystemDims) -> int:

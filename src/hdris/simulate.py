@@ -52,6 +52,13 @@ __all__ = [
 
 _ANGLE_KEYS = tuple(f.name for f in dataclasses.fields(ChannelParams))
 _DIM_KEYS = tuple(f.name for f in dataclasses.fields(SystemDims))
+# the config's flat keys and their JSON kinds, read by both load_config and
+# ExperimentConfig.to_dict; the rest are "dims" and "angles_deg"
+_SCALAR_KEYS = {"n_trials": int, "seed": int, "threads": int,
+                "output_path": str, "tx_power_watts": float}
+_ARRAY_KEYS = {"snr_grid_db": float, "methods": str, "ris_grid": int}
+# keys that affect execution only: not written by to_dict, so not hashed
+_EXECUTION_KEYS = ("threads", "output_path")
 
 
 class ConfigError(ValueError):
@@ -62,9 +69,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a sweep needs, minus scheduling details.
 
-    ``threads`` and ``output_path`` affect execution only and are excluded
-    from the config hash.  ``fixed_params``, when set, pins the link geometry
-    for every trial instead of drawing it per trial.
+    The keys of ``_EXECUTION_KEYS`` (``threads``, ``output_path``) affect
+    execution only and are excluded from the config hash.
+    ``fixed_params``, when set, pins the link geometry for every trial
+    instead of drawing it per trial.
     """
 
     dims: SystemDims
@@ -132,15 +140,12 @@ class ExperimentConfig:
             raise ConfigError("infeasible dims: %s" % exc) from exc
 
     def to_dict(self) -> dict:
-        d = {
-            "dims": {k: getattr(self.dims, k) for k in _DIM_KEYS},
-            "snr_grid_db": [float(s) for s in self.snr_grid_db],
-            "n_trials": self.n_trials,
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "tx_power_watts": float(self.tx_power_watts),
-            "ris_grid": [int(n) for n in self.ris_grid],
-        }
+        d = {"dims": {k: getattr(self.dims, k) for k in _DIM_KEYS}}
+        for key, kind in _SCALAR_KEYS.items():
+            if key not in _EXECUTION_KEYS:
+                d[key] = kind(getattr(self, key))
+        for key, kind in _ARRAY_KEYS.items():
+            d[key] = [kind(v) for v in getattr(self, key)]
         if self.fixed_params is not None:
             d["angles_deg"] = {
                 k: float(np.rad2deg(getattr(self.fixed_params, k)))
@@ -190,10 +195,7 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    scalars = {"n_trials": int, "seed": int, "threads": int,
-               "output_path": str, "tx_power_watts": float}
-    arrays = {"snr_grid_db": float, "methods": str, "ris_grid": int}
-    unknown = set(raw) - {*scalars, *arrays, "dims", "angles_deg"}
+    unknown = set(raw) - {*_SCALAR_KEYS, *_ARRAY_KEYS, "dims", "angles_deg"}
     if unknown:
         raise ConfigError("unknown config keys: %s" % sorted(unknown))
 
@@ -215,10 +217,10 @@ def load_config(path: str) -> ExperimentConfig:
                for k in _ANGLE_KEYS}
         )
 
-    for key, kind in scalars.items():
+    for key, kind in _SCALAR_KEYS.items():
         if key in raw:
             kwargs[key] = _typed(key, raw[key], kind)
-    for key, kind in arrays.items():
+    for key, kind in _ARRAY_KEYS.items():
         if key in raw:
             kwargs[key] = tuple(_typed(key, v, kind) for v in _typed(key, raw[key], list))
     if "methods" in kwargs:

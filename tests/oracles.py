@@ -18,16 +18,47 @@ fixes; :func:`phase_distance` compares the package's other directions
 with them.  :func:`design_with_factors` stands in for the designs built
 from explicit arrays that the package no longer makes, and :func:`hops`
 for the two hop matrices that a realization no longer holds: the package
-forms only their cascade.
+forms only their cascade.  The geometries and the complex normal draw
+that several test modules share are defined here too.
 """
 
 import dataclasses
 
 import numpy as np
 
-from hdris.channel import steering_1d
+from hdris.channel import SystemDims, steering_1d
 from hdris.estimators import hdr_estimate
 from hdris.tensors import ComplexTensor, RankOneFactors, fold, unfold
+
+# 2x2 arrays, 4x4 surface
+SMALL_DIMS = SystemDims(
+    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
+    n_pilots=16, n_blocks=16,
+)
+
+# 16-antenna arrays at both ends, 4x4 surface, minimal exact training
+REF_DIMS = SystemDims(
+    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
+    n_pilots=16, n_blocks=16,
+)
+
+# odd, unequal extents on every axis; n_ue < n_bs
+ODD_DIMS = SystemDims(
+    n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
+    n_pilots=6, n_blocks=10,
+)
+
+# 16x16 surface: 256 elements, 256 blocks
+WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
+
+# the six per-axis vectors that a realization and a structured estimate
+# both carry, the keywords of channel.rank_one_cascade
+RANK_ONE_VECTORS = ("ue_y", "ue_z", "bs_y", "bs_z", "surface_y", "surface_z")
+
+
+def crandn(rng, *shape):
+    """Complex normals of ``shape``: real then imaginary parts, each standard."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class MacCounter:
@@ -186,10 +217,10 @@ def hops(ch):
 
 
 def ideal_estimate(ch):
-    """Perfect-CSI estimate: ``hdr`` fitted to the true cascade, tagged
-    ``ideal``.  The se sweep scored this per trial before it switched to
-    the closed-form rate."""
-    return dataclasses.replace(hdr_estimate(ch.cascade, ch.dims), method="ideal")
+    """Perfect-CSI estimate: ``hdr`` fitted to the true cascade.  The se
+    sweep scored this per trial before it switched to the closed-form
+    rate."""
+    return hdr_estimate(ch.cascade, ch.dims)
 
 
 def hosvd_rank1_oracle(x, counter=None):

@@ -12,21 +12,13 @@ from hdris.channel import (
     ChannelParams,
     SystemDims,
     build_channels,
+    rank_one_cascade,
     sample_params,
     spatial_frequencies,
     steering_1d,
 )
 from hdris.tensors import khatri_rao, kron, vec
-from oracles import hops
-
-SMALL_DIMS = SystemDims(
-    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from oracles import ODD_DIMS, RANK_ONE_VECTORS, SMALL_DIMS, hops
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +193,9 @@ def test_single_axis_khatri_rao_vec_identity():
 
 
 def test_cascade_is_rank_one_outer_product():
+    # the cascade is rank_one_cascade of the realization's own vectors,
+    # bit for bit; an amplitude scales it, and every vector must be named,
+    # since the realization and an estimate order them apart
     rng = np.random.default_rng(6)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
     bs_steer = kron(ch.bs_y, ch.bs_z)
@@ -209,6 +204,15 @@ def test_cascade_is_rank_one_outer_product():
     np.testing.assert_allclose(
         ch.cascade, np.outer(kron(bs_steer, ue_steer), surface), atol=1e-12
     )
+    vectors = {k: getattr(ch, k) for k in RANK_ONE_VECTORS}
+    np.testing.assert_array_equal(rank_one_cascade(**vectors), ch.cascade)
+    amplitude = 0.5 - 2.0j
+    np.testing.assert_allclose(
+        rank_one_cascade(**vectors, amplitude=amplitude), amplitude * ch.cascade,
+        rtol=1e-15, atol=0,
+    )
+    with pytest.raises(TypeError):
+        rank_one_cascade(*vectors.values())
 
 
 def test_cascade_norm_is_total_element_count():
@@ -222,10 +226,7 @@ def test_cascade_norm_is_total_element_count():
 
 
 def test_build_channels_nonsquare_extents():
-    dims = SystemDims(
-        n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
-        n_pilots=6, n_blocks=10,
-    )
+    dims = ODD_DIMS
     ch = build_channels(dims, sample_params(np.random.default_rng(8)))
     assert ch.cascade.shape == (dims.n_ue * dims.n_bs, dims.n_ris)
     bs_ris, ris_ue = hops(ch)

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 import hdris.training as training
-from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
+from hdris.channel import (
+    SystemDims,
+    build_channels,
+    rank_one_cascade,
+    sample_params,
+    steering_1d,
+)
 from hdris.estimators import (
     ESTIMATORS,
     _standard_noise,
@@ -44,8 +50,14 @@ from hdris.tensors import (
 )
 from hdris.training import make_training
 from oracles import (
+    ODD_DIMS,
+    RANK_ONE_VECTORS,
+    REF_DIMS,
+    SMALL_DIMS,
+    WIDE_DIMS,
     MacCounter,
     counted_matmul,
+    crandn,
     design_with_factors,
     dominant_pair_oracle,
     dominant_pairs_oracle,
@@ -60,24 +72,6 @@ from oracles import (
     tensorize,
     to_cascade,
 )
-
-SMALL_DIMS = SystemDims(
-    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-
-ODD_DIMS = SystemDims(
-    n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
-    n_pilots=6, n_blocks=10,
-)
-
-REF_DIMS = SystemDims(
-    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-
-# 16x16 surface: 256 elements, 256 blocks
-WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
 
 # 10x10 surface with 4x4 arrays: krf's 100 16x16 members fill one slab of
 # _GRAM_SLAB // 256 = 64 and a partial one of 36
@@ -120,10 +114,6 @@ def test_array_records_compare_by_identity(build):
     a, b = build(), build()
     assert a == a and a != b
     assert len({a, b, a}) == 2
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _realization(dims=SMALL_DIMS, seed=0):
@@ -641,13 +631,12 @@ def test_all_singleton_dims_plan():
 
 
 def test_estimator_table_shares_one_call():
-    # every entry's fit is called as fit(cascade_obs, dims) and tags its
-    # estimate with its table name; only ls spends no MACs
+    # every entry's fit is called as fit(cascade_obs, dims); only ls
+    # spends no MACs
     ch = _realization(REF_DIMS, seed=53)
     assert list(ESTIMATORS) == ["hdr", "krf", "ls"]
     for name, entry in ESTIMATORS.items():
         est = entry.fit(ch.cascade, REF_DIMS)
-        assert est.method == name
         assert est.cascade.shape == ch.cascade.shape
         macs = entry.macs(REF_DIMS)
         assert type(macs) is int and macs >= 0
@@ -674,13 +663,12 @@ def test_hdr_noiseless_is_exact():
         est = hdr_estimate(ch.cascade, dims)
         err = np.linalg.norm(est.cascade - ch.cascade) ** 2
         assert err / np.linalg.norm(ch.cascade) ** 2 < 1e-20
-        assert est.method == "hdr"
 
 
 def test_hdr_noiseless_factor_alignment():
     ch = _realization(seed=13)
     est = hdr_estimate(ch.cascade, SMALL_DIMS)
-    for name in ("ue_y", "ue_z", "bs_y", "bs_z", "surface_y", "surface_z"):
+    for name in RANK_ONE_VECTORS:
         truth = getattr(ch, name)
         fitted = getattr(est, name)
         truth = truth / np.linalg.norm(truth)
@@ -704,14 +692,36 @@ def test_hdr_accepts_precomputed_plan():
     np.testing.assert_array_equal(a.cascade, b.cascade)
 
 
+def test_hdr_rejects_a_plan_for_other_tensor_dims():
+    # REF dims with the user array's axes reshaped to 2 x 8: the same
+    # cascade shape, so the wrong plan would re-index without error and
+    # fit a length-2 ue_y; it raises, naming both tensor dims
+    ch = _realization(REF_DIMS, seed=18)
+    wrong = build_permutations(dataclasses.replace(REF_DIMS, n_ue_y=2, n_ue_z=8))
+    msg = "plan has tensor dims (8, 4, 4, 2, 4, 4) but dims give (4, 4, 4, 4, 4, 4)"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        hdr_estimate(ch.cascade, REF_DIMS, plan=wrong)
+    # a plan built from other training sizes has the same tensor dims
+    other_training = build_permutations(dataclasses.replace(REF_DIMS, n_pilots=32))
+    np.testing.assert_array_equal(
+        hdr_estimate(ch.cascade, REF_DIMS, plan=other_training).cascade,
+        hdr_estimate(ch.cascade, REF_DIMS).cascade,
+    )
+
+
 def test_hdr_writes_reconstruction_into_cascade_layout():
-    # the row (x) column outer product equals the rank-one tensor pushed
-    # back through the inverse re-indexing, at every plan geometry
+    # the cascade is channel.rank_one_cascade of hdr's own factors, and
+    # equals the rank-one tensor pushed back through the inverse
+    # re-indexing, at every plan geometry
     rng = np.random.default_rng(16)
     for dims in PLAN_DIMS:
         plan = build_permutations(dims)
         noisy = crandn(rng, dims.n_ue * dims.n_bs, dims.n_ris)
         est = hdr_estimate(noisy, dims, plan=plan)
+        vectors = {k: getattr(est, k) for k in RANK_ONE_VECTORS}
+        np.testing.assert_array_equal(
+            est.cascade, rank_one_cascade(**vectors, amplitude=est.amplitude)
+        )
         fit = hosvd_rank1_oracle(plan.to_tensor(noisy))
         want = to_cascade(plan, fit.reconstruct())
         assert est.cascade.shape == want.shape
@@ -748,7 +758,6 @@ def test_krf_noiseless_is_exact():
     ch = _realization(seed=16)
     est = krf_estimate(ch.cascade, SMALL_DIMS)
     np.testing.assert_allclose(est.cascade, ch.cascade, atol=1e-10)
-    assert est.method == "krf"
     assert est.surface_y is None  # no per-axis factors from this baseline
 
 
@@ -844,16 +853,14 @@ def test_krf_is_ls_with_one_antenna_at_either_end(dims):
 def test_ls_estimate_is_an_independent_copy():
     raw = np.ones((16, 16), dtype=complex)
     est = ls_estimate(raw, SMALL_DIMS)
-    assert est.method == "ls"
     np.testing.assert_array_equal(est.cascade, raw)
     raw[0, 0] = 99.0
     assert est.cascade[0, 0] == 1.0 + 0j
 
 
-def test_ideal_estimate_tags_and_matches_truth():
+def test_ideal_estimate_matches_truth():
     ch = _realization(seed=17)
     est = ideal_estimate(ch)
-    assert est.method == "ideal"
     np.testing.assert_allclose(est.cascade, ch.cascade, atol=1e-10)
     assert est.surface_y is not None
 

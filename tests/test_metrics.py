@@ -27,23 +27,14 @@ from hdris.metrics import (
 from hdris.simulate import flops_measured
 from hdris.tensors import _GRAM_SLAB, psd_top
 from hdris.training import make_training
-from oracles import ideal_estimate, rate_oracle
-
-SMALL_DIMS = SystemDims(
-    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-
-# 16-antenna arrays at both ends, 4x4 surface, minimal exact training
-REF_DIMS = SystemDims(
-    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-
-# odd, unequal extents on every axis; n_ue < n_bs
-ODD_DIMS = SystemDims(
-    n_bs_y=3, n_bs_z=2, n_ue_y=2, n_ue_z=1, n_ris_y=5, n_ris_z=2,
-    n_pilots=6, n_blocks=10,
+from oracles import (
+    ODD_DIMS,
+    REF_DIMS,
+    SMALL_DIMS,
+    WIDE_DIMS,
+    crandn,
+    ideal_estimate,
+    rate_oracle,
 )
 
 # ODD_DIMS with the two arrays swapped: n_ue > n_bs
@@ -52,15 +43,8 @@ TALL_DIMS = SystemDims(
     n_pilots=2, n_blocks=10,
 )
 
-# 16x16 surface: 256 elements, 256 blocks
-WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
-
 # 2x2 arrays, 8x8 surface: more surface elements (64) than n_ue*n_bs (16)
 LONG_DIMS = SystemDims(2, 2, 2, 2, 8, 8, 4, 64)
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _square_dims(n_ris_axis, n_pilots=16, n_blocks=None):
@@ -255,10 +239,11 @@ def test_transmit_beam_from_receive_beam_matches_two_eigh_oracle():
 
 @pytest.mark.parametrize("method", ["krf", "ls"])
 def test_rate_of_zero_estimate_raises(method):
-    # a zero cascade (krf's own fit refuses one, so it is built directly)
-    # has no surface direction to align
+    # a zero cascade has no surface direction to align; krf's own fit
+    # refuses one, so its unstructured estimate is built directly
     ch = build_channels(REF_DIMS, sample_params(np.random.default_rng(7)))
-    est = EstimateSet(method=method, cascade=np.zeros_like(ch.cascade))
+    zero = np.zeros_like(ch.cascade)
+    est = ls_estimate(zero, REF_DIMS) if method == "ls" else EstimateSet(cascade=zero)
     for score in (spectral_efficiency, rate_oracle):
         with pytest.raises(ValueError, match="cannot align surface phases"):
             score(ch, est, 1.0, 1.0)
@@ -315,10 +300,10 @@ def test_rate_at_16x16_surface_matches_oracle():
     # the 256 x 256 surface Gram of krf/ls scoring, squared rather than
     # decomposed, scores what the per-direction eigh oracle scores
     ch, sigma2, fits = _noisy_estimates(WIDE_DIMS, 0.0, 2100)
-    for est in (*fits.values(), ideal_estimate(ch)):
+    for name, est in (*fits.items(), ("ideal", ideal_estimate(ch))):
         got = spectral_efficiency(ch, est, 1.0, sigma2)
         want = rate_oracle(ch, est, 1.0, sigma2)
-        assert abs(got - want) <= 1e-12 * want, est.method
+        assert abs(got - want) <= 1e-12 * want, name
 
 
 # ---------------------------------------------------------------------------

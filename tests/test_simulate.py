@@ -23,6 +23,7 @@ from hdris.channel import ChannelParams, SystemDims, build_channels, sample_para
 from hdris.cli import main
 from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
 from hdris.simulate import (
+    _EXECUTION_KEYS,
     _MALLOPT_SETTINGS,
     ConfigError,
     ExperimentConfig,
@@ -42,12 +43,7 @@ import hdris.training as training
 from hdris.estimators import build_permutations, filtered_observation, krf_estimate, matched_filter
 from hdris.tensors import _GRAM_SLAB, dominant_left_singular_vector, hosvd_rank1
 from hdris.training import TrainingInfeasibleError, make_training
-from oracles import dominant_pairs_oracle
-
-SMALL_DIMS = SystemDims(
-    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
+from oracles import SMALL_DIMS, dominant_pairs_oracle
 
 PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -180,7 +176,7 @@ def test_to_dict_reloads_to_the_same_config(tmp_path, source):
     cfg = dataclasses.replace(cfg, threads=2, output_path="out.csv")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
-        **cfg.to_dict(), "threads": cfg.threads, "output_path": cfg.output_path,
+        **cfg.to_dict(), **{k: getattr(cfg, k) for k in _EXECUTION_KEYS},
     }))
     reloaded = load_config(str(path))
     assert reloaded == cfg

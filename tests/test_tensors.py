@@ -28,6 +28,7 @@ from hdris.tensors import (
 from oracles import (
     MacCounter,
     counted_matmul,
+    crandn,
     dominant_pair_oracle,
     dominant_pairs_oracle,
     hosvd_rank1_oracle,
@@ -37,10 +38,6 @@ from oracles import (
     reshape,
     tensorize,
 )
-
-
-def crandn(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def unit(rng, n):
@@ -826,6 +823,27 @@ def test_psd_top_is_the_single_matrix_squared_top(monkeypatch, n):
                 for v in (one[i], mixed[i]):
                     assert phase_distance(v, plain[i]) <= 1e-14, name
     assert decisions == {True, False}
+
+
+def test_psd_top_falls_back_when_one_over_trace_overflows():
+    # member 2's Gram is subnormal, so 1/trace is inf and its scaled Gram
+    # and mass are NaN: it never certifies and must reach the eigh
+    # fallback, as a stack member and alone; a rule that picks fallbacks
+    # by "1 - mass > tol" is false for NaN and returns NaN
+    m = crandn(np.random.default_rng(0), 5, 4, 16)
+    unscaled = eigh_top(m @ m.conj().transpose(0, 2, 1))
+    m[2] *= 1e-160
+    grams = m @ m.conj().transpose(0, 2, 1)
+    traces = np.einsum("bii->b", grams).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(1.0 / traces[2])
+        stacked = psd_top(grams, traces)
+        alone = psd_top(grams[2], traces[2])
+    assert np.isfinite(stacked).all() and np.isfinite(alone).all()
+    overlaps = np.abs(np.einsum("bi,bi->b", stacked.conj(), unscaled))
+    assert overlaps[2] >= 0.999999999
+    np.testing.assert_allclose(np.delete(overlaps, 2), 1.0, atol=1e-12)
+    assert abs(np.vdot(alone, unscaled[2])) >= 0.99999999
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,7 @@ from hdris.training import (
     make_training,
 )
 from hdris.simulate import ExperimentConfig, run_nmse_sweep
-
-SMALL_DIMS = SystemDims(
-    n_bs_y=2, n_bs_z=2, n_ue_y=2, n_ue_z=2, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
-REF_DIMS = SystemDims(
-    n_bs_y=4, n_bs_z=4, n_ue_y=4, n_ue_z=4, n_ris_y=4, n_ris_z=4,
-    n_pilots=16, n_blocks=16,
-)
+from oracles import REF_DIMS, SMALL_DIMS
 
 
 def _joint(design):
