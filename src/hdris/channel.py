@@ -6,9 +6,9 @@ surface.  Both hops are modeled as single-path outer products of URA
 steering vectors, so each hop factors into a Kronecker product of a
 horizontal (y) and a vertical (z) rank-one term.  The model yields the
 BS-surface-user cascade, the one channel description every later stage
-reads; the hop matrices themselves are never formed.  All functions here
-are pure and side-effect free; randomness enters only through an
-explicitly passed generator.
+reads; the hop matrices themselves are never formed.  The rank-one
+layout (reader, writer, sixth-order re-indexing) lives here only.  All
+functions are pure; randomness enters only through a passed generator.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ __all__ = [
     "ChannelRealization",
     "spatial_frequencies",
     "steering_1d",
+    "TENSOR_MODES",
+    "tensor_shape",
+    "cascade_tensor",
+    "array_responses",
     "rank_one_cascade",
     "build_channels",
     "sample_params",
@@ -159,21 +163,46 @@ class ChannelRealization:
     cascade: np.ndarray
 
 
-def rank_one_cascade(
-    *, ue_y, ue_z, bs_y, bs_z, surface_y, surface_z, amplitude=None,
-) -> np.ndarray:
-    """The one writer of a rank-one cascade: the (n_bs*n_ue x n_ris)
-    outer product of kron(kron(bs_y, bs_z), kron(ue_y, ue_z)), times
-    ``amplitude`` when one is given, with kron(surface_y, surface_z).
+# the vector that each mode of a cascade's sixth-order layout holds
+TENSOR_MODES = ("ue_z", "bs_z", "surface_z", "ue_y", "bs_y", "surface_y")
 
-    Keyword-only, since the realization and the estimates list the six
-    vectors in different orders.  Without an amplitude no scaling pass
-    runs, so each entry is the plain product of the six vector entries.
+
+def tensor_shape(dims: SystemDims) -> tuple:
+    """The sixth-order layout's extents, one per :data:`TENSOR_MODES` name."""
+    return (dims.n_ue_z, dims.n_bs_z, dims.n_ris_z, dims.n_ue_y, dims.n_bs_y, dims.n_ris_y)
+
+
+def cascade_tensor(cascade: np.ndarray, dims: SystemDims) -> np.ndarray:
+    """The (n_ue*n_bs x n_ris) cascade in its sixth-order layout.  Read
+    column-major, a row splits into (ue_z, ue_y, bs_z, bs_y) digits and a
+    column into (surface_z, surface_y), fastest first; the transpose puts
+    every z digit before every y digit, so a :func:`rank_one_cascade` maps
+    to the outer product of the :data:`TENSOR_MODES` vectors."""
+    shape = tensor_shape(dims)
+    digits = sum(zip(shape[:3], shape[3:]), ())      # each z digit, then its y digit
+    return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
+
+
+def array_responses(*, ue_y, ue_z, bs_y, bs_z, surface_y, surface_z) -> tuple:
+    """The one reader of the per-axis order: the user, base-station and
+    surface responses kron(ue_y, ue_z), kron(bs_y, bs_z) and
+    kron(surface_y, surface_z), read by :func:`rank_one_cascade` and by
+    rate scoring."""
+    return kron(ue_y, ue_z), kron(bs_y, bs_z), kron(surface_y, surface_z)
+
+
+def rank_one_cascade(*, amplitude=None, **vectors) -> np.ndarray:
+    """The one writer of a rank-one cascade: with (ue, bs, surface) the
+    :func:`array_responses` of the six vectors, passed by name, the
+    (n_bs*n_ue x n_ris) outer product of kron(bs, ue), times ``amplitude``
+    when one is given, with surface.  Without an amplitude no scaling
+    pass runs, so each entry is the plain product of six vector entries.
     """
-    row = kron(kron(bs_y, bs_z), kron(ue_y, ue_z))
+    ue, bs, surface = array_responses(**vectors)
+    row = np.multiply.outer(bs, ue).reshape(-1)
     if amplitude is not None:
         row = amplitude * row
-    return np.multiply.outer(kron(surface_y, surface_z), row).T
+    return np.multiply.outer(surface, row).T
 
 
 def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealization:

@@ -14,8 +14,8 @@ only, draw their noise from that generator only, and reject a design
 whose (n_bs, n_pilots, n_ris, n_blocks) are not the channel's.  All
 three apply the surface profiles through the design's ``block_product``,
 which picks the FFT or the dense route.  For the line-of-sight model of
-:mod:`hdris.channel`, whose hops are rank one per axis, one reshape
-and transpose of the cascade's entries arranges them into a sixth-order
+:mod:`hdris.channel`, whose hops are rank one per axis, its
+``cascade_tensor`` re-indexes the cascade's entries into a sixth-order
 tensor that is exactly a rank-one outer product of the six
 steering-related vectors.  ``ESTIMATORS`` maps each
 method name to an :class:`Estimator` record for the estimator that
@@ -42,14 +42,14 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims, rank_one_cascade
+from .channel import (TENSOR_MODES, ChannelRealization, SystemDims, cascade_tensor,
+                      rank_one_cascade, tensor_shape)
 from .tensors import dominant_left_singular_vector, gram_macs, hosvd_rank1, hosvd_rank1_macs
 from .training import TrainingDesign
 
 __all__ = [
     "ESTIMATORS",
     "Estimator",
-    "PermutationPlan",
     "EstimateSet",
     "simulate_observation",
     "filtered_observation",
@@ -206,8 +206,8 @@ def matched_filter(
 ) -> np.ndarray:
     """Invert the training operator and rearrange into the cascade matrix.
 
-    The joint operator kron(ris_phases, bs_pilots) is applied as two mode
-    products of the (n_ue, n_pilots, n_blocks) observation: the pilot
+    The joint operator, ris_phases Kronecker bs_pilots, is applied as two
+    mode products of the (n_ue, n_pilots, n_blocks) observation: the pilot
     mode against bs_pilots^H and the block mode against ris_phases^H
     (:func:`filter_macs`).  The observation is read pilot-major, so the
     first product is one 2-D product whose rows are already the cascade's
@@ -253,35 +253,8 @@ def _swap_middle(d1: int, d2: int, d3: int, d4: int) -> np.ndarray:
     return idx.transpose(0, 2, 1, 3).ravel()
 
 
-@dataclass(frozen=True)
-class PermutationPlan:
-    """Re-indexing between the cascade matrix and the rank-one tensor layout.
-
-    Read column-major, a cascade row splits into (ue_z, ue_y, bs_z, bs_y)
-    digits and a column into (ris_z, ris_y) digits, fastest first.
-    Moving every y digit behind every z digit gives the sixth-order
-    layout ``tensor_dims`` = (n_ue_z, n_bs_z, n_ris_z, n_ue_y, n_bs_y,
-    n_ris_y), which in the noiseless case is the outer product of the six
-    link vectors.  The re-indexing is one reshape plus one transpose.
-    """
-
-    dims: SystemDims
-
-    @property
-    def tensor_dims(self) -> tuple:
-        d = self.dims
-        return (d.n_ue_z, d.n_bs_z, d.n_ris_z, d.n_ue_y, d.n_bs_y, d.n_ris_y)
-
-    def to_tensor(self, cascade: np.ndarray) -> np.ndarray:
-        """(n_ue*n_bs, n_ris) cascade -> ``tensor_dims`` array."""
-        d = self.dims
-        digits = (d.n_ue_z, d.n_ue_y, d.n_bs_z, d.n_bs_y, d.n_ris_z, d.n_ris_y)
-        return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
-
-
-def build_permutations(dims: SystemDims) -> PermutationPlan:
-    """The re-indexing plan for the given geometry."""
-    return PermutationPlan(dims)
+# the sixth-order shape of dims, the value hdr_estimate's plan must equal
+build_permutations = tensor_shape
 
 
 # -------------------------------------------------------------- estimators #
@@ -321,26 +294,21 @@ def _checked_cascade(cascade_obs: np.ndarray, dims: SystemDims) -> np.ndarray:
 def hdr_estimate(
     cascade_obs: np.ndarray,
     dims: SystemDims,
-    plan: PermutationPlan | None = None,
+    plan: tuple | None = None,
 ) -> EstimateSet:
     """Structured estimator: one rank-one HOSVD on the re-indexed tensor.
 
-    The plan re-indexes the cascade into its sixth-order layout
-    (``PermutationPlan.tensor_dims``), whose best rank-one outer product
-    gives one per-axis link vector per mode; the cascade estimate is their
-    :func:`channel.rank_one_cascade` with the fit's amplitude.  A ``plan``
-    whose tensor dims are not those of ``dims`` raises ``ValueError``.
+    The best rank-one outer product of :func:`channel.cascade_tensor`
+    gives the per-axis link vector each ``channel.TENSOR_MODES`` name
+    holds; the cascade estimate is their :func:`channel.rank_one_cascade`
+    with the fit's amplitude.  A ``plan`` other than that tensor's shape
+    (:func:`build_permutations`) raises ``ValueError``.
     """
-    cascade_obs = _checked_cascade(cascade_obs, dims)
-    own = build_permutations(dims)
-    if plan is None:
-        plan = own
-    elif plan.tensor_dims != own.tensor_dims:
-        raise ValueError("plan has tensor dims %s but dims give %s"
-                         % (plan.tensor_dims, own.tensor_dims))
-    factors = hosvd_rank1(plan.to_tensor(cascade_obs))
-    modes = ("ue_z", "bs_z", "surface_z", "ue_y", "bs_y", "surface_y")
-    vectors = dict(zip(modes, factors.vectors))
+    tensor = cascade_tensor(_checked_cascade(cascade_obs, dims), dims)
+    if plan is not None and plan != tensor.shape:
+        raise ValueError("plan has tensor dims %s but dims give %s" % (plan, tensor.shape))
+    factors = hosvd_rank1(tensor)
+    vectors = dict(zip(TENSOR_MODES, factors.vectors))
     return EstimateSet(
         cascade=rank_one_cascade(**vectors, amplitude=factors.core),
         **vectors,
@@ -379,7 +347,7 @@ def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> Esti
 
 
 def _hdr_macs(dims: SystemDims) -> int:
-    return hosvd_rank1_macs(build_permutations(dims).tensor_dims)
+    return hosvd_rank1_macs(tensor_shape(dims))
 
 
 def _krf_macs(dims: SystemDims) -> int:
@@ -413,13 +381,14 @@ def extract_spatial_frequency(v: np.ndarray, newton_steps: int = 3) -> float:
 
     Maximizes |v^H s(f)|^2 over f, where s(f)[l] = exp(-1j*l*f): a
     zero-padded FFT locates the coarse peak and a few Newton iterations on
-    the periodogram refine it.  Returns the frequency wrapped to [-pi, pi].
+    the periodogram refine it.  Returns the frequency wrapped to [-pi, pi];
+    a zero or non-finite vector raises ``ValueError``.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size < 2:
         raise ValueError("need at least two entries to estimate a frequency")
-    if not np.linalg.norm(v) > 0:
-        raise ValueError("cannot estimate a frequency from a zero vector")
+    if not 0 < np.linalg.norm(v) < math.inf:
+        raise ValueError("cannot estimate a frequency from a zero or non-finite vector")
     c = v.conj()
     nfft = max(512, 8 * v.size)
     spectrum = np.fft.fft(c, nfft)

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ChannelRealization, SystemDims
-from .tensors import _GRAM_SLAB, dominant_left_singular_vector, kron
+from .channel import TENSOR_MODES, ChannelRealization, SystemDims, array_responses
+from .tensors import _GRAM_SLAB, dominant_left_singular_vector
 
 if TYPE_CHECKING:
     from .estimators import EstimateSet
@@ -91,10 +91,10 @@ def spectral_efficiency(
 
     An estimate is structured when it carries its factors (an
     :class:`EstimateSet` carries all six or none; only ``hdr`` does).
-    A structured estimate is an exact rank-one outer product, so all
-    three are read off its factors and no eigenproblem is solved: the
-    surface is kron(surface_y, surface_z), w = kron(ue_y, ue_z) and
-    f = conj(kron(bs_y, bs_z)).  Any other estimate (``krf``/``ls``)
+    A structured estimate is an exact rank-one outer product, so no
+    eigenproblem is solved: its :func:`channel.array_responses` (user,
+    base station, surface) are w, conj(f) and the surface.  Any other
+    estimate (``krf``/``ls``)
     takes the surface and w as the dominant left singular vectors of
     C^T and H, each from its smaller Gram, of side min(n_ris, n_ue*n_bs)
     and min(n_ue, n_bs) (:func:`tensors.dominant_left_singular_vector`),
@@ -109,18 +109,19 @@ def spectral_efficiency(
     ValueError
         If ``tx_power`` or ``noise_var`` is not finite and > 0, or an
         unstructured estimate or its H is zero (and so has no dominant
-        direction).
+        direction) or has a non-finite entry.
     """
     _check_rate_inputs(tx_power, noise_var)
     dims = ch.dims
     if est.surface_y is not None:
-        phases = _unit_phases(kron(est.surface_y, est.surface_z))
-        w, f = kron(est.ue_y, est.ue_z), kron(est.bs_y, est.bs_z).conj()
+        w, bs, surface = array_responses(**{name: getattr(est, name) for name in TENSOR_MODES})
+        phases, f = _unit_phases(surface), bs.conj()
     else:
         try:
             surface = dominant_left_singular_vector(est.cascade.T)
         except ValueError as exc:
-            raise ValueError("estimate is rank deficient; cannot align surface phases") from exc
+            raise ValueError("estimate is rank deficient or non-finite; "
+                             "cannot align surface phases") from exc
         phases = _unit_phases(surface)
         h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
         w = dominant_left_singular_vector(h)

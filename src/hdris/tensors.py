@@ -12,7 +12,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -327,8 +326,8 @@ def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``m`` is not 2-D or 3-D, or if any matrix is zero, or so small
-        that its Gram underflows to zero.
+        If ``m`` is not 2-D or 3-D, or if any matrix is zero, so small
+        that its Gram underflows to zero, or has a non-finite entry.
     """
     m = np.asarray(m, dtype=np.complex128)
     if not 2 <= m.ndim <= 3:
@@ -343,9 +342,9 @@ def dominant_left_singular_vector(m: np.ndarray) -> np.ndarray:
     wide = m.shape[-2] <= m.shape[-1]
     gram = m @ m.conj().swapaxes(-1, -2) if wide else m.conj().swapaxes(-1, -2) @ m
     trace = np.einsum("...ii->...", gram).real      # np.trace loops per member
-    # the trace of a Gram is positive unless its matrix is zero (or underflows)
+    # a Gram's trace is > 0 unless its matrix is zero, underflows or has a NaN or inf
     if not trace.min() > 0.0:
-        raise ValueError("dominant singular vector of a zero matrix is undefined")
+        raise ValueError("singular vector of a zero matrix or a non-finite one is undefined")
     u = psd_top(gram, trace)
     if not wide:
         u = (m @ u[..., None])[..., 0]
@@ -365,9 +364,9 @@ def gram_macs(rows: int, cols: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class RankOneFactors:
-    """Rank-one multilinear decomposition: one unit vector per mode plus a
-    complex amplitude.  ``reconstruct`` rebuilds core * v1 o v2 o ... o vN.
-    Two decompositions compare equal only when they are the same object."""
+    """Rank-one multilinear decomposition core * v1 o v2 o ... o vN: one unit
+    vector per mode plus a complex amplitude, written out as a cascade only by
+    :func:`channel.rank_one_cascade`.  Two compare equal only if identical."""
 
     vectors: tuple
     core: complex
@@ -379,9 +378,6 @@ class RankOneFactors:
             nrm = math.sqrt(np.vdot(v, v).real)
             if abs(nrm - 1.0) > 1e-6:
                 raise ValueError("factor vector %d is not unit norm (|v|=%g)" % (i + 1, nrm))
-
-    def reconstruct(self) -> np.ndarray:
-        return functools.reduce(np.multiply.outer, self.vectors) * self.core
 
 
 def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
@@ -420,8 +416,9 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     Raises
     ------
     ValueError
-        If ``x`` is zero (or its Grams underflow to zero).
+        If ``x`` is zero (or its Grams underflow to zero) or non-finite.
     """
+    undefined = "rank-one fit of a zero tensor or a non-finite one is undefined"
     data = np.ascontiguousarray(_as_array(x), dtype=np.complex128)
     size = data.size
     vectors = [None] * data.ndim
@@ -432,7 +429,7 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
             try:
                 u = dominant_left_singular_vector(unfold(data, n + 1))
             except ValueError as exc:
-                raise ValueError("rank-one fit of a zero tensor is undefined") from exc
+                raise ValueError(undefined) from exc
             vectors[n] = _fix_phase(u[None])[0]
         else:
             x3 = data.reshape(lead, d, -1)
@@ -449,7 +446,7 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
         grams = np.stack([gram for _, gram in members])
         # a Gram's trace is the tensor's squared norm
         if not np.einsum("bii->b", grams).real.min() > 0.0:
-            raise ValueError("rank-one fit of a zero tensor is undefined")
+            raise ValueError(undefined)
         top = _fix_phase(eigh_top(grams))
         for (n, _), v in zip(members, top):
             vectors[n] = v

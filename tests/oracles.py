@@ -9,8 +9,9 @@ squaring, the per-trial perfect-CSI estimate that the se sweep
 replaced by its closed form, the out-of-place noise sum that the
 pilot simulation replaced by in-place additions, the per-unfolding
 rank-one HOSVD that ``hosvd_rank1`` replaced by Grams of reshaped views,
-the tensor-to-cascade re-indexing that ``hdr_estimate`` replaced by
-writing its reconstruction straight into the cascade layout, and the
+the rank-one tensor of a fit's factors and the tensor-to-cascade
+re-indexing that ``hdr_estimate`` replaced by writing its cascade
+straight from the factors (``channel.rank_one_cascade``), and the
 rate scoring by dominant pairs that ``spectral_efficiency`` replaced by
 beams read off ``hdr``'s factors and one eigenproblem per beam.  The
 dominant pairs keep the phase gauge that only ``hosvd_rank1`` still
@@ -23,6 +24,7 @@ that several test modules share are defined here too.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -50,10 +52,6 @@ ODD_DIMS = SystemDims(
 
 # 16x16 surface: 256 elements, 256 blocks
 WIDE_DIMS = SystemDims(4, 4, 4, 4, 16, 16, 16, 256)
-
-# the six per-axis vectors that a realization and a structured estimate
-# both carry, the keywords of channel.rank_one_cascade
-RANK_ONE_VECTORS = ("ue_y", "ue_z", "bs_y", "bs_z", "surface_y", "surface_z")
 
 
 def crandn(rng, *shape):
@@ -240,11 +238,16 @@ def hosvd_rank1_oracle(x, counter=None):
     return RankOneFactors(vectors, complex(cur))
 
 
-def to_cascade(plan, tensor):
-    """Inverse of ``plan.to_tensor``: a ``plan.tensor_dims`` array back to
-    the (n_ue*n_bs, n_ris) cascade."""
-    d = plan.dims
-    return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(d.n_ue * d.n_bs, d.n_ris, order="F")
+def reconstruct(factors):
+    """The rank-one tensor core * v1 o v2 o ... o vN of a ``RankOneFactors``,
+    in the fitted tensor's own layout."""
+    return functools.reduce(np.multiply.outer, factors.vectors) * factors.core
+
+
+def to_cascade(dims, tensor):
+    """Inverse of ``channel.cascade_tensor``: a ``channel.tensor_shape``
+    array back to the (n_ue*n_bs, n_ris) cascade."""
+    return tensor.transpose(0, 3, 1, 4, 2, 5).reshape(dims.n_ue * dims.n_bs, dims.n_ris, order="F")
 
 
 def rate_oracle(ch, est, tx_power, noise_var):

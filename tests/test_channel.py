@@ -9,8 +9,10 @@ import pytest
 from hdris.channel import (
     AZIMUTH_RANGE_DEG,
     ELEVATION_RANGE_DEG,
+    TENSOR_MODES,
     ChannelParams,
     SystemDims,
+    array_responses,
     build_channels,
     rank_one_cascade,
     sample_params,
@@ -18,7 +20,7 @@ from hdris.channel import (
     steering_1d,
 )
 from hdris.tensors import khatri_rao, kron, vec
-from oracles import ODD_DIMS, RANK_ONE_VECTORS, SMALL_DIMS, hops
+from oracles import ODD_DIMS, SMALL_DIMS, hops
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,8 @@ def test_single_axis_khatri_rao_vec_identity():
 
 def test_cascade_is_rank_one_outer_product():
     # the cascade is rank_one_cascade of the realization's own vectors,
-    # bit for bit; an amplitude scales it, and every vector must be named,
+    # bit for bit, and its array responses are the y-slowest krons of
+    # each pair; an amplitude scales it, and every vector must be named,
     # since the realization and an estimate order them apart
     rng = np.random.default_rng(6)
     ch = build_channels(SMALL_DIMS, sample_params(rng))
@@ -204,7 +207,9 @@ def test_cascade_is_rank_one_outer_product():
     np.testing.assert_allclose(
         ch.cascade, np.outer(kron(bs_steer, ue_steer), surface), atol=1e-12
     )
-    vectors = {k: getattr(ch, k) for k in RANK_ONE_VECTORS}
+    vectors = {k: getattr(ch, k) for k in TENSOR_MODES}
+    for got, want in zip(array_responses(**vectors), (ue_steer, bs_steer, surface)):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(rank_one_cascade(**vectors), ch.cascade)
     amplitude = 0.5 - 2.0j
     np.testing.assert_allclose(

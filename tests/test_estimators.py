@@ -1,10 +1,13 @@
-"""Tests for the observation model, matched filter, re-indexing plan and
-the three cascade estimators.
+"""Tests for the observation model, matched filter, the re-indexing into
+the sixth-order layout whose one home is ``hdris.channel``
+(``cascade_tensor``, ``tensor_shape``, ``TENSOR_MODES``) and the three
+cascade estimators.
 
 The dense and looped forms the package no longer runs live here as
 oracles: the multilinear and the per-block observation routes, the
 matched filter against the explicit Kronecker training operator, the
-index tables of the re-indexing and the per-column rank-one fit."""
+index tables of the re-indexing and its inverse, the rank-one tensor of
+a fit's factors and the per-column rank-one fit."""
 
 import dataclasses
 import functools
@@ -18,11 +21,14 @@ import pytest
 
 import hdris.training as training
 from hdris.channel import (
+    TENSOR_MODES,
     SystemDims,
     build_channels,
+    cascade_tensor,
     rank_one_cascade,
     sample_params,
     steering_1d,
+    tensor_shape,
 )
 from hdris.estimators import (
     ESTIMATORS,
@@ -51,7 +57,6 @@ from hdris.tensors import (
 from hdris.training import make_training
 from oracles import (
     ODD_DIMS,
-    RANK_ONE_VECTORS,
     REF_DIMS,
     SMALL_DIMS,
     WIDE_DIMS,
@@ -69,6 +74,7 @@ from oracles import (
     noisy_observation,
     phase_distance,
     rate_oracle,
+    reconstruct,
     tensorize,
     to_cascade,
 )
@@ -573,32 +579,31 @@ def test_permutations_are_bijections():
         n = dims.n_ue * dims.n_bs * dims.n_ris
         for p in _gather_tables(dims):
             assert np.array_equal(np.sort(p), np.arange(len(p)))
-        plan = build_permutations(dims)
         index = np.arange(n).reshape(dims.n_ue * dims.n_bs, dims.n_ris)
-        tensor = plan.to_tensor(index)
-        assert tensor.shape == plan.tensor_dims
+        tensor = cascade_tensor(index, dims)
+        assert tensor.shape == tensor_shape(dims) == build_permutations(dims)
         assert np.array_equal(np.sort(tensor, axis=None), np.arange(n))
-        assert np.array_equal(to_cascade(plan, tensor), index)
+        assert np.array_equal(to_cascade(dims, tensor), index)
 
 
 def test_reshape_transpose_equals_gather():
-    # the plan's reshape/transpose and its inverse reproduce the stored
+    # the layout's reshape/transpose and its inverse reproduce the stored
     # index tables exactly, at every extent including ones
     rng = np.random.default_rng(23)
     for dims in PLAN_DIMS:
-        plan = build_permutations(dims)
+        shape = tensor_shape(dims)
         cascade = crandn(rng, dims.n_ue * dims.n_bs, dims.n_ris)
         total_perm = _gather_tables(dims)[2]
-        gathered = tensorize(vec(cascade)[total_perm], plan.tensor_dims).data
-        assert np.array_equal(plan.to_tensor(cascade), gathered)
-        tensor = crandn(rng, *plan.tensor_dims)
+        gathered = tensorize(vec(cascade)[total_perm], shape).data
+        assert np.array_equal(cascade_tensor(cascade, dims), gathered)
+        tensor = crandn(rng, *shape)
         undone = vec(tensor)[np.argsort(total_perm)]
-        assert np.array_equal(vec(to_cascade(plan, tensor)), undone)
+        assert np.array_equal(vec(to_cascade(dims, tensor)), undone)
 
 
 def test_plan_tensor_dims_ordering():
-    plan = build_permutations(ODD_DIMS)
-    assert plan.tensor_dims == (1, 2, 2, 2, 3, 5)  # ue_z, bs_z, ris_z, ue_y, bs_y, ris_y
+    # ue_z, bs_z, ris_z, ue_y, bs_y, ris_y
+    assert tensor_shape(ODD_DIMS) == build_permutations(ODD_DIMS) == (1, 2, 2, 2, 3, 5)
 
 
 def test_rewired_cascade_is_separable():
@@ -606,11 +611,12 @@ def test_rewired_cascade_is_separable():
     # product of the six per-axis vectors
     for dims, seed in ((SMALL_DIMS, 9), (ODD_DIMS, 10)):
         ch = _realization(dims, seed)
-        box = build_permutations(dims).to_tensor(ch.cascade)
+        box = cascade_tensor(ch.cascade, dims)
         expected = functools.reduce(
             np.multiply.outer,
             (ch.ue_z, ch.bs_z, ch.surface_z, ch.ue_y, ch.bs_y, ch.surface_y),
         )
+        assert TENSOR_MODES == ("ue_z", "bs_z", "surface_z", "ue_y", "bs_y", "surface_y")
         np.testing.assert_allclose(box, expected, atol=1e-10)
 
 
@@ -619,10 +625,9 @@ def test_all_singleton_dims_plan():
         n_bs_y=1, n_bs_z=1, n_ue_y=1, n_ue_z=1, n_ris_y=1, n_ris_z=1,
         n_pilots=1, n_blocks=1,
     )
-    plan = build_permutations(dims)
     one = np.full((1, 1), 2.0 - 1.0j)
-    assert plan.to_tensor(one).shape == (1,) * 6
-    np.testing.assert_array_equal(to_cascade(plan, plan.to_tensor(one)), one)
+    assert cascade_tensor(one, dims).shape == (1,) * 6
+    np.testing.assert_array_equal(to_cascade(dims, cascade_tensor(one, dims)), one)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +673,7 @@ def test_hdr_noiseless_is_exact():
 def test_hdr_noiseless_factor_alignment():
     ch = _realization(seed=13)
     est = hdr_estimate(ch.cascade, SMALL_DIMS)
-    for name in RANK_ONE_VECTORS:
+    for name in TENSOR_MODES:
         truth = getattr(ch, name)
         fitted = getattr(est, name)
         truth = truth / np.linalg.norm(truth)
@@ -695,12 +700,15 @@ def test_hdr_accepts_precomputed_plan():
 def test_hdr_rejects_a_plan_for_other_tensor_dims():
     # REF dims with the user array's axes reshaped to 2 x 8: the same
     # cascade shape, so the wrong plan would re-index without error and
-    # fit a length-2 ue_y; it raises, naming both tensor dims
+    # fit a length-2 ue_y; it raises, naming both tensor dims, and so
+    # does a plan that is not a shape at all
     ch = _realization(REF_DIMS, seed=18)
     wrong = build_permutations(dataclasses.replace(REF_DIMS, n_ue_y=2, n_ue_z=8))
     msg = "plan has tensor dims (8, 4, 4, 2, 4, 4) but dims give (4, 4, 4, 4, 4, 4)"
     with pytest.raises(ValueError, match=re.escape(msg)):
         hdr_estimate(ch.cascade, REF_DIMS, plan=wrong)
+    with pytest.raises(ValueError, match="plan has tensor dims"):
+        hdr_estimate(ch.cascade, REF_DIMS, plan=REF_DIMS)
     # a plan built from other training sizes has the same tensor dims
     other_training = build_permutations(dataclasses.replace(REF_DIMS, n_pilots=32))
     np.testing.assert_array_equal(
@@ -715,15 +723,14 @@ def test_hdr_writes_reconstruction_into_cascade_layout():
     # re-indexing, at every plan geometry
     rng = np.random.default_rng(16)
     for dims in PLAN_DIMS:
-        plan = build_permutations(dims)
         noisy = crandn(rng, dims.n_ue * dims.n_bs, dims.n_ris)
-        est = hdr_estimate(noisy, dims, plan=plan)
-        vectors = {k: getattr(est, k) for k in RANK_ONE_VECTORS}
+        est = hdr_estimate(noisy, dims, plan=build_permutations(dims))
+        vectors = {k: getattr(est, k) for k in TENSOR_MODES}
         np.testing.assert_array_equal(
             est.cascade, rank_one_cascade(**vectors, amplitude=est.amplitude)
         )
-        fit = hosvd_rank1_oracle(plan.to_tensor(noisy))
-        want = to_cascade(plan, fit.reconstruct())
+        fit = hosvd_rank1_oracle(cascade_tensor(noisy, dims))
+        want = to_cascade(dims, reconstruct(fit))
         assert est.cascade.shape == want.shape
         assert np.linalg.norm(est.cascade - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -909,6 +916,35 @@ def test_extract_frequency_validation():
         extract_spatial_frequency(np.ones(1, dtype=complex))
     with pytest.raises(ValueError):
         extract_spatial_frequency(np.zeros(8, dtype=complex))
+
+
+def test_non_finite_input_is_named_not_called_zero():
+    # one NaN entry fails every zero check (NaN > 0 is false), so each
+    # message names non-finite input: hdr through its stacked Grams and
+    # through a mode longer than the rest of its tensor (8 of 16 entries),
+    # krf, the rate of an ls estimate, and the frequency read-out, which
+    # also refuses an infinite entry
+    ch = _realization(REF_DIMS, seed=20)
+    bad = np.array(ch.cascade)
+    bad[5, 3] = np.nan
+    tall = SystemDims(1, 1, 1, 2, 1, 8, 1, 8)
+    assert max(tensor_shape(tall)) ** 2 > tall.n_ue * tall.n_bs * tall.n_ris
+    tall_bad = np.ones((tall.n_ue * tall.n_bs, tall.n_ris), dtype=complex)
+    tall_bad[1, 6] = np.nan
+    ramp = steering_1d(8, 0.4)
+    calls = [
+        lambda: hdr_estimate(bad, REF_DIMS),
+        lambda: hdr_estimate(tall_bad, tall),
+        lambda: krf_estimate(bad, REF_DIMS),
+        lambda: spectral_efficiency(ch, ls_estimate(bad), 1.0, 1.0),
+    ]
+    for value in (np.nan, np.inf):
+        v = ramp.copy()
+        v[3] = value
+        calls.append(lambda v=v: extract_spatial_frequency(v))
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 def test_extract_frequency_gauge_invariant():

@@ -26,6 +26,12 @@ its process, so it may put the import-time heap out of the collector's
 reach; a library import or sweep runs in its caller's process and must
 not freeze that heap.
 
+``tensors.kron`` is reached only from ``channel.array_responses``, the
+reader beside the rank-one cascade's writer: the per-axis order of the
+six vectors (each y axis slowest against its z axis) is read in one
+place, so the writer and the rate scorer cannot drift apart.  A second
+kron of a y/z pair, say in ``metrics``, fails here.
+
 ``tensors._GRAM_SLAB`` is the one slab budget of a trial's transients:
 no other slab-size constant, by name or by value, is defined under
 ``src/``, and the slab loops of ``tensors.hosvd_rank1``,
@@ -55,6 +61,7 @@ HOMES = {
     "freeze": {("cli", "main")},
     "_dft_rows": {("training", "bs_pilots"), ("training", "ris_phases")},
     "TrainingInfeasibleError": {("training", "__post_init__"), ("simulate", "__post_init__")},
+    "kron": {("channel", "array_responses")},
 }
 
 
@@ -110,6 +117,8 @@ def test_eigen_kernels_are_used_at_home():
     ]
     source = (PACKAGE / "simulate.py").read_text(encoding="utf-8")
     assert _references(source, HOMES) == [("__post_init__", "TrainingInfeasibleError")]
+    source = (PACKAGE / "channel.py").read_text(encoding="utf-8")
+    assert _references(source, HOMES) == [("array_responses", "kron")] * 3
 
 
 def test_reference_scan_reads_every_form():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hdris
-from hdris.channel import ChannelParams, SystemDims, build_channels, sample_params
+from hdris.channel import ChannelParams, SystemDims, build_channels, cascade_tensor, sample_params
 from hdris.cli import main
 from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
 from hdris.simulate import (
@@ -40,7 +40,7 @@ from hdris.simulate import (
     write_csv,
 )
 import hdris.training as training
-from hdris.estimators import build_permutations, filtered_observation, krf_estimate, matched_filter
+from hdris.estimators import filtered_observation, krf_estimate, matched_filter
 from hdris.tensors import _GRAM_SLAB, dominant_left_singular_vector, hosvd_rank1
 from hdris.training import TrainingInfeasibleError, make_training
 from oracles import SMALL_DIMS, dominant_pairs_oracle
@@ -950,7 +950,7 @@ def test_trial_working_set_is_three_cascades_and_a_few_slabs():
     try:
         stage("sweep", lambda: run_nmse_sweep(cfg))
         obs = stage("pilot path", lambda: filtered_observation(ch, design, 1.0, rng))
-        tensor = np.ascontiguousarray(build_permutations(dims).to_tensor(obs))
+        tensor = np.ascontiguousarray(cascade_tensor(obs, dims))
         stage("hosvd_rank1", lambda: hosvd_rank1(tensor))
         stack = obs.reshape(dims.n_ue, dims.n_bs, dims.n_ris, order="F").transpose(2, 0, 1)
         stage("stack", lambda: dominant_left_singular_vector(stack))
