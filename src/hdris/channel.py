@@ -6,9 +6,11 @@ surface.  Both hops are modeled as single-path outer products of URA
 steering vectors, so each hop factors into a Kronecker product of a
 horizontal (y) and a vertical (z) rank-one term.  The model yields the
 BS-surface-user cascade, the one channel description every later stage
-reads; the hop matrices themselves are never formed.  The rank-one
-layout (reader, writer, sixth-order re-indexing) lives here only.  All
-functions are pure; randomness enters only through a passed generator.
+reads; the hop matrices themselves are never formed.  The cascade's
+memory order lives here only: the rank-one layout (reader, writer,
+sixth-order re-indexing) and the split of a row into its (user,
+base-station) antenna pair (:func:`split_rows`).  All functions are
+pure; randomness enters only through a passed generator.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "TENSOR_MODES",
     "tensor_shape",
     "cascade_tensor",
+    "split_rows",
     "array_responses",
     "rank_one_cascade",
     "build_channels",
@@ -181,6 +184,17 @@ def cascade_tensor(cascade: np.ndarray, dims: SystemDims) -> np.ndarray:
     shape = tensor_shape(dims)
     digits = sum(zip(shape[:3], shape[3:]), ())      # each z digit, then its y digit
     return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
+
+
+def split_rows(a: np.ndarray, dims: SystemDims) -> np.ndarray:
+    """``a``, whose leading axis holds the cascade's n_ue*n_bs rows, as
+    (n_ue, n_bs, ...): row (m*n_ue + q) is entry (q, m), the user antenna
+    q and base-station antenna m, and the other axes are kept.  So a
+    cascade reads as its (user, base station, surface) tensor and each
+    column as its n_ue x n_bs matrix.  Only the leading axis is split, so
+    the result is a view of ``a`` in any layout: writing through it
+    writes ``a``."""
+    return a.reshape((dims.n_ue, dims.n_bs) + a.shape[1:], order="F")
 
 
 def array_responses(*, ue_y, ue_z, bs_y, bs_z, surface_y, surface_z) -> tuple:

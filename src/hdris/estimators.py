@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import (TENSOR_MODES, ChannelRealization, SystemDims, cascade_tensor,
-                      rank_one_cascade, tensor_shape)
+                      rank_one_cascade, split_rows, tensor_shape)
 from .tensors import dominant_left_singular_vector, gram_macs, hosvd_rank1, hosvd_rank1_macs
 from .training import TrainingDesign
 
@@ -104,24 +104,24 @@ def simulate_observation(
     Block k receives sum_n ris_phases[n, k] * C_n @ bs_pilots plus
     circular complex Gaussian noise of variance ``noise_var`` per entry,
     where C_n is column n of ``ch.cascade`` read as its n_ue x n_bs
-    matrix.  Of the realization it reads only ``dims`` and ``cascade``, so
-    any cascade put in with ``dataclasses.replace`` is simulated as
-    given.  All blocks come from one product: entry (q, t, n) of the
-    (n_ue, n_pilots, n_ris) array (C_n @ bs_pilots)[q, t], read as an
-    (n_ue*n_pilots) x n_ris matrix, times ris_phases
-    (:meth:`TrainingDesign.block_product`).  The noise is added in place,
-    real parts first, from a real and then an imaginary block of
-    standard normals drawn from ``rng`` into one reused buffer
-    (:func:`_standard_noise`); no draw is made when ``noise_var`` is 0.
-    Beyond the returned block it holds the n_ue x n_pilots x n_ris
-    product while forming it and half a block while drawing.  It takes
-    the inputs of :func:`filtered_observation` and checks them by the
-    same rule (:func:`_check_pilot_inputs`).
+    matrix by :func:`channel.split_rows`.  Of the realization it reads
+    only ``dims`` and ``cascade``, so any cascade put in with
+    ``dataclasses.replace`` is simulated as given.  All blocks come from
+    one product: entry (q, t, n) of the (n_ue, n_pilots, n_ris) array
+    (C_n @ bs_pilots)[q, t], read as an (n_ue*n_pilots) x n_ris matrix,
+    times ris_phases (:meth:`TrainingDesign.block_product`).  The noise
+    is added in place, real parts first, from a real and then an
+    imaginary block of standard normals drawn from ``rng`` into one
+    reused buffer (:func:`_standard_noise`); no draw is made when
+    ``noise_var`` is 0.  Beyond the returned block it holds the n_ue x
+    n_pilots x n_ris product while forming it and half a block while
+    drawing.  It takes the inputs of :func:`filtered_observation` and
+    checks them by the same rule (:func:`_check_pilot_inputs`).
     """
     _check_pilot_inputs(ch, design, noise_var)
     dims = ch.dims
 
-    per_column = ch.cascade.reshape(dims.n_ue, dims.n_bs, dims.n_ris, order="F")
+    per_column = split_rows(ch.cascade, dims)
     # one expression, so the n_ue x n_pilots x n_ris product is freed
     # before the noise is drawn
     x = design.block_product(
@@ -319,23 +319,25 @@ def hdr_estimate(
 def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     """Baseline: independent rank-one factorization of each cascade column.
 
-    Column n reshapes (column-major) to the n_ue x n_bs outer product of
-    second-hop column n with first-hop row n in the noiseless case; its
-    best rank-one approximation u u^H M_n is extracted and re-vectorized.
-    The n_ris columns are fitted as one (n_ris, n_ue, n_bs) stack: one
-    stacked Gram, its leading eigenvectors by :func:`tensors.psd_top`,
-    then broadcast products.  No
+    Column n, read by :func:`channel.split_rows` as its n_ue x n_bs
+    matrix M_n, is the outer product of second-hop column n with
+    first-hop row n in the noiseless case; its best rank-one
+    approximation u u^H M_n is extracted and written back through the
+    same view of a column-major output.  The n_ris columns are fitted as
+    one (n_ris, n_ue, n_bs) stack: one stacked Gram, its leading
+    eigenvectors by :func:`tensors.psd_top`, then broadcast products.  No
     structure is shared across columns, so the per-axis link vectors are
     not identified.
     """
     cascade_obs = _checked_cascade(cascade_obs, dims)
-    n_ue, n_bs, n_ris = dims.n_ue, dims.n_bs, dims.n_ris
-    stack = cascade_obs.reshape(n_ue, n_bs, n_ris, order="F").transpose(2, 0, 1)
+    stack = split_rows(cascade_obs, dims).transpose(2, 0, 1)
     u = dominant_left_singular_vector(stack)                  # n_ris x n_ue
     right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
-    # entry (n, m, q) is u[n, q] * right_h[n, m]: the column-major cascade
-    cascade_hat = (right_h[:, :, None] * u[:, None, :]).reshape(n_ris, n_bs * n_ue)
-    return EstimateSet(cascade=cascade_hat.T)
+    cascade_hat = np.empty_like(cascade_obs, order="F")
+    # entry (q, m, n) is right_h[n, m] * u[n, q]; with FMA a complex
+    # product's rounding depends on operand order, so keep this one
+    np.multiply(right_h.T, u.T[:, None, :], out=split_rows(cascade_hat, dims))
+    return EstimateSet(cascade=cascade_hat)
 
 
 def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> EstimateSet:
@@ -381,15 +383,18 @@ def extract_spatial_frequency(v: np.ndarray, newton_steps: int = 3) -> float:
 
     Maximizes |v^H s(f)|^2 over f, where s(f)[l] = exp(-1j*l*f): a
     zero-padded FFT locates the coarse peak and a few Newton iterations on
-    the periodogram refine it.  Returns the frequency wrapped to [-pi, pi];
-    a zero or non-finite vector raises ``ValueError``.
+    the periodogram refine it.  The vector is first divided by its largest
+    modulus, so no square overflows or goes subnormal and any finite
+    scale reads the same frequency.  Returns the frequency wrapped to
+    [-pi, pi]; a zero or non-finite vector raises ``ValueError``.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size < 2:
         raise ValueError("need at least two entries to estimate a frequency")
-    if not 0 < np.linalg.norm(v) < math.inf:
+    peak_modulus = np.abs(v).max()
+    if not 0 < peak_modulus < math.inf:
         raise ValueError("cannot estimate a frequency from a zero or non-finite vector")
-    c = v.conj()
+    c = (v / peak_modulus).conj()
     nfft = max(512, 8 * v.size)
     spectrum = np.fft.fft(c, nfft)
     peak = int(np.argmax(np.abs(spectrum)))

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import TENSOR_MODES, ChannelRealization, SystemDims, array_responses
+from .channel import TENSOR_MODES, ChannelRealization, SystemDims, array_responses, split_rows
 from .tensors import _GRAM_SLAB, dominant_left_singular_vector
 
 if TYPE_CHECKING:
@@ -66,6 +66,9 @@ def _unit_phases(surface: np.ndarray) -> np.ndarray:
     return np.where(mods > 0, np.conj(surface) / np.where(mods > 0, mods, 1.0), 1.0)
 
 
+_UNALIGNED = "estimate is rank deficient or non-finite; cannot align surface phases"
+
+
 def _check_rate_inputs(tx_power: float, noise_var: float) -> None:
     """Reject a transmit power or noise variance outside (0, inf)."""
     if not 0 < tx_power < math.inf:
@@ -86,8 +89,9 @@ def spectral_efficiency(
     response, normalized to unit modulus.  Beamformers: dominant
     left/right singular vectors w and f of the estimated effective
     channel H (the estimated cascade contracted with the chosen phases,
-    n_ue x n_bs), each fixed only up to a phase, which the rate does not
-    see; neither needs a singular value.
+    read as n_ue x n_bs by :func:`channel.split_rows`), each fixed only
+    up to a phase, which the rate does not see; neither needs a singular
+    value.
 
     An estimate is structured when it carries its factors (an
     :class:`EstimateSet` carries all six or none; only ``hdr`` does).
@@ -101,13 +105,14 @@ def spectral_efficiency(
     and f as H^H w normalized.
 
     The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
-    the effective channel built from the true cascade and the chosen
-    phases.
+    the effective channel built, by the same split, from the true cascade
+    and the chosen phases.
 
     Raises
     ------
     ValueError
-        If ``tx_power`` or ``noise_var`` is not finite and > 0, or an
+        If ``tx_power`` or ``noise_var`` is not finite and > 0, a
+        structured estimate's responses have a non-finite entry, or an
         unstructured estimate or its H is zero (and so has no dominant
         direction) or has a non-finite entry.
     """
@@ -115,19 +120,20 @@ def spectral_efficiency(
     dims = ch.dims
     if est.surface_y is not None:
         w, bs, surface = array_responses(**{name: getattr(est, name) for name in TENSOR_MODES})
+        if not np.isfinite(np.concatenate((w, bs, surface))).all():
+            raise ValueError(_UNALIGNED)
         phases, f = _unit_phases(surface), bs.conj()
     else:
         try:
             surface = dominant_left_singular_vector(est.cascade.T)
         except ValueError as exc:
-            raise ValueError("estimate is rank deficient or non-finite; "
-                             "cannot align surface phases") from exc
+            raise ValueError(_UNALIGNED) from exc
         phases = _unit_phases(surface)
-        h = (est.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+        h = split_rows(est.cascade @ phases, dims)
         w = dominant_left_singular_vector(h)
         f = h.conj().T @ w
         f = f / math.sqrt(np.vdot(f, f).real)
-    h_eff_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
+    h_eff_true = split_rows(ch.cascade @ phases, dims)
     gain = abs(w.conj() @ h_eff_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))
 

@@ -17,10 +17,11 @@ from hdris.channel import (
     rank_one_cascade,
     sample_params,
     spatial_frequencies,
+    split_rows,
     steering_1d,
 )
-from hdris.tensors import khatri_rao, kron, vec
-from oracles import ODD_DIMS, SMALL_DIMS, hops
+from hdris.tensors import hosvd_rank1, khatri_rao, kron, vec
+from oracles import ODD_DIMS, REF_DIMS, SMALL_DIMS, WIDE_DIMS, hops
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,31 @@ def test_cascade_is_rank_one_outer_product():
     )
     with pytest.raises(TypeError):
         rank_one_cascade(*vectors.values())
+
+
+@pytest.mark.parametrize("dims", [REF_DIMS, WIDE_DIMS], ids=["ref", "surface-16x16"])
+def test_split_rows_is_the_user_bs_surface_view(dims):
+    # the cascade split by rows is the (user, BS, surface) outer product
+    # of its array responses in rank_one_cascade's operand order, bit for
+    # bit, as a view of the cascade or of a row-major copy; a vector of
+    # n_ue*n_bs entries splits into its n_ue x n_bs matrix; and a rank-one
+    # fit of the noiseless split recovers the three responses
+    ch = build_channels(dims, sample_params(np.random.default_rng(9)))
+    responses = array_responses(**{k: getattr(ch, k) for k in TENSOR_MODES})
+    ue, bs, surface = responses
+    view = split_rows(ch.cascade, dims)
+    np.testing.assert_array_equal(
+        view, np.multiply.outer(surface, np.multiply.outer(bs, ue)).transpose(2, 1, 0),
+    )
+    assert np.shares_memory(view, ch.cascade)
+    row_major = np.ascontiguousarray(ch.cascade)
+    assert np.shares_memory(split_rows(row_major, dims), row_major)
+    column = split_rows(ch.cascade[:, 3].copy(), dims)
+    assert column.shape == (dims.n_ue, dims.n_bs)
+    np.testing.assert_array_equal(column, view[:, :, 3])
+    for got, truth in zip(hosvd_rank1(view).vectors, responses):
+        overlap = abs(np.vdot(got, truth)) / (np.linalg.norm(got) * np.linalg.norm(truth))
+        assert overlap >= 1 - 1e-12
 
 
 def test_cascade_norm_is_total_element_count():

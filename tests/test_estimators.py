@@ -948,10 +948,14 @@ def test_non_finite_input_is_named_not_called_zero():
 
 
 def test_extract_frequency_gauge_invariant():
-    v = steering_1d(8, 1.3)
-    a = extract_spatial_frequency(v)
-    b = extract_spatial_frequency(np.exp(0.4j) * 2.5 * v)
-    assert _angle_dist(a, b) < 1e-9
+    # neither a phase nor any finite scale moves the reading: at 1e160
+    # the norm of the unscaled ramp overflowed, and at 1e-160 its Newton
+    # products went subnormal and read 0.2999993
+    for f in (1.3, 0.3):
+        v = steering_1d(8, f)
+        a = extract_spatial_frequency(v)
+        for gain in (np.exp(0.4j) * 2.5, 1e160, 1e-160):
+            assert _angle_dist(a, extract_spatial_frequency(gain * v)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ no other slab-size constant, by name or by value, is defined under
 ``tensors.dominant_left_singular_vector`` and ``metrics.nmse`` read it
 and nothing else does.
 
+A column-major ``reshape`` (``order="F"``) is made only in ``channel``,
+by ``cascade_tensor`` and ``split_rows``, and in the generic
+``tensors.unfold``, ``fold`` and ``vec``: the cascade's memory order is
+read in one module, so the pilot model, ``krf`` and rate scoring split a
+row into its (user, base-station) pair through ``channel.split_rows``.
+A second split, say a ``reshape(n_ue, n_bs, order="F")`` in ``metrics``,
+fails here; a column-major allocation such as ``np.empty(...,
+order="F")`` is not a read and passes.
+
 The scan reads the source, by name, whatever module or alias the name
 is reached through.
 """
@@ -65,6 +74,13 @@ HOMES = {
 }
 
 
+# module -> the functions that may reshape in column-major order
+COLUMN_MAJOR_RESHAPES = {
+    "channel": {"cascade_tensor", "split_rows"},
+    "tensors": {"unfold", "fold", "vec"},
+}
+
+
 # the functions whose slab loops read the one slab budget
 SLAB_USERS = {
     ("tensors", "hosvd_rank1"),
@@ -73,24 +89,30 @@ SLAB_USERS = {
 }
 
 
-def _references(source: str, names) -> list:
-    """(enclosing function, name) of every use of one of ``names`` in
-    ``source``, as a bare name or an attribute; the function is dotted
-    when nested, and None at module or class level."""
-    found = []
-
+def _scoped_nodes(source: str):
+    """(enclosing function, node) for every node of ``source`` other than
+    a function definition, in source order; the function is dotted when
+    nested, and None at module or class level."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name if scope is None else scope + "." + child.name)
+                yield from visit(child, child.name if scope is None else scope + "." + child.name)
                 continue
-            if isinstance(child, ast.Name) and child.id in names:
-                found.append((scope, child.id))
-            elif isinstance(child, ast.Attribute) and child.attr in names:
-                found.append((scope, child.attr))
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), None)
+    return visit(ast.parse(source), None)
+
+
+def _references(source: str, names) -> list:
+    """(enclosing function, name) of every use of one of ``names`` in
+    ``source``, as a bare name or an attribute."""
+    found = []
+    for scope, node in _scoped_nodes(source):
+        if isinstance(node, ast.Name) and node.id in names:
+            found.append((scope, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((scope, node.attr))
     return found
 
 
@@ -187,3 +209,43 @@ def test_slab_scan_reads_every_form():
     assert _module_constants(source) == ["_SLAB_A", "slab_b"]
     assert [v for v in _int_values(source) if v == 1 << 14] == [1 << 14] * 3
     assert _references(source, {"_GRAM_SLAB"}) == [("f", "_GRAM_SLAB")] * 2
+
+
+def _column_major_reshapes(source: str) -> list:
+    """The enclosing function of every ``reshape`` call in ``source``
+    that passes ``order="F"``, as a method or as a function."""
+    found = []
+    for scope, node in _scoped_nodes(source):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "reshape" and any(
+            k.arg == "order" and isinstance(k.value, ast.Constant) and k.value.value == "F"
+            for k in node.keywords
+        ):
+            found.append(scope)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_column_major_reshapes_stay_home(module):
+    source = (PACKAGE / (module + ".py")).read_text(encoding="utf-8")
+    homes = COLUMN_MAJOR_RESHAPES.get(module, set())
+    assert [scope for scope in _column_major_reshapes(source) if scope not in homes] == []
+
+
+def test_column_major_scan_reads_every_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy import reshape\n"
+        "def f(a, d):\n"
+        "    out = np.empty((4, 4), order='F')\n"
+        "    b = a.reshape(d.n_ue, d.n_bs, order='F')\n"
+        "    c = np.reshape(a, (2, 8), order=\"F\")\n"
+        "    def inner():\n"
+        "        return reshape(a, -1, order='F'), a.reshape(-1), a.reshape(2, 8, order='C')\n"
+        "    return out, b, c\n"
+        "flat = np.arange(4).reshape(2, 2, order='F')\n"
+    )
+    assert _column_major_reshapes(source) == ["f", "f", "f.inner", None]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hdris import tensors
-from hdris.channel import SystemDims, build_channels, sample_params
+from hdris.channel import TENSOR_MODES, SystemDims, build_channels, sample_params
 from hdris.estimators import (
     ESTIMATORS,
     EstimateSet,
@@ -247,6 +247,21 @@ def test_rate_of_zero_estimate_raises(method):
     for score in (spectral_efficiency, rate_oracle):
         with pytest.raises(ValueError, match="cannot align surface phases"):
             score(ch, est, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", TENSOR_MODES)
+def test_rate_of_non_finite_factors_raises(name, value):
+    # a structured estimate is scored from its factors alone, so one bad
+    # entry in any of them is refused: unchecked, a NaN in a surface
+    # vector scored a finite rate (its phase was read as 1) and every
+    # other case a NaN; an inf's product with a zero entry warns first
+    ch = build_channels(REF_DIMS, sample_params(np.random.default_rng(7)))
+    est = hdr_estimate(ch.cascade, REF_DIMS)
+    bad = getattr(est, name).copy()
+    bad[1] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        spectral_efficiency(ch, dataclasses.replace(est, **{name: bad}), 1.0, 1.0)
 
 
 def _noisy_estimates(dims, snr_db, seed):
