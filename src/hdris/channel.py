@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensors import kron
+from .tensors import khatri_rao, kron
 
 __all__ = [
     "AZIMUTH_RANGE_DEG",
@@ -129,8 +129,10 @@ class ChannelParams:
         return spatial_frequencies(self.az_ue, self.el_ue)
 
 
-def steering_1d(length: int, freq: float) -> np.ndarray:
-    """Uniform linear array response: entry l is exp(-1j*l*freq), l = 0..length-1."""
+def steering_1d(length: int, freq) -> np.ndarray:
+    """Uniform linear array response: entry l is exp(-1j*l*freq), l = 0..length-1.
+    An array of frequencies with a trailing axis of one, (..., 1), gives
+    one response per frequency, (..., length)."""
     if length < 1:
         raise ValueError("steering vector length must be >= 1")
     return np.exp(-1j * np.arange(length) * freq)
@@ -138,9 +140,14 @@ def steering_1d(length: int, freq: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """All deterministic channel quantities implied by one geometry draw.
+    """All deterministic channel quantities implied by one geometry draw,
+    or by each draw of a stack of them.
 
     Two realizations compare equal only when they are the same object.
+    A stacked realization, built from a sequence of geometries, holds
+    their tuple as ``params`` and every array below with a leading axis
+    of one entry per geometry: a (B, n) vector stack and a (B, n_bs*n_ue,
+    n_ris) cascade stack whose every member is column-major.
 
     cascade (n_bs*n_ue x n_ris): the :func:`rank_one_cascade` of the six
         vectors below; the quantity the pilot stage ultimately estimates
@@ -176,14 +183,18 @@ def tensor_shape(dims: SystemDims) -> tuple:
 
 
 def cascade_tensor(cascade: np.ndarray, dims: SystemDims) -> np.ndarray:
-    """The (n_ue*n_bs x n_ris) cascade in its sixth-order layout.  Read
+    """The (n_ue*n_bs x n_ris) cascade in its sixth-order layout, or each
+    member of a (B, n_ue*n_bs, n_ris) stack as (B, ...).  Read
     column-major, a row splits into (ue_z, ue_y, bs_z, bs_y) digits and a
     column into (surface_z, surface_y), fastest first; the transpose puts
     every z digit before every y digit, so a :func:`rank_one_cascade` maps
-    to the outer product of the :data:`TENSOR_MODES` vectors."""
+    to the outer product of the :data:`TENSOR_MODES` vectors.  Only axes
+    are split, so the result is a view in any layout."""
     shape = tensor_shape(dims)
     digits = sum(zip(shape[:3], shape[3:]), ())      # each z digit, then its y digit
-    return cascade.reshape(digits, order="F").transpose(0, 2, 4, 1, 3, 5)
+    batch = cascade.shape[:-2]
+    order = tuple(range(len(batch))) + tuple(len(batch) + a for a in (0, 2, 4, 1, 3, 5))
+    return cascade.reshape(batch + digits, order="F").transpose(order)
 
 
 def split_rows(a: np.ndarray, dims: SystemDims) -> np.ndarray:
@@ -201,8 +212,13 @@ def array_responses(*, ue_y, ue_z, bs_y, bs_z, surface_y, surface_z) -> tuple:
     """The one reader of the per-axis order: the user, base-station and
     surface responses kron(ue_y, ue_z), kron(bs_y, bs_z) and
     kron(surface_y, surface_z), read by :func:`rank_one_cascade` and by
-    rate scoring."""
-    return kron(ue_y, ue_z), kron(bs_y, bs_z), kron(surface_y, surface_z)
+    rate scoring.  Stacks of (B, n) vectors give (B, n_y*n_z) responses,
+    row b the kron of the two rows b (their Khatri-Rao product, the same
+    single products)."""
+    if np.ndim(ue_y) == 1:
+        return kron(ue_y, ue_z), kron(bs_y, bs_z), kron(surface_y, surface_z)
+    return (khatri_rao(ue_y.T, ue_z.T).T, khatri_rao(bs_y.T, bs_z.T).T,
+            khatri_rao(surface_y.T, surface_z.T).T)
 
 
 def rank_one_cascade(*, amplitude=None, **vectors) -> np.ndarray:
@@ -211,28 +227,36 @@ def rank_one_cascade(*, amplitude=None, **vectors) -> np.ndarray:
     (n_bs*n_ue x n_ris) outer product of kron(bs, ue), times ``amplitude``
     when one is given, with surface.  Without an amplitude no scaling
     pass runs, so each entry is the plain product of six vector entries.
+    Stacks of (B, n) vectors, with (B,) amplitudes, give a (B, n_bs*n_ue,
+    n_ris) stack of the same products, every member column-major.
     """
     ue, bs, surface = array_responses(**vectors)
-    row = np.multiply.outer(bs, ue).reshape(-1)
+    row = (bs[..., :, None] * ue[..., None, :]).reshape(bs.shape[:-1] + (-1,))
     if amplitude is not None:
-        row = amplitude * row
-    return np.multiply.outer(surface, row).T
+        row = np.asarray(amplitude)[..., None] * row
+    return (surface[..., :, None] * row[..., None, :]).swapaxes(-1, -2)
 
 
-def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealization:
-    """Construct the cascade and its factors for one geometry.
+def build_channels(dims: SystemDims, params) -> ChannelRealization:
+    """Construct the cascade and its factors for one geometry, or the
+    stacked realization of a sequence of them (one member per geometry).
 
     Per axis, the first hop is the outer product of the surface arrival
     response with the base-station response, and the second hop the outer
     product of the user response with the surface departure response.  The
     cascade, the column-wise Kronecker product of the transposed first hop
     with the second hop, is rank one and is written by
-    :func:`rank_one_cascade`, so neither hop is formed.
+    :func:`rank_one_cascade`, so neither hop is formed.  A stack is built
+    by the same broadcast products, each member's entries the bits of its
+    own build.
     """
-    bs_fy, bs_fz = params.bs_freqs
-    arr_fy, arr_fz = params.ris_arr_freqs
-    dep_fy, dep_fz = params.ris_dep_freqs
-    ue_fy, ue_fz = params.ue_freqs
+    stacked = not isinstance(params, ChannelParams)
+    geometries = tuple(params) if stacked else (params,)
+    # (4, 2, B, 1): base station, surface arrival, surface departure and
+    # user, each (y, z), one frequency per geometry
+    freqs = np.array([(p.bs_freqs, p.ris_arr_freqs, p.ris_dep_freqs, p.ue_freqs)
+                      for p in geometries]).transpose(1, 2, 0)[..., None]
+    (bs_fy, bs_fz), (arr_fy, arr_fz), (dep_fy, dep_fz), (ue_fy, ue_fz) = freqs
 
     bs_y = steering_1d(dims.n_bs_y, bs_fy)        # base station, horizontal
     bs_z = steering_1d(dims.n_bs_z, bs_fz)
@@ -247,9 +271,10 @@ def build_channels(dims: SystemDims, params: ChannelParams) -> ChannelRealizatio
     surface_z = ris_arr_z * ris_dep_z
     vectors = dict(bs_y=bs_y, bs_z=bs_z, ue_y=ue_y, ue_z=ue_z,
                    surface_y=surface_y, surface_z=surface_z)
-    return ChannelRealization(
-        dims=dims, params=params, **vectors, cascade=rank_one_cascade(**vectors),
-    )
+    arrays = dict(vectors, cascade=rank_one_cascade(**vectors))
+    if not stacked:
+        arrays = {name: a[0] for name, a in arrays.items()}
+    return ChannelRealization(dims=dims, params=geometries if stacked else params, **arrays)
 
 
 def sample_params(rng: np.random.Generator) -> ChannelParams:

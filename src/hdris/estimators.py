@@ -140,10 +140,13 @@ def filtered_observation(
     ch: ChannelRealization,
     design: TrainingDesign,
     noise_var: float,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
     """The matched filter's output for one pilot block, without forming
-    the block: ``ch.cascade`` plus the matched-filtered noise.
+    the block: ``ch.cascade`` plus the matched-filtered noise.  For a
+    stacked realization ``rng`` is a sequence of generators, one per
+    member, and member b of the (B, n_ue*n_bs, n_ris) result is the
+    output for member b of the cascade and the noise of ``rng[b]``.
 
     Both training factors of every design have orthonormal rows (a
     design checks its sizes when it is made), so the filter returns a
@@ -155,30 +158,56 @@ def filtered_observation(
     the inputs are checked by the same rule (:func:`_check_pilot_inputs`).
     It is written pilot-major, so the filter's pilot mode is one product,
     which also applies the noise scale, and the true cascade is added to
-    the result in the column-major layout :func:`matched_filter` returns.
-    Beyond the returned array it holds at most two complex blocks at a
-    time: the noise and the pilot product, then the product and the
-    filter's spectrum; the draw adds half a block to the noise.
+    the result in the column-major layout :func:`matched_filter` returns
+    (every member column-major for a stack).  Beyond the returned array
+    it holds at most two complex blocks at a time: the noise and the
+    pilot product, then the product and the filter's spectrum; the draw
+    adds half a block to the noise.  A stack's members are filtered one
+    at a time, and its output is made once the first member's draw is
+    freed, so a stack of one holds what a single realization does.
     """
     _check_pilot_inputs(ch, design, noise_var)
+    stacked = ch.cascade.ndim == 3
+    if stacked and len(rng) != len(ch.cascade):
+        raise ValueError("a stack of %d realizations needs as many generators, got %d"
+                         % (len(ch.cascade), len(rng)))
     if noise_var == 0:
         return np.array(ch.cascade)
-    dims = ch.dims
+    if not stacked:
+        # a column-major copy (none on the dense route, whose adjoint is
+        # column-major already), then an in-place add: faster than one add
+        # that writes column-major from the FFT route's row-major spectrum
+        out = np.asfortranarray(_filtered_noise(ch.dims, design, noise_var, rng))
+        out += ch.cascade
+        return out
+    for b, gen in enumerate(rng):
+        filtered = _filtered_noise(ch.dims, design, noise_var, gen)
+        if b == 0:
+            # each member column-major: the transpose of a C-ordered stack
+            out = np.empty((len(rng),) + filtered.shape[::-1], dtype=np.complex128)
+            out = out.transpose(0, 2, 1)
+        if filtered.flags.f_contiguous:
+            np.add(filtered, ch.cascade[b], out=out[b])
+        else:
+            out[b] = filtered
+            out[b] += ch.cascade[b]
+        del filtered
+    return out
+
+
+def _filtered_noise(dims: SystemDims, design: TrainingDesign, noise_var: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One block's matched-filtered noise, (n_ue*n_bs, n_ris), drawn from
+    ``rng`` as :func:`simulate_observation` draws it; each full-size block
+    is dropped once the next is formed."""
     noise = np.empty((dims.n_pilots, dims.n_ue, dims.n_blocks), dtype=np.complex128)
     draws = _standard_noise(rng, (dims.n_ue, dims.n_pilots, dims.n_blocks))
     noise.real = next(draws).transpose(1, 0, 2)
     noise.imag = next(draws).transpose(1, 0, 2)
-    # each full-size block is dropped once the next is formed
     del draws
-    per_bs = _pilot_product(np.sqrt(noise_var / 2.0) * design.bs_pilots.conj(), noise)
+    per_bs = _pilot_product(np.sqrt(noise_var / 2.0) * design.bs_pilots.conj(), noise, dims)
     del noise
-    filtered = design.block_product(per_bs, adjoint=True)
-    del per_bs
-    # a column-major copy, then an in-place add: faster than one add
-    # that writes column-major from the row-major spectrum
-    out = np.asfortranarray(filtered)
-    out += ch.cascade
-    return out
+    return design.block_product(per_bs, adjoint=True)
 
 
 def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) -> int:
@@ -189,14 +218,20 @@ def filter_macs(n_ue: int, n_bs: int, n_ris: int, n_pilots: int, n_blocks: int) 
     return n_ue * n_bs * n_pilots * n_blocks + n_ue * n_bs * n_blocks * n_ris
 
 
-def _pilot_product(pilots_h: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _pilot_product(pilots_h: np.ndarray, x: np.ndarray, dims: SystemDims) -> np.ndarray:
     """The filter's pilot mode on a pilot-major (n_pilots, n_ue, n_blocks)
     block: one product of the (n_bs x n_pilots) ``pilots_h`` (bs_pilots^H,
     or a multiple of it) with the block read as n_pilots x n_ue*n_blocks,
-    returned as the (n_bs*n_ue, n_blocks) matrix whose rows are already
-    the cascade's (m*n_ue + q)."""
-    n_pilots, _, n_blocks = x.shape
-    return (pilots_h @ x.reshape(n_pilots, -1)).reshape(-1, n_blocks)
+    written through :func:`channel.split_rows`: product row m, read as
+    n_ue x n_blocks, lands in the cascade rows of the pairs (q, m) of a
+    row-major (n_ue*n_bs, n_blocks) matrix, which is returned.  Being
+    row-major, the split's (n_bs, n_ue, n_blocks) transpose is one
+    contiguous product target."""
+    n_pilots, n_ue, n_blocks = x.shape
+    out = np.empty((n_ue * len(pilots_h), n_blocks), dtype=np.complex128)
+    target = split_rows(out, dims).transpose(1, 0, 2).reshape(len(pilots_h), -1)
+    np.matmul(pilots_h, x.reshape(n_pilots, -1), out=target)
+    return out
 
 
 def matched_filter(
@@ -235,7 +270,9 @@ def matched_filter(
             "(n_pilots x n_blocks: design %d x %d, observation %d x %d)"
             % (math.prod(want), math.prod(got), *want, *got)
         )
-    per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2))
+    # the observation's own sizes, one axis each: split_rows reads n_ue and n_bs
+    dims = SystemDims(design.n_bs, 1, x.shape[0], 1, design.n_ris, 1, *want)
+    per_bs = _pilot_product(design.bs_pilots.conj(), x.transpose(1, 0, 2), dims)
     filtered = design.block_product(per_bs, adjoint=True)
     del per_bs
     return np.asfortranarray(filtered)
@@ -262,14 +299,17 @@ build_permutations = tensor_shape
 
 @dataclass(frozen=True, eq=False)
 class EstimateSet:
-    """Output of one estimator on one matched-filter matrix; the method's
-    name is its ``ESTIMATORS`` key.
+    """Output of one estimator on one matched-filter matrix, or on each
+    member of a stack of them; the method's name is its ``ESTIMATORS`` key.
 
     ``cascade`` always holds the estimate of the cascade matrix.  The six
     per-axis link vectors and the amplitude are populated by the
     structured estimator only and are None for the baselines.  Vector
     gauge: each has unit norm with its largest-modulus entry real
-    positive; the amplitude carries the remaining scale and phase.
+    positive; the amplitude carries the remaining scale and phase.  The
+    estimate of a (B, n_ue*n_bs, n_ris) stack holds a cascade stack of
+    that shape, every member column-major, (B, n) vectors and (B,)
+    amplitudes, member b being the estimate of input member b.
     """
 
     cascade: np.ndarray
@@ -279,15 +319,17 @@ class EstimateSet:
     bs_z: np.ndarray | None = None
     surface_y: np.ndarray | None = None
     surface_z: np.ndarray | None = None
-    amplitude: complex | None = None
+    amplitude: complex | np.ndarray | None = None
 
 
 def _checked_cascade(cascade_obs: np.ndarray, dims: SystemDims) -> np.ndarray:
-    """``cascade_obs`` as complex128, checked to be (n_ue*n_bs, n_ris) for ``dims``."""
+    """``cascade_obs`` as complex128, checked to be (n_ue*n_bs, n_ris) for
+    ``dims``, or a (B, n_ue*n_bs, n_ris) stack of such matrices."""
     cascade_obs = np.asarray(cascade_obs, dtype=np.complex128)
     shape = (dims.n_ue * dims.n_bs, dims.n_ris)
-    if cascade_obs.shape != shape:
-        raise ValueError("expected cascade of shape %s, got %s" % (shape, cascade_obs.shape))
+    if cascade_obs.shape[-2:] != shape or cascade_obs.ndim not in (2, 3):
+        raise ValueError("expected cascade of shape %s or a stack of them, got %s"
+                         % (shape, cascade_obs.shape))
     return cascade_obs
 
 
@@ -301,13 +343,16 @@ def hdr_estimate(
     The best rank-one outer product of :func:`channel.cascade_tensor`
     gives the per-axis link vector each ``channel.TENSOR_MODES`` name
     holds; the cascade estimate is their :func:`channel.rank_one_cascade`
-    with the fit's amplitude.  A ``plan`` other than that tensor's shape
+    with the fit's amplitude.  A stack of matrices is fitted as one stack
+    of tensors (:func:`tensors.hosvd_rank1`), each member's estimate its
+    own fit's up to rounding.  A ``plan`` other than that tensor's shape
     (:func:`build_permutations`) raises ``ValueError``.
     """
-    tensor = cascade_tensor(_checked_cascade(cascade_obs, dims), dims)
-    if plan is not None and plan != tensor.shape:
-        raise ValueError("plan has tensor dims %s but dims give %s" % (plan, tensor.shape))
-    factors = hosvd_rank1(tensor)
+    cascade_obs = _checked_cascade(cascade_obs, dims)
+    tensor = cascade_tensor(cascade_obs, dims)
+    if plan is not None and plan != tensor.shape[-6:]:
+        raise ValueError("plan has tensor dims %s but dims give %s" % (plan, tensor.shape[-6:]))
+    factors = hosvd_rank1(tensor, stacked=cascade_obs.ndim == 3)
     vectors = dict(zip(TENSOR_MODES, factors.vectors))
     return EstimateSet(
         cascade=rank_one_cascade(**vectors, amplitude=factors.core),
@@ -323,21 +368,29 @@ def krf_estimate(cascade_obs: np.ndarray, dims: SystemDims) -> EstimateSet:
     matrix M_n, is the outer product of second-hop column n with
     first-hop row n in the noiseless case; its best rank-one
     approximation u u^H M_n is extracted and written back through the
-    same view of a column-major output.  The n_ris columns are fitted as
-    one (n_ris, n_ue, n_bs) stack: one stacked Gram, its leading
-    eigenvectors by :func:`tensors.psd_top`, then broadcast products.  No
-    structure is shared across columns, so the per-axis link vectors are
-    not identified.
+    same view of a column-major output.  The n_ris columns, of every
+    member of a stack, are fitted as one (B*n_ris, n_ue, n_bs) stack
+    (:func:`tensors.dominant_left_singular_vector`, which squares its
+    stacked Grams until every member certifies), then written by
+    broadcast products.  No structure is shared across columns, so the
+    per-axis link vectors are not identified.
     """
     cascade_obs = _checked_cascade(cascade_obs, dims)
-    stack = split_rows(cascade_obs, dims).transpose(2, 0, 1)
-    u = dominant_left_singular_vector(stack)                  # n_ris x n_ue
-    right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]         # n_ris x n_bs
-    cascade_hat = np.empty_like(cascade_obs, order="F")
-    # entry (q, m, n) is right_h[n, m] * u[n, q]; with FMA a complex
-    # product's rounding depends on operand order, so keep this one
-    np.multiply(right_h.T, u.T[:, None, :], out=split_rows(cascade_hat, dims))
-    return EstimateSet(cascade=cascade_hat)
+    obs = cascade_obs if cascade_obs.ndim == 3 else cascade_obs[None]
+    count, rows, n_ris = obs.shape
+    # (n_ue, n_bs, count, n_ris) -> one (count*n_ris, n_ue, n_bs) stack
+    per_column = split_rows(obs.transpose(1, 0, 2), dims)
+    stack = per_column.transpose(2, 3, 0, 1).reshape(-1, dims.n_ue, dims.n_bs)
+    u = dominant_left_singular_vector(stack)
+    right_h = (u.conj()[:, None, :] @ stack)[:, 0, :]
+    # each member column-major: the transpose of a C-ordered stack
+    cascade_hat = np.empty((count, n_ris, rows), dtype=np.complex128).transpose(0, 2, 1)
+    # entry (q, m, b, n) is right_h[b*n_ris + n, m] * u[b*n_ris + n, q]; with
+    # FMA a complex product's rounding depends on operand order, so keep this one
+    np.multiply(right_h.T.reshape(dims.n_bs, count, n_ris),
+                u.T.reshape(dims.n_ue, 1, count, n_ris),
+                out=split_rows(cascade_hat.transpose(1, 0, 2), dims))
+    return EstimateSet(cascade=cascade_hat if cascade_obs.ndim == 3 else cascade_hat[0])
 
 
 def ls_estimate(cascade_obs: np.ndarray, dims: SystemDims | None = None) -> EstimateSet:

@@ -35,29 +35,37 @@ def _squared_norm(a: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
-def nmse(truth: np.ndarray, estimate: np.ndarray) -> float:
-    """Normalized squared error ||truth - estimate||_F^2 / ||truth||_F^2.
+def nmse(truth: np.ndarray, estimate: np.ndarray):
+    """Normalized squared error ||truth - estimate||_F^2 / ||truth||_F^2,
+    a float, or, for a 3-D pair of (B, ...) stacks, the (B,) ratios of
+    their members.
 
     The error is summed over slabs of the last axis (column slabs of a
-    matrix) of at most _GRAM_SLAB entries, or one index of that axis if
-    it holds more, so no full-size difference is formed: the transients
-    stay within one slab's difference.  An array within one slab, as the
-    reference dims' cascade, is one slab.  Neither input is written.
+    matrix, of every member of a stack) of at most _GRAM_SLAB entries, or
+    one index of that axis if it holds more, so no full-size difference
+    is formed: the transients stay within one slab's difference.  An
+    array within one slab, as the reference dims' cascade or a stack of
+    up to four of them, is one slab.  Neither input is written.
     """
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     if truth.shape != estimate.shape:
         raise ValueError("shape mismatch: %s vs %s" % (truth.shape, estimate.shape))
-    denom = _squared_norm(truth)
-    if not denom > 0:
+    stacked = truth.ndim == 3
+    if not stacked:
+        truth, estimate = (a[None] for a in np.atleast_1d(truth, estimate))
+    denom = [_squared_norm(t) for t in truth]
+    if not all(n > 0 for n in denom):
         raise ValueError("reference has zero norm")
-    truth, estimate = np.atleast_1d(truth, estimate)
     cols = truth.shape[-1]
     width = max(1, _GRAM_SLAB // (truth.size // cols))      # columns per slab
-    error = 0.0
+    error = [0.0] * len(truth)
     for j in range(0, cols, width):
-        error += _squared_norm(truth[..., j:j + width] - estimate[..., j:j + width])
-    return error / denom
+        diff = truth[..., j:j + width] - estimate[..., j:j + width]
+        error = [e + _squared_norm(d) for e, d in zip(error, diff)]
+        del diff
+    ratios = [e / n for e, n in zip(error, denom)]
+    return np.array(ratios) if stacked else ratios[0]
 
 
 def _unit_phases(surface: np.ndarray) -> np.ndarray:
@@ -82,8 +90,10 @@ def spectral_efficiency(
     est: EstimateSet,
     tx_power: float = 1.0,
     noise_var: float = 1.0,
-) -> float:
-    """Beamformed rate (bits/s/Hz) achieved on the true channel.
+):
+    """Beamformed rate (bits/s/Hz) achieved on the true channel, a float,
+    or the (B,) rates of a stacked realization's members, each scored
+    with the same member of a stacked estimate.
 
     Surface phases: the conjugate of the estimated per-element surface
     response, normalized to unit modulus.  Beamformers: dominant
@@ -97,12 +107,13 @@ def spectral_efficiency(
     :class:`EstimateSet` carries all six or none; only ``hdr`` does).
     A structured estimate is an exact rank-one outer product, so no
     eigenproblem is solved: its :func:`channel.array_responses` (user,
-    base station, surface) are w, conj(f) and the surface.  Any other
-    estimate (``krf``/``ls``)
+    base station, surface) are w, conj(f) and the surface.  Its six
+    factors are checked to be finite before their responses are formed.
+    Any other estimate (``krf``/``ls``)
     takes the surface and w as the dominant left singular vectors of
     C^T and H, each from its smaller Gram, of side min(n_ris, n_ue*n_bs)
-    and min(n_ue, n_bs) (:func:`tensors.dominant_left_singular_vector`),
-    and f as H^H w normalized.
+    and min(n_ue, n_bs) (:func:`tensors.dominant_left_singular_vector`,
+    one stacked call each for a stack), and f as H^H w normalized.
 
     The rate is then log2(1 + tx_power * |w^H H_eff f|^2 / noise_var) with
     the effective channel built, by the same split, from the true cascade
@@ -112,30 +123,41 @@ def spectral_efficiency(
     ------
     ValueError
         If ``tx_power`` or ``noise_var`` is not finite and > 0, a
-        structured estimate's responses have a non-finite entry, or an
+        structured estimate's factors have a non-finite entry, or an
         unstructured estimate or its H is zero (and so has no dominant
-        direction) or has a non-finite entry.
+        direction) or has a non-finite entry; for a stack, if any member
+        does.
     """
     _check_rate_inputs(tx_power, noise_var)
     dims = ch.dims
     if est.surface_y is not None:
-        w, bs, surface = array_responses(**{name: getattr(est, name) for name in TENSOR_MODES})
-        if not np.isfinite(np.concatenate((w, bs, surface))).all():
+        vectors = {name: getattr(est, name) for name in TENSOR_MODES}
+        # before the krons: an inf factor times a zero entry would warn
+        if not all(np.isfinite(v).all() for v in vectors.values()):
             raise ValueError(_UNALIGNED)
+        w, bs, surface = array_responses(**vectors)
         phases, f = _unit_phases(surface), bs.conj()
     else:
         try:
-            surface = dominant_left_singular_vector(est.cascade.T)
+            surface = dominant_left_singular_vector(est.cascade.swapaxes(-1, -2))
         except ValueError as exc:
             raise ValueError(_UNALIGNED) from exc
         phases = _unit_phases(surface)
-        h = split_rows(est.cascade @ phases, dims)
+        h = _effective_channel(est.cascade, phases, dims)
         w = dominant_left_singular_vector(h)
-        f = h.conj().T @ w
-        f = f / math.sqrt(np.vdot(f, f).real)
-    h_eff_true = split_rows(ch.cascade @ phases, dims)
-    gain = abs(w.conj() @ h_eff_true @ f) ** 2
-    return float(np.log2(1.0 + tx_power * gain / noise_var))
+        f = (h.conj().swapaxes(-1, -2) @ w[..., None])[..., 0]
+        f = f / np.linalg.norm(f, axis=-1, keepdims=True)
+    h_true = _effective_channel(ch.cascade, phases, dims)
+    gain = abs((w.conj()[..., None, :] @ h_true @ f[..., None])[..., 0, 0]) ** 2
+    rate = np.log2(1.0 + tx_power * gain / noise_var)
+    return rate if rate.ndim else float(rate)
+
+
+def _effective_channel(cascade: np.ndarray, phases: np.ndarray, dims: SystemDims) -> np.ndarray:
+    """The n_ue x n_bs channel through the surface set to ``phases``,
+    read by :func:`channel.split_rows`; (B, n_ue, n_bs) for stacks."""
+    h = (cascade @ phases[..., None])[..., 0]
+    return np.moveaxis(split_rows(np.moveaxis(h, -1, 0), dims), (0, 1), (-2, -1))
 
 
 def ideal_spectral_efficiency(

@@ -1,8 +1,9 @@
 """Monte Carlo sweep drivers and experiment configuration.
 
 Reproducibility contract: every (snr point, trial) pair derives its own RNG
-stream from the root seed by counter-based spawning, so results are identical
-no matter how trials are scheduled across workers; aggregation uses
+stream from the root seed by counter-based spawning, and trials are fitted
+in batches that follow from the config alone, so results are identical no
+matter how batches are scheduled across workers; aggregation uses
 compensated sums and full sorts.  Re-running a config (any thread count)
 produces byte-identical CSV output.
 
@@ -35,6 +36,7 @@ from .metrics import (
     spectral_efficiency,
     summarize,
 )
+from .tensors import _GRAM_SLAB
 from .training import TrainingInfeasibleError, make_training
 
 __all__ = [
@@ -275,23 +277,46 @@ def _trial_rng(seed: int, snr_idx: int, trial: int) -> np.random.Generator:
     )
 
 
-def _run_point(cfg, design, pinned, methods, score, snr_idx, trial):
-    """Every requested estimator fitted to one shared matched-filter
-    output (:func:`filtered_observation`, the filtered pilot block
-    without the block) and scored by ``score(ch, est, noise_var)``, one
-    value per method.  Each estimate is released before the next fit.
-    The channel is ``pinned`` when the sweep built it once, else drawn
-    from the trial's stream."""
+def _run_batch(cfg, design, pinned, methods, score, snr_idx, trials):
+    """Every requested estimator fitted to the stacked matched-filter
+    outputs (:func:`filtered_observation`, the filtered pilot blocks
+    without the blocks) of a run of ``trials`` of one SNR point, and
+    scored by ``score(ch, est, noise_var)``: one tuple of per-method
+    values per trial.  Each trial draws its geometry and noise from its
+    own stream; the truths are one stacked build, or the ``pinned``
+    channel broadcast when the sweep built it once.  Each method's
+    estimate stack is released before the next fit."""
     noise_var = _noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
-    rng = _trial_rng(cfg.seed, snr_idx, trial)
-    ch = pinned if pinned is not None else build_channels(cfg.dims, sample_params(rng))
-    cascade_obs = filtered_observation(ch, design, noise_var, rng)
-    return tuple(score(ch, ESTIMATORS[m].fit(cascade_obs, cfg.dims), noise_var) for m in methods)
+    rngs = [_trial_rng(cfg.seed, snr_idx, trial) for trial in trials]
+    if pinned is None:
+        ch = build_channels(cfg.dims, [sample_params(rng) for rng in rngs])
+    else:
+        ch = dataclasses.replace(pinned, **{
+            name: np.broadcast_to(a, (len(rngs),) + a.shape)
+            for name, a in vars(pinned).items() if isinstance(a, np.ndarray)
+        })
+    cascade_obs = filtered_observation(ch, design, noise_var, rngs)
+    scores = [score(ch, ESTIMATORS[m].fit(cascade_obs, cfg.dims), noise_var).tolist()
+              for m in methods]
+    return list(zip(*scores))
 
 
-def _run_chunk(cfg, design, pinned, methods, score, pairs):
-    """_run_point over a run of (snr_idx, trial) pairs, in order."""
-    return [_run_point(cfg, design, pinned, methods, score, s, t) for s, t in pairs]
+def _run_chunk(cfg, design, pinned, methods, score, batches):
+    """_run_batch over a run of (snr_idx, trials) batches, in order."""
+    return [_run_batch(cfg, design, pinned, methods, score, s, trials) for s, trials in batches]
+
+
+def _batches(cfg: ExperimentConfig) -> list:
+    """The sweep's (snr_idx, trials) batches: runs of up to
+    _GRAM_SLAB // (n_ue*n_bs*n_ris) consecutive trials of one SNR point
+    (at least one), so a batch's cascade stack fits one slab when it
+    holds more than one trial: four at the reference dims, one at a
+    16 x 16 surface.  They depend on the config alone, not on the
+    thread count."""
+    d = cfg.dims
+    size = max(1, _GRAM_SLAB // (d.n_ue * d.n_bs * d.n_ris))
+    return [(s, range(t, min(t + size, cfg.n_trials)))
+            for s in range(len(cfg.snr_grid_db)) for t in range(0, cfg.n_trials, size)]
 
 
 # glibc mallopt(3) parameters from <malloc.h>, with the values the sweeps
@@ -415,18 +440,20 @@ def _fork_map(run, chunks) -> list:
 
 
 def _sweep(cfg: ExperimentConfig, methods, score):
-    """Score every method in every trial of the grid (:func:`_run_point`)
-    and return {method: [[score per trial] per SNR point]}.
+    """Score every method in every trial of the grid, a batch of trials at
+    a time (:func:`_batches`, :func:`_run_batch`), and return
+    {method: [[score per trial] per SNR point]}.
 
-    With more than one worker, worker w takes every workers-th job of the
-    (snr point, trial) grid from job w on, so each gets a share of every
-    SNR point (low SNR costs `krf` more squarings).  The workers are
-    forked directly (:func:`_fork_map`), this process waits for them, and
-    the results are put back in job order.  ``cfg.threads`` is capped at
-    the usable CPUs (``os.cpu_count()`` where the platform has no
-    ``os.sched_getaffinity``) and at the number of jobs, so no count
+    With more than one worker, worker w takes every workers-th batch from
+    batch w on, so each gets a share of every SNR point (low SNR costs
+    `krf` more squarings).  The workers are forked directly
+    (:func:`_fork_map`), this process waits for them, and the results are
+    put back in batch order.  ``cfg.threads`` is capped at the usable CPUs
+    (``os.cpu_count()`` where the platform has no
+    ``os.sched_getaffinity``) and at the number of batches, so no count
     starts more processes than can run at once; one worker runs in this
-    process.  The freed heap is kept across trials
+    process.  The batches do not depend on the count, so neither do the
+    results.  The freed heap is kept across trials
     (:func:`_keep_freed_heap`, once per process, before any worker is
     forked).  A pinned geometry's channel is deterministic, so it is
     built once here, beside the training design, and shared by every
@@ -437,20 +464,21 @@ def _sweep(cfg: ExperimentConfig, methods, score):
     pinned = (
         build_channels(cfg.dims, cfg.fixed_params) if cfg.fixed_params is not None else None
     )
-    jobs = [(s, t) for s in range(len(cfg.snr_grid_db)) for t in range(cfg.n_trials)]
+    batches = _batches(cfg)
     run = functools.partial(_run_chunk, cfg, design, pinned, methods, score)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cfg.threads, cpus, len(jobs))
+    workers = min(cfg.threads, cpus, len(batches))
     if workers == 1:
-        results = run(jobs)
+        per_batch = run(batches)
     else:
-        results = [None] * len(jobs)
-        chunks = [jobs[w::workers] for w in range(workers)]
+        per_batch = [None] * len(batches)
+        chunks = [batches[w::workers] for w in range(workers)]
         for w, chunk_results in enumerate(_fork_map(run, chunks)):
-            results[w::workers] = chunk_results
+            per_batch[w::workers] = chunk_results
+    results = [result for batch in per_batch for result in batch]
 
-    # jobs run SNR-major, so SNR point s holds results[s * n : (s + 1) * n]
+    # batches run SNR-major, so SNR point s holds results[s * n : (s + 1) * n]
     n = cfg.n_trials
     points = [results[s * n:(s + 1) * n] for s in range(len(cfg.snr_grid_db))]
     return {m: [[res[i] for res in point] for point in points] for i, m in enumerate(methods)}

@@ -366,23 +366,27 @@ def gram_macs(rows: int, cols: int) -> int:
 class RankOneFactors:
     """Rank-one multilinear decomposition core * v1 o v2 o ... o vN: one unit
     vector per mode plus a complex amplitude, written out as a cascade only by
-    :func:`channel.rank_one_cascade`.  Two compare equal only if identical."""
+    :func:`channel.rank_one_cascade`.  The fit of a stack of B tensors holds
+    (B, d) vector stacks, each row of unit norm, and a (B,) core.  Two
+    compare equal only if identical."""
 
     vectors: tuple
-    core: complex
+    core: complex | np.ndarray
 
     def __post_init__(self):
         if len(self.vectors) < 1:
             raise ValueError("need at least one factor vector")
         for i, v in enumerate(self.vectors):
-            nrm = math.sqrt(np.vdot(v, v).real)
-            if abs(nrm - 1.0) > 1e-6:
-                raise ValueError("factor vector %d is not unit norm (|v|=%g)" % (i + 1, nrm))
+            for row in (v,) if v.ndim == 1 else v:          # each vector of a stack
+                nrm = math.sqrt(np.vdot(row, row).real)
+                if abs(nrm - 1.0) > 1e-6:
+                    raise ValueError("factor vector %d is not unit norm (|v|=%g)" % (i + 1, nrm))
 
 
-def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
+def hosvd_rank1(x: ComplexTensor | np.ndarray, *, stacked: bool = False) -> RankOneFactors:
     """Rank-one truncated higher-order SVD of ``x``, a ComplexTensor or an
-    ndarray (a view such as a transposed array is copied C-ordered first).
+    ndarray (a view such as a transposed array is copied C-ordered first),
+    or, when ``stacked``, of each tensor x[b] of the stack ``x``.
 
     Each mode's factor is the dominant left singular vector of that mode's
     unfolding (De Lathauwer, De Moor & Vandewalle 2000, *A multilinear
@@ -396,64 +400,79 @@ def hosvd_rank1(x: ComplexTensor | np.ndarray) -> RankOneFactors:
     exceeds that): a run of whole a indices while one index fits, else
     column slabs of one index.  The slab's d rows are read (a view when
     the slab is within one index or b == 1, else a copy of the slab) and
-    one GEMM adds rows @ rows^H.  At the reference dims every mode is one
-    slab, the whole tensor.  So beyond a C-ordered input the fit holds at
-    most two slabs at a time, a slab's copy and its conjugate, and then
-    the amplitude's first contraction, 1/d of the tensor.
+    one GEMM adds rows @ rows^H.  A stack is read the same way with every
+    member's rows in the slab, one GEMM per member, so a stack of B
+    tensors takes slabs B times narrower.  At the reference dims every
+    mode is one slab, the whole tensor, or the whole stack of up to
+    _GRAM_SLAB // size tensors.  So beyond a C-ordered input the fit
+    holds at most two slabs at a time, a slab's copy and its conjugate,
+    and then the amplitude's first contraction, 1/d of the input.
 
-    All Grams of one size go through one stacked ``eigh``.  A mode longer
-    than the rest of the tensor together (d^2 > size) is handed to
-    :func:`dominant_left_singular_vector` on its unfolding, which works on
-    the smaller Gram.  Each factor is then gauged by :func:`_fix_phase`,
-    its largest-modulus entry made real and positive, so a global phase on
-    ``x`` moves only the amplitude.  The amplitude is the tensor
-    contracted with the conjugated factors by successive matrix-vector
-    products.
+    All Grams of one size, of every member, go through one stacked
+    ``eigh``.  A mode longer than the rest of the tensor together (d^2 >
+    size) is handed to :func:`dominant_left_singular_vector` on its
+    unfoldings, which works on the smaller Gram.  Each factor is then
+    gauged by :func:`_fix_phase`, its largest-modulus entry made real and
+    positive, so a global phase on ``x`` moves only the amplitude.  The
+    amplitude is the tensor contracted with the conjugated factors by
+    successive vector-matrix products.  Each member's factors and
+    amplitude are its own fit's up to rounding: the stacked products may
+    round differently from a single tensor's.
 
     Its cost in complex MACs is :func:`hosvd_rank1_macs`, what the
-    per-unfolding fit multiplies; the eigensolvers are not counted.
+    per-unfolding fit multiplies, per member; the eigensolvers are not
+    counted.
 
     Raises
     ------
     ValueError
-        If ``x`` is zero (or its Grams underflow to zero) or non-finite.
+        If ``x`` (any member of a stack) is zero (or its Grams underflow
+        to zero) or non-finite.
     """
     undefined = "rank-one fit of a zero tensor or a non-finite one is undefined"
     data = np.ascontiguousarray(_as_array(x), dtype=np.complex128)
-    size = data.size
-    vectors = [None] * data.ndim
-    by_size = {}                    # Gram size -> [(mode index, Gram)]
+    batch = data.shape[:1] if stacked else ()         # the stack axis, if any
+    shape = data.shape[len(batch):]
+    size = math.prod(shape)
+    count = math.prod(batch)                          # tensors fitted
+    swap = tuple(range(len(batch))) + tuple(len(batch) + a for a in (1, 0, 2))
+    vectors = [None] * len(shape)
+    by_size = {}                    # Gram size -> [(mode index, Grams)]
     lead = 1                        # product of the extents before the mode
-    for n, d in enumerate(data.shape):
+    for n, d in enumerate(shape):
         if d * d > size:
+            unfoldings = [unfold(t, n + 1) for t in data.reshape((-1,) + shape)]
             try:
-                u = dominant_left_singular_vector(unfold(data, n + 1))
+                u = dominant_left_singular_vector(np.stack(unfoldings))
             except ValueError as exc:
                 raise ValueError(undefined) from exc
-            vectors[n] = _fix_phase(u[None])[0]
+            vectors[n] = _fix_phase(u).reshape(batch + (d,))
         else:
-            x3 = data.reshape(lead, d, -1)
-            step = max(1, _GRAM_SLAB // (d * x3.shape[2]))      # a indices per slab
-            width = max(1, _GRAM_SLAB // d)                     # columns per slab
+            x4 = data.reshape(batch + (lead, d, -1))
+            trail = x4.shape[-1]
+            step = max(1, _GRAM_SLAB // (count * d * trail))    # a indices per slab
+            width = max(1, _GRAM_SLAB // (count * d))           # columns per slab
             gram = 0
             for i in range(0, lead, step):
-                for j in range(0, x3.shape[2], width):
-                    rows = x3[i:i + step, :, j:j + width].transpose(1, 0, 2).reshape(d, -1)
-                    gram = gram + np.matmul(rows, rows.conj().T)
+                for j in range(0, trail, width):
+                    rows = x4[..., i:i + step, :, j:j + width].transpose(swap)
+                    rows = rows.reshape(batch + (d, -1))
+                    gram = gram + np.matmul(rows, rows.conj().swapaxes(-1, -2))
             by_size.setdefault(d, []).append((n, gram))
         lead *= d
-    for members in by_size.values():
-        grams = np.stack([gram for _, gram in members])
+    for d, members in by_size.items():
+        grams = np.stack([gram for _, gram in members]).reshape(-1, d, d)
         # a Gram's trace is the tensor's squared norm
         if not np.einsum("bii->b", grams).real.min() > 0.0:
             raise ValueError(undefined)
-        top = _fix_phase(eigh_top(grams))
+        top = _fix_phase(eigh_top(grams)).reshape((len(members),) + batch + (d,))
         for (n, _), v in zip(members, top):
             vectors[n] = v
-    cur = data.reshape(-1)
+    cur = data.reshape(batch + (-1,))
     for v in vectors:
-        cur = v.conj() @ cur.reshape(len(v), -1)
-    return RankOneFactors(tuple(vectors), complex(cur[0]))
+        cur = (v.conj()[..., None, :] @ cur.reshape(batch + (v.shape[-1], -1)))[..., 0, :]
+    core = cur[..., 0]
+    return RankOneFactors(tuple(vectors), core if stacked else complex(core))
 
 
 def hosvd_rank1_macs(shape: Sequence[int]) -> int:

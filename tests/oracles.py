@@ -19,8 +19,11 @@ fixes; :func:`phase_distance` compares the package's other directions
 with them.  :func:`design_with_factors` stands in for the designs built
 from explicit arrays that the package no longer makes, and :func:`hops`
 for the two hop matrices that a realization no longer holds: the package
-forms only their cascade.  The geometries and the complex normal draw
-that several test modules share are defined here too.
+forms only their cascade.  :func:`run_point` and :func:`per_trial_sweep`
+are the sweep one trial at a time, one fit per method and one score per
+fit, that the sweeps replaced by fitting and scoring batches of trials.
+The geometries and the complex normal draw that several test modules
+share are defined here too.
 """
 
 import dataclasses
@@ -28,9 +31,11 @@ import functools
 
 import numpy as np
 
-from hdris.channel import SystemDims, steering_1d
-from hdris.estimators import hdr_estimate
+from hdris import simulate
+from hdris.channel import SystemDims, build_channels, sample_params, steering_1d
+from hdris.estimators import ESTIMATORS, filtered_observation, hdr_estimate
 from hdris.tensors import ComplexTensor, RankOneFactors, fold, unfold
+from hdris.training import make_training
 
 # 2x2 arrays, 4x4 surface
 SMALL_DIMS = SystemDims(
@@ -280,3 +285,26 @@ def rate_oracle(ch, est, tx_power, noise_var):
     h_true = (ch.cascade @ phases).reshape(dims.n_ue, dims.n_bs, order="F")
     gain = abs(w.conj() @ h_true @ f) ** 2
     return float(np.log2(1.0 + tx_power * gain / noise_var))
+
+
+def run_point(cfg, design, pinned, methods, score, snr_idx, trial):
+    """One trial of a sweep: its own channel (or ``pinned``) and filtered
+    observation, drawn from the trial's stream, every method fitted to
+    that one observation and scored by ``score(ch, est, noise_var)``, one
+    value per method."""
+    noise_var = simulate._noise_var(cfg.tx_power_watts, float(cfg.snr_grid_db[snr_idx]))
+    rng = simulate._trial_rng(cfg.seed, snr_idx, trial)
+    ch = pinned if pinned is not None else build_channels(cfg.dims, sample_params(rng))
+    cascade_obs = filtered_observation(ch, design, noise_var, rng)
+    return tuple(score(ch, ESTIMATORS[m].fit(cascade_obs, cfg.dims), noise_var) for m in methods)
+
+
+def per_trial_sweep(cfg, methods, score):
+    """``simulate._sweep`` one trial at a time through :func:`run_point`,
+    in this process: {method: [[score per trial] per SNR point]}."""
+    design = make_training(cfg.dims)
+    pinned = (build_channels(cfg.dims, cfg.fixed_params)
+              if cfg.fixed_params is not None else None)
+    points = [[run_point(cfg, design, pinned, methods, score, s, t) for t in range(cfg.n_trials)]
+              for s in range(len(cfg.snr_grid_db))]
+    return {m: [[res[i] for res in point] for point in points] for i, m in enumerate(methods)}

@@ -998,3 +998,71 @@ def test_stage_peak_memory_bounded_by_observation_size():
     assert min(peaks.values()) > 0
     assert max(peaks.values()) <= 3 * obs.nbytes, peaks
     assert peaks["hdr"] <= 2.25 * obs.nbytes, peaks
+
+
+# ---------------------------------------------------------------------------
+# stacks of trials
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [REF_DIMS, SMALL_DIMS, ODD_DIMS], ids=["ref", "small", "odd"])
+def test_stacked_trials_match_single_trials(dims):
+    # a stack of three trials through the build, the pilot path, every fit
+    # and both scores, against each trial alone: member b is trial b, in
+    # the bits of its own build and pilot path, and up to rounding in its
+    # fits and scores (krf's squarings, and the unstructured rate's, run
+    # until the stack's last member certifies)
+    seeds = (70, 71, 72)
+    params = [sample_params(np.random.default_rng(s)) for s in seeds]
+    ch = build_channels(dims, params)
+    assert ch.params == tuple(params) and ch.cascade.shape == (3, dims.n_ue * dims.n_bs, dims.n_ris)
+    design = make_training(dims)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    for rng in rngs:
+        sample_params(rng)                      # each stream past its geometry draw
+    obs = filtered_observation(ch, design, 0.3, rngs)
+    singles = []
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        one = build_channels(dims, sample_params(rng))
+        for name in TENSOR_MODES + ("cascade",):
+            assert np.array_equal(getattr(ch, name)[b], getattr(one, name)), name
+        assert np.array_equal(obs[b], filtered_observation(one, design, 0.3, rng))
+        assert ch.cascade[b].flags.f_contiguous and obs[b].flags.f_contiguous
+        singles.append((one, obs[b].copy()))
+    for name, entry in ESTIMATORS.items():
+        est = entry.fit(obs, dims)
+        assert est.cascade.shape == obs.shape and est.cascade[0].flags.f_contiguous
+        errors = nmse(ch.cascade, est.cascade)
+        rates = spectral_efficiency(ch, est, 1.0, 0.3)
+        assert errors.shape == rates.shape == (3,)
+        for b, (one, one_obs) in enumerate(singles):
+            alone = entry.fit(one_obs, dims)
+            peak = np.abs(alone.cascade).max()
+            assert np.abs(est.cascade[b] - alone.cascade).max() <= 1e-13 * peak, name
+            want = nmse(one.cascade, alone.cascade)
+            assert abs(errors[b] - want) <= 1e-12 * want, name
+            want = spectral_efficiency(one, alone, 1.0, 0.3)
+            assert abs(rates[b] - want) <= 1e-13 * want, name
+
+
+def test_stacked_pilot_path_needs_one_generator_per_member():
+    ch = build_channels(SMALL_DIMS, [sample_params(np.random.default_rng(s)) for s in (1, 2)])
+    with pytest.raises(ValueError, match="needs as many generators"):
+        filtered_observation(ch, make_training(SMALL_DIMS), 0.1, [np.random.default_rng(3)])
+
+
+def test_stacked_hosvd_fits_each_member():
+    # each member's factors and amplitude are its own fit's, up to
+    # rounding, on both Gram routes ((5, 2)'s first mode is tall)
+    rng = np.random.default_rng(80)
+    for shape in ((4,) * 6, (3, 4, 5), (5, 2)):
+        stack = crandn(rng, 3, *shape)
+        fits = hosvd_rank1(stack, stacked=True)
+        assert fits.core.shape == (3,)
+        for b, member in enumerate(stack):
+            alone = hosvd_rank1(member)
+            for got, want in zip(fits.vectors, alone.vectors):
+                assert got.shape == (3,) + want.shape
+                assert np.abs(got[b] - want).max() <= 1e-14
+            assert abs(fits.core[b] - alone.core) <= 1e-14 * abs(alone.core)

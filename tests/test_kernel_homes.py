@@ -26,17 +26,22 @@ its process, so it may put the import-time heap out of the collector's
 reach; a library import or sweep runs in its caller's process and must
 not freeze that heap.
 
-``tensors.kron`` is reached only from ``channel.array_responses``, the
-reader beside the rank-one cascade's writer: the per-axis order of the
-six vectors (each y axis slowest against its z axis) is read in one
-place, so the writer and the rate scorer cannot drift apart.  A second
-kron of a y/z pair, say in ``metrics``, fails here.
+``tensors.kron`` and, for stacks of vectors, ``tensors.khatri_rao`` are
+reached only from ``channel.array_responses``, the reader beside the
+rank-one cascade's writer: the per-axis order of the six vectors (each
+y axis slowest against its z axis) is read in one place, so the writer
+and the rate scorer cannot drift apart.  A second kron of a y/z pair,
+say in ``metrics``, fails here.
 
 ``tensors._GRAM_SLAB`` is the one slab budget of a trial's transients:
 no other slab-size constant, by name or by value, is defined under
 ``src/``, and the slab loops of ``tensors.hosvd_rank1``,
-``tensors.dominant_left_singular_vector`` and ``metrics.nmse`` read it
-and nothing else does.
+``tensors.dominant_left_singular_vector`` and ``metrics.nmse`` read it,
+as does the one batch rule, ``simulate._batches`` (a batch's cascade
+stack fits one slab), and nothing else does.  No module defines a
+batch-size constant, and no config key, command-line flag or
+environment variable names a batch: the batch size follows from the
+dims alone.
 
 A column-major ``reshape`` (``order="F"``) is made only in ``channel``,
 by ``cascade_tensor`` and ``split_rows``, and in the generic
@@ -71,6 +76,7 @@ HOMES = {
     "_dft_rows": {("training", "bs_pilots"), ("training", "ris_phases")},
     "TrainingInfeasibleError": {("training", "__post_init__"), ("simulate", "__post_init__")},
     "kron": {("channel", "array_responses")},
+    "khatri_rao": {("channel", "array_responses")},
 }
 
 
@@ -81,11 +87,13 @@ COLUMN_MAJOR_RESHAPES = {
 }
 
 
-# the functions whose slab loops read the one slab budget
+# the functions whose slab loops read the one slab budget, and the batch
+# rule, its one reader outside the kernels
 SLAB_USERS = {
     ("tensors", "hosvd_rank1"),
     ("tensors", "dominant_left_singular_vector"),
     ("metrics", "nmse"),
+    ("simulate", "_batches"),
 }
 
 
@@ -140,7 +148,9 @@ def test_eigen_kernels_are_used_at_home():
     source = (PACKAGE / "simulate.py").read_text(encoding="utf-8")
     assert _references(source, HOMES) == [("__post_init__", "TrainingInfeasibleError")]
     source = (PACKAGE / "channel.py").read_text(encoding="utf-8")
-    assert _references(source, HOMES) == [("array_responses", "kron")] * 3
+    assert _references(source, HOMES) == (
+        [("array_responses", "kron")] * 3 + [("array_responses", "khatri_rao")] * 3
+    )
 
 
 def test_reference_scan_reads_every_form():
@@ -191,11 +201,29 @@ def test_one_slab_budget():
 
     sources = {m: (PACKAGE / (m + ".py")).read_text(encoding="utf-8") for m in MODULES}
     assert [(m, name) for m in MODULES for name in _module_constants(sources[m])
-            if "SLAB" in name.upper()] == [("tensors", "_GRAM_SLAB")]
+            if "SLAB" in name.upper() or "BATCH" in name.upper()] == [("tensors", "_GRAM_SLAB")]
     assert [m for m in MODULES for v in _int_values(sources[m]) if v == _GRAM_SLAB] == ["tensors"]
     users = {(m, scope) for m in MODULES
              for scope, _ in _references(sources[m], {"_GRAM_SLAB"}) if scope is not None}
     assert users == SLAB_USERS
+
+
+def test_batch_size_has_no_knob():
+    # the batch size is _GRAM_SLAB // (n_ue*n_bs*n_ris), nothing else: no
+    # config key, command-line flag or environment variable names a batch
+    from hdris import simulate
+
+    keys = {*simulate._SCALAR_KEYS, *simulate._ARRAY_KEYS, *simulate._ANGLE_KEYS,
+            *simulate._DIM_KEYS}
+    assert [k for k in keys if "batch" in k.lower()] == []
+    texts = [(PACKAGE / (m + ".py")).read_text(encoding="utf-8") for m in MODULES]
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not node.value.startswith("--") or "batch" not in node.value.lower()
+    environ = [scope for m, text in zip(MODULES, texts)
+               for scope, _ in _references(text, {"environ", "getenv"})]
+    assert environ == [None]           # hdris/__init__: the BLAS thread defaults
 
 
 def test_slab_scan_reads_every_form():

@@ -255,12 +255,14 @@ def test_rate_of_non_finite_factors_raises(name, value):
     # a structured estimate is scored from its factors alone, so one bad
     # entry in any of them is refused: unchecked, a NaN in a surface
     # vector scored a finite rate (its phase was read as 1) and every
-    # other case a NaN; an inf's product with a zero entry warns first
+    # other case a NaN.  The factors are checked before their krons are
+    # formed, so an inf raises without first warning of its product with
+    # a zero entry (the suite turns a RuntimeWarning into an error)
     ch = build_channels(REF_DIMS, sample_params(np.random.default_rng(7)))
     est = hdr_estimate(ch.cascade, REF_DIMS)
     bad = getattr(est, name).copy()
     bad[1] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         spectral_efficiency(ch, dataclasses.replace(est, **{name: bad}), 1.0, 1.0)
 
 

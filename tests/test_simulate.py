@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import hdris
+import hdris.simulate as simulate
 from hdris.channel import ChannelParams, SystemDims, build_channels, cascade_tensor, sample_params
 from hdris.cli import main
 from hdris.metrics import flops_analytic, ideal_spectral_efficiency, nmse
@@ -43,7 +44,7 @@ import hdris.training as training
 from hdris.estimators import filtered_observation, krf_estimate, matched_filter
 from hdris.tensors import _GRAM_SLAB, dominant_left_singular_vector, hosvd_rank1
 from hdris.training import TrainingInfeasibleError, make_training
-from oracles import SMALL_DIMS, dominant_pairs_oracle
+from oracles import ODD_DIMS, REF_DIMS, SMALL_DIMS, dominant_pairs_oracle, per_trial_sweep
 
 PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
@@ -342,7 +343,7 @@ def test_se_sweep_ideal_only_runs_no_trial(monkeypatch):
 
     # the config checks its dims by making a design, so it is built first
     cfg = _small_cfg(methods=("ideal",), n_trials=5)
-    for name in ("_run_point", "make_training", "filtered_observation"):
+    for name in ("_run_batch", "make_training", "filtered_observation"):
         monkeypatch.setattr(simulate, name, no_trial)
     rows = run_se_sweep(cfg)
     assert [(r["method"], r["snr_db"], r["stat"]) for r in rows] == [
@@ -426,20 +427,29 @@ def _csv_text(rows):
 
 
 @pytest.mark.parametrize(
-    "sweep, pinned, thread_counts",
+    "sweep, pinned, dims, thread_counts",
     [
-        pytest.param(run_nmse_sweep, False, (1, 4), id="nmse-1-4"),
-        pytest.param(run_se_sweep, False, (1, 4), id="se-1-4"),
-        pytest.param(run_se_sweep, True, (1, 2, 3), id="se-pinned-1-2-3"),
+        pytest.param(run_nmse_sweep, False, SMALL_DIMS, (1, 4), id="nmse-1-4"),
+        pytest.param(run_se_sweep, False, SMALL_DIMS, (1, 4), id="se-1-4"),
+        pytest.param(run_se_sweep, True, SMALL_DIMS, (1, 2, 3), id="se-pinned-1-2-3"),
+        # 6 trials per SNR point at the reference dims run as batches of 4
+        # and 2, so a batch boundary falls inside each point
+        pytest.param(run_nmse_sweep, False, REF_DIMS, (1, 2, 3), id="nmse-ref-1-2-3"),
+        pytest.param(run_se_sweep, False, REF_DIMS, (1, 2, 3), id="se-ref-1-2-3"),
     ],
 )
-def test_sweep_deterministic_across_thread_counts(sweep, pinned, thread_counts):
+def test_sweep_deterministic_across_thread_counts(monkeypatch, sweep, pinned, dims, thread_counts):
+    # each count really runs: the CPUs the process may use are the largest count
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(max(thread_counts))))
     fixed = (
         ChannelParams(**{k: math.radians(v) for k, v in _ANGLES.items()})
         if pinned else None
     )
+    cfg = _small_cfg(dims=dims, fixed_params=fixed)
+    if dims == REF_DIMS:
+        assert [len(trials) for _, trials in simulate._batches(cfg)] == [4, 2, 4, 2]
     texts = {
-        t: _csv_text(sweep(_small_cfg(threads=t, fixed_params=fixed)))
+        t: _csv_text(sweep(dataclasses.replace(cfg, threads=t)))
         for t in thread_counts
     }
     assert len(set(texts.values())) == 1, texts
@@ -458,11 +468,13 @@ class _RecordingForkMap:
         return [run(c) for c in chunks]
 
 
-def _interleaved(n_snr, n_trials, workers):
-    """Worker w's share of the (snr point, trial) grid: every workers-th
-    job in job order, from job w on."""
-    jobs = [(s, t) for s in range(n_snr) for t in range(n_trials)]
-    return [[jobs[i] for i in range(w, len(jobs), workers)] for w in range(workers)]
+def _interleaved(n_snr, n_trials, workers, size):
+    """Worker w's share of the sweep's batches, runs of ``size``
+    consecutive trials of one SNR point: every workers-th batch in batch
+    order, from batch w on."""
+    batches = [(s, range(t, min(t + size, n_trials)))
+               for s in range(n_snr) for t in range(0, n_trials, size)]
+    return [batches[w::workers] for w in range(workers)]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 64, 10**6])
@@ -479,12 +491,29 @@ def test_sweep_workers_capped_by_cpus_and_jobs(
     cfg = _small_cfg(threads=threads, snr_grid_db=(-5.0, 5.0)[:n_snr],
                      n_trials=n_trials)
     rows = run_nmse_sweep(cfg)
-    workers = min(threads, cpus, n_snr * n_trials)
+    # at these dims every SNR point is one batch
+    workers = min(threads, cpus, n_snr)
     if workers == 1:
         assert fork_map.calls == []
     else:
-        # one interleaved share of the grid per worker
-        assert fork_map.calls == [_interleaved(n_snr, n_trials, workers)]
+        # one interleaved share of the batches per worker
+        assert fork_map.calls == [_interleaved(n_snr, n_trials, workers, 64)]
+    assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
+
+
+def test_sweep_workers_take_whole_batches(monkeypatch):
+    # at the reference dims a batch is 4 trials: 6 trials at two SNR points
+    # are 4 batches, dealt to 3 workers as batches 0 and 3, batch 1 and
+    # batch 2
+    fork_map = _RecordingForkMap()
+    monkeypatch.setattr(simulate, "_fork_map", fork_map)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)))
+    cfg = _small_cfg(dims=_REF_DIMS, threads=3, n_trials=6)
+    rows = run_nmse_sweep(cfg)
+    assert fork_map.calls == [[
+        [(0, range(0, 4)), (1, range(4, 6))], [(0, range(4, 6))], [(1, range(0, 4))],
+    ]]
+    assert fork_map.calls[0] == _interleaved(2, 6, 3, 4)
     assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
 
 
@@ -498,12 +527,13 @@ def test_sweep_workers_without_sched_getaffinity(monkeypatch, cpus, workers):
     monkeypatch.setattr(simulate, "_fork_map", fork_map)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cfg = _small_cfg(threads=8)
+    # 4 batches of the reference dims: the CPUs, not the batches, cap the count
+    cfg = _small_cfg(dims=_REF_DIMS, threads=8)
     rows = run_nmse_sweep(cfg)
     if workers == 1:
         assert fork_map.calls == []
     else:
-        assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, workers)]
+        assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, workers, 4)]
     assert rows == run_nmse_sweep(dataclasses.replace(cfg, threads=1))
 
 
@@ -517,8 +547,8 @@ def _wrap_fits(monkeypatch, wrap):
 
 
 def test_each_estimate_released_before_next_fit(monkeypatch):
-    # a trial holds one estimate at a time: at a 16x16 surface each one
-    # keeps a 1 MiB cascade alive
+    # a batch holds one estimate stack at a time: at a 16x16 surface each
+    # one keeps a 1 MiB cascade alive, at the reference dims a slab
     import gc
     import weakref
 
@@ -534,37 +564,41 @@ def test_each_estimate_released_before_next_fit(monkeypatch):
         return fit_when_released
 
     _wrap_fits(monkeypatch, tracked)
-    cfg = _small_cfg(snr_grid_db=(0.0,), n_trials=2, threads=1)
+    # 6 trials at the reference dims: batches of 4 and 2
+    cfg = _small_cfg(dims=_REF_DIMS, snr_grid_db=(0.0,), n_trials=6, threads=1)
     run_nmse_sweep(cfg)
     run_se_sweep(cfg)
-    assert len(refs) == 2 * cfg.n_trials * len(cfg.methods)
+    assert len(refs) == 2 * 2 * len(cfg.methods)
 
 
 def test_sweeps_share_channels_and_observations(monkeypatch):
     # common random numbers: at every (SNR, trial) the nmse and the se
     # sweep of one random-geometry config score the same channel, and
-    # every method of a trial is fitted to that trial's one observation
+    # every method of a trial is fitted to that trial's one observation.
+    # Each batch is one observation event, one fit per method and one
+    # score per fit, each event naming the batch's members
     import hdris.simulate as simulate
 
-    def digest(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+    def members(stack):
+        return tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                     for a in stack)
 
     events = []
     observe = simulate.filtered_observation
 
-    def recording_observation(ch, design, noise_var, rng):
-        obs = observe(ch, design, noise_var, rng)
-        events.append(("obs", digest(ch.cascade), digest(obs)))
+    def recording_observation(ch, design, noise_var, rngs):
+        obs = observe(ch, design, noise_var, rngs)
+        events.append(("obs", members(ch.cascade), members(obs)))
         return obs
 
     nmse, rate = simulate.nmse, simulate.spectral_efficiency
 
     def recording_nmse(truth, estimate):
-        events.append(("score", digest(truth)))
+        events.append(("score", members(truth)))
         return nmse(truth, estimate)
 
     def recording_rate(ch, est, *args):
-        events.append(("score", digest(ch.cascade)))
+        events.append(("score", members(ch.cascade)))
         return rate(ch, est, *args)
 
     monkeypatch.setattr(simulate, "filtered_observation", recording_observation)
@@ -573,12 +607,13 @@ def test_sweeps_share_channels_and_observations(monkeypatch):
 
     def recorded(method, fit):
         def recording_fit(cascade_obs, dims):
-            events.append(("fit", method, digest(cascade_obs)))
+            events.append(("fit", method, members(cascade_obs)))
             return fit(cascade_obs, dims)
         return recording_fit
 
     _wrap_fits(monkeypatch, recorded)
-    cfg = _small_cfg(n_trials=3, threads=1)
+    # batches of 4 and 2 trials at each of two SNR points
+    cfg = _small_cfg(dims=_REF_DIMS, n_trials=6, threads=1)
     assert cfg.fixed_params is None
 
     per_sweep = []
@@ -587,13 +622,14 @@ def test_sweeps_share_channels_and_observations(monkeypatch):
         sweep(cfg)
         trials = []
         for i in range(0, len(events), 1 + 2 * len(cfg.methods)):
-            kind, channel, obs = events[i]
+            kind, channels, obs = events[i]
             assert kind == "obs"
             fits_and_scores = events[i + 1:i + 1 + 2 * len(cfg.methods)]
             assert fits_and_scores == [
-                event for m in cfg.methods for event in (("fit", m, obs), ("score", channel))
+                event for m in cfg.methods for event in (("fit", m, obs), ("score", channels))
             ]
-            trials.append((channel, obs))
+            trials += zip(channels, obs)
+        assert len(events) == 4 * (1 + 2 * len(cfg.methods))
         assert len(trials) == len(cfg.snr_grid_db) * cfg.n_trials
         assert len(set(trials)) == len(trials)
         per_sweep.append(trials)
@@ -634,17 +670,19 @@ def test_pinned_channel_built_once_per_sweep(monkeypatch):
     fork_map = _RecordingForkMap()
     monkeypatch.setattr(simulate, "_fork_map", fork_map)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
-    cfg = _small_cfg(threads=2, fixed_params=pinned)
+    # at the reference dims: batches of 4 and 2 trials at each SNR point
+    cfg = _small_cfg(dims=_REF_DIMS, threads=2, fixed_params=pinned)
     once = run_se_sweep(cfg)
     assert built == [pinned]
-    assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, 2)]
+    assert fork_map.calls == [_interleaved(len(cfg.snr_grid_db), cfg.n_trials, 2, 4)]
 
     # unpinned, with the draw replaced by the pinned geometry (it then
-    # consumes no stream, as a pinned trial does not): one build per trial
+    # consumes no stream, as a pinned trial does not): one stacked build
+    # per batch, of one geometry per trial
     built.clear()
     monkeypatch.setattr(simulate, "sample_params", lambda rng: pinned)
     rebuilt = run_se_sweep(dataclasses.replace(cfg, fixed_params=None))
-    assert built == [pinned] * (len(cfg.snr_grid_db) * cfg.n_trials)
+    assert sorted(built, key=len) == [[pinned] * 2] * 2 + [[pinned] * 4] * 2
     assert [{**r, "config_hash": None} for r in once] == [
         {**r, "config_hash": None} for r in rebuilt
     ]
@@ -834,14 +872,70 @@ def test_sweep_matches_per_matrix_eigh_oracle(monkeypatch, sweep, dims):
         assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("pinned", [False, True], ids=["random", "pinned"])
+@pytest.mark.parametrize("sweep", [run_nmse_sweep, run_se_sweep], ids=["nmse", "se"])
+@pytest.mark.parametrize(
+    "dims, n_trials, sizes",
+    [
+        pytest.param(_REF_DIMS, 6, [4, 2], id="ref-4+2"),
+        pytest.param(SMALL_DIMS, 6, [6], id="small-6"),
+        pytest.param(ODD_DIMS, 5, [5], id="odd-5"),
+        pytest.param(_WIDE_DIMS, 2, [1, 1], id="16x16-1+1"),
+    ],
+)
+def test_sweep_rows_match_the_per_trial_oracle(monkeypatch, dims, n_trials, sizes, sweep, pinned):
+    # the batched sweep against one trial at a time (oracles.run_point):
+    # one fit per method and one score per fit.  Batching moves no row
+    # by more than 1e-12 relative: a stacked krf squares every member
+    # until the last one certifies, so a member's column can end a few
+    # products later than its own fit would, within the certificate
+    fixed = ChannelParams(**{k: math.radians(v) for k, v in _ANGLES.items()}) if pinned else None
+    cfg = _small_cfg(dims=dims, snr_grid_db=(-10.0, 20.0), n_trials=n_trials, seed=3,
+                     fixed_params=fixed)
+    assert [len(trials) for _, trials in simulate._batches(cfg)] == sizes * 2
+    batched = sweep(cfg)
+    monkeypatch.setattr(simulate, "_sweep", per_trial_sweep)
+    want = sweep(cfg)
+    assert [dict(r, value=0) for r in batched] == [dict(r, value=0) for r in want]
+    for got, row in zip(batched, want):
+        assert abs(got["value"] - row["value"]) <= 1e-12 * abs(row["value"]), row
+
+
+@pytest.mark.parametrize("sweep", [run_nmse_sweep, run_se_sweep], ids=["nmse", "se"])
+def test_batch_working_set_is_five_slabs(sweep):
+    # at the reference dims a batch of 4 trials' cascades fills one slab,
+    # and a sweep holds the truth and observation stacks plus one stage's
+    # three: the estimate stack and its scoring's transients, hdr's
+    # C-ordered copy with a slab's rows and their conjugate, or krf's
+    # stacked Grams with its two squaring buffers.  Beyond these five
+    # slabs: the half slab numpy buffers when psd_top rescales its
+    # squared stack by a broadcast per-member factor, per-member vectors
+    # and bookkeeping (measured: 5.60 slabs)
+    cfg = _small_cfg(dims=_REF_DIMS, snr_grid_db=(-10.0, 20.0), n_trials=8)
+    sweep(cfg)                                  # warm-up: lazy imports and caches
+    slab = _GRAM_SLAB * 16                      # bytes of one complex128 slab
+    cascade = 16 * _REF_DIMS.n_ue * _REF_DIMS.n_bs * _REF_DIMS.n_ris
+    assert 4 * cascade == slab and [len(t) for _, t in simulate._batches(cfg)] == [4] * 4
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.75 * slab, peak / slab
+
+
 def test_krf_squarings_per_call_at_reference_dims(monkeypatch):
-    # full squarings of krf's stacked Grams per call at seed 0: the
-    # matrix-vector tail takes over once the bound allows (3/4/5/9 per call
-    # at 20/10/0/-10 dB before it)
+    # full squarings of krf's stacked Grams per call at seed 0, one call
+    # per batch of 4 trials (one per trial before the sweeps fitted
+    # batches, with the same counts): the matrix-vector tail takes over
+    # once the bound allows (3/4/5/9 per call at 20/10/0/-10 dB before it)
     import hdris.estimators
 
     snrs = (20.0, 10.0, 0.0, -10.0)
-    n_trials = 3
+    n_trials = 4
     calls = []
     matmul, krf = np.matmul, hdris.estimators.ESTIMATORS["krf"]
 
@@ -862,9 +956,7 @@ def test_krf_squarings_per_call_at_reference_dims(monkeypatch):
                         dataclasses.replace(krf, fit=counted_krf))
     run_nmse_sweep(_small_cfg(dims=_REF_DIMS, snr_grid_db=snrs, n_trials=n_trials,
                               methods=("krf",)))
-    squarings = [[c["square"] for c in calls[i:i + n_trials]]
-                 for i in range(0, len(calls), n_trials)]
-    assert squarings == [[0] * n_trials, [1] * n_trials, [2] * n_trials, [6] * n_trials]
+    assert [c["square"] for c in calls] == [0, 1, 2, 6]
     assert all(1 <= c["tail"] < 16 for c in calls)
 
 
